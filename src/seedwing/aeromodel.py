@@ -167,15 +167,14 @@ def _ex_value(u) -> float:
 # ---------------------------------------------------------------------------
 # generic scalar core
 
-def _alpha_of(x1, x2, x3, e_x, p: PlateParams, simplified: bool):
-    if simplified:
-        return iv.atan2(x2, x1)
-    return iv.atan2(x2 - x3 * (e_x * p.ell), x1)
+def selection_fraction(alpha, p: PlateParams):
+    """Smooth pre/post-stall blending factor in (0, 1), decreasing in alpha."""
+    return (1.0 - iv.tanh((alpha - p.alpha0) / p.delta_s)) * 0.5
 
 
 def _coeffs_abs(aa, p: PlateParams):
     """Coefficients from |alpha|; every aerodynamic term is even in alpha."""
-    f = (1.0 - iv.tanh((aa - p.alpha0) / p.delta_s)) * 0.5
+    f = selection_fraction(aa, p)
     c_lift = -(f * p.cl1 * iv.sin(aa) + (1.0 - f) * p.cl2 * iv.sin(2.0 * aa))
     s2 = iv.sin(aa) ** 2
     c_drag = f * (p.cd0 + p.cd1 * s2) + (1.0 - f) * p.cd90 * s2
@@ -184,9 +183,23 @@ def _coeffs_abs(aa, p: PlateParams):
     return f, c_lift, c_drag, l_cp
 
 
-def _coeffs(alpha, p: PlateParams):
-    """Selection fraction, signed lift coefficient, drag coefficient, l_cp [m]."""
-    return _coeffs_abs(iv.absval(alpha), p)
+def _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p: PlateParams):
+    """Plate-frame (x', y') forces lift_t, lift_r, drag and torques tau_t,
+    tau_r for generic scalars; vy is the y' flow at the centre of mass."""
+    l_cm = e_x * p.ell
+    spd = iv.sqrt(x1 * x1 + vy * vy)
+    half_rho_l = 0.5 * p.rho_f * p.ell
+    # lift carries -x1 in the y' slot so that tau_t below is exactly the
+    # lever arm times the y' aerodynamic force (and the lift is the
+    # perpendicular Kutta force for c_lift < 0)
+    lift_t = (half_rho_l * c_lift * spd * vy, -half_rho_l * c_lift * spd * x1)
+    lift_r = (-0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * vy,
+              0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * x1)
+    drag = (-half_rho_l * c_drag * spd * x1, -half_rho_l * c_drag * spd * vy)
+    tau_t = -half_rho_l * spd * (c_lift * x1 + c_drag * vy) * (l_cp - l_cm)
+    bracket = (2.0 * e_x + 1.0) ** 4 + p.tau_r_sign * (2.0 * e_x - 1.0) ** 4
+    tau_r = -(1.0 / 128.0) * p.rho_f * p.ell ** 4 * p.cd90 * x3 * iv.absval(x3) * bracket
+    return lift_t, lift_r, drag, tau_t, tau_r
 
 
 def _derivative_core(x, e_x, p: PlateParams, simplified: bool = False):
@@ -194,29 +207,16 @@ def _derivative_core(x, e_x, p: PlateParams, simplified: bool = False):
 
     The angle of attack enters only through |alpha| = atan2(|vy|, x1), which
     keeps the enclosure defined for any flow direction short of a velocity
-    box containing the origin.
+    box containing the origin. At zero relative flow every aerodynamic term
+    vanishes and only gravity remains.
     """
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
     l_cm = e_x * p.ell
     vy = x2 - x3 * l_cm
     aa = iv.atan2(iv.absval(x2 if simplified else vy), x1)
     _, c_lift, c_drag, l_cp = _coeffs_abs(aa, p)
-    spd = iv.sqrt(x1 * x1 + vy * vy)
-
-    half_rho_l = 0.5 * p.rho_f * p.ell
-    # lift carries -x1 in the y' slot so that tau_t below is exactly the
-    # lever arm times the y' aerodynamic force (and the lift is the
-    # perpendicular Kutta force for c_lift < 0)
-    lt_x = half_rho_l * c_lift * spd * vy
-    lt_y = -half_rho_l * c_lift * spd * x1
-    lr_x = -0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * vy
-    lr_y = 0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * x1
-    d_x = -half_rho_l * c_drag * spd * x1
-    d_y = -half_rho_l * c_drag * spd * vy
-
-    tau_t = -half_rho_l * spd * (c_lift * x1 + c_drag * vy) * (l_cp - l_cm)
-    bracket = (2.0 * e_x + 1.0) ** 4 + p.tau_r_sign * (2.0 * e_x - 1.0) ** 4
-    tau_r = -(1.0 / 128.0) * p.rho_f * p.ell ** 4 * p.cd90 * x3 * iv.absval(x3) * bracket
+    (lt_x, lt_y), (lr_x, lr_y), (d_x, d_y), tau_t, tau_r = \
+        _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p)
 
     m, ma, mp_g = p.mass, p.added_mass, p.m_eff * p.g
     dx3 = (tau_t + tau_r) / p.inertia(e_x)
@@ -226,6 +226,10 @@ def _derivative_core(x, e_x, p: PlateParams, simplified: bool = False):
            - mp_g * iv.sin(x4)) / m
     c4, s4 = iv.cos(x4), iv.sin(x4)
     return (dx1, dx2, dx3, x3, x1 * c4 - x2 * s4, x1 * s4 + x2 * c4)
+
+
+# float-path name of the core, used by rk4_step
+_deriv_raw = _derivative_core
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +256,10 @@ def angle_of_attack(s: State, u, p: PlateParams, simplified: bool = False) -> fl
     return math.atan2(vy, s.x1)
 
 
-def selection_fraction(alpha: float, p: PlateParams) -> float:
-    """Smooth pre/post-stall blending factor in (0, 1), decreasing in alpha."""
-    return (1.0 - math.tanh((alpha - p.alpha0) / p.delta_s)) / 2.0
-
-
 def force_coefficients(alpha: float, p: PlateParams, strict: bool = False):
     """(c_lift, c_drag, l_cp[m]) at the given angle of attack."""
     _check_alpha_region(alpha, strict)
-    _, c_lift, c_drag, l_cp = _coeffs(alpha, p)
-    return c_lift, c_drag, l_cp
+    return _coeffs_abs(abs(alpha), p)[1:]
 
 
 def aero_breakdown(s: State, u, p: PlateParams, strict: bool = False) -> AeroBreakdown:
@@ -269,64 +267,23 @@ def aero_breakdown(s: State, u, p: PlateParams, strict: bool = False) -> AeroBre
     e_x = _ex_value(u)
     alpha = angle_of_attack(s, u, p)
     _check_alpha_region(alpha, strict)
-    f = selection_fraction(abs(alpha), p)
-    _, c_lift, c_drag, l_cp = _coeffs(alpha, p)
-
-    l_cm = e_x * p.ell
-    vy = s.x2 - s.x3 * l_cm
-    spd = math.hypot(s.x1, vy)
-    half_rho_l = 0.5 * p.rho_f * p.ell
-    lift_t = (half_rho_l * c_lift * spd * vy, -half_rho_l * c_lift * spd * s.x1)
-    lift_r = (-0.5 * p.rho_f * p.ell ** 2 * p.cr * s.x3 * vy,
-              0.5 * p.rho_f * p.ell ** 2 * p.cr * s.x3 * s.x1)
-    drag = (-half_rho_l * c_drag * spd * s.x1, -half_rho_l * c_drag * spd * vy)
-    tau_t = -half_rho_l * spd * (c_lift * s.x1 + c_drag * vy) * (l_cp - l_cm)
-    bracket = (2.0 * e_x + 1.0) ** 4 + p.tau_r_sign * (2.0 * e_x - 1.0) ** 4
-    tau_r = -(1.0 / 128.0) * p.rho_f * p.ell ** 4 * p.cd90 * s.x3 * abs(s.x3) * bracket
-    return AeroBreakdown(alpha, f, c_lift, c_drag, l_cp,
-                         lift_t, lift_r, drag, tau_t, tau_r)
-
-
-def aero_forces(s: State, u, p: PlateParams) -> AeroBreakdown:
-    return aero_breakdown(s, u, p)
+    f, c_lift, c_drag, l_cp = _coeffs_abs(abs(alpha), p)
+    terms = _aero_terms(s.x1, s.x2 - s.x3 * (e_x * p.ell), s.x3, e_x,
+                        c_lift, c_drag, l_cp, p)
+    return AeroBreakdown(alpha, f, c_lift, c_drag, l_cp, *terms)
 
 
 def aero_torques(s: State, u, p: PlateParams, l_cp: float):
     """(tau_t, tau_r) given l_cp in metres."""
     e_x = _ex_value(u)
-    l_cm = e_x * p.ell
-    vy = s.x2 - s.x3 * l_cm
-    spd = math.hypot(s.x1, vy)
     c_lift, c_drag, _ = force_coefficients(angle_of_attack(s, u, p), p)
-    tau_t = -0.5 * p.rho_f * p.ell * spd * (c_lift * s.x1 + c_drag * vy) * (l_cp - l_cm)
-    bracket = (2.0 * e_x + 1.0) ** 4 + p.tau_r_sign * (2.0 * e_x - 1.0) ** 4
-    tau_r = -(1.0 / 128.0) * p.rho_f * p.ell ** 4 * p.cd90 * s.x3 * abs(s.x3) * bracket
-    return tau_t, tau_r
+    return _aero_terms(s.x1, s.x2 - s.x3 * (e_x * p.ell), s.x3, e_x,
+                       c_lift, c_drag, l_cp, p)[3:]
 
 
 def state_derivative(s: State, u, p: PlateParams, simplified: bool = False) -> StateDerivative:
     """Time derivative of all six state variables."""
-    if s.x1 == 0.0 and s.x2 == 0.0 and s.x3 == 0.0:
-        # zero relative flow: alpha := 0 and every aero term vanishes
-        mp_g = p.m_eff * p.g
-        ma = p.added_mass
-        return StateDerivative(-mp_g * math.sin(s.x4) / p.mass,
-                               -mp_g * math.cos(s.x4) / (p.mass + ma),
-                               0.0, 0.0,
-                               s.x1 * math.cos(s.x4) - s.x2 * math.sin(s.x4),
-                               s.x1 * math.sin(s.x4) + s.x2 * math.cos(s.x4))
-    return StateDerivative(*_derivative_core(s.as_tuple(), _ex_value(u), p, simplified))
-
-
-def _deriv_raw(x, e_x, p, simplified=False):
-    if x[0] == 0.0 and x[1] == 0.0 and x[2] == 0.0:
-        mp_g = p.m_eff * p.g
-        return (-mp_g * math.sin(x[3]) / p.mass,
-                -mp_g * math.cos(x[3]) / (p.mass + p.added_mass),
-                0.0, 0.0,
-                x[0] * math.cos(x[3]) - x[1] * math.sin(x[3]),
-                x[0] * math.sin(x[3]) + x[1] * math.cos(x[3]))
-    return _derivative_core(x, e_x, p, simplified)
+    return StateDerivative(*_deriv_raw(s.as_tuple(), _ex_value(u), p, simplified))
 
 
 def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
+import multiprocessing
 import sys
 import time
 import warnings
@@ -23,7 +25,8 @@ from .closedloop import (DEFAULT_GAINS, NetworkController, PidController,
                          PidGains, SimConfig, dataset_from_csv, dataset_to_csv,
                          fit_norm, generate_dataset, rows_to_arrays,
                          simulate_closed_loop)
-from .reach import ReachConfig, goal_check, reach_full, reach_to_csv
+from .reach import (ReachConfig, ReachResult, goal_check, reach_full,
+                    reach_to_csv)
 from .svgplot import plot_reach, plot_trajectories
 from .verifier import (Budget, PropertySpec, bab_verify, encode_property,
                        find_critical_ystar, results_to_csv, robustness_sweep)
@@ -63,8 +66,13 @@ def _apply_config(args):
     """Fill argparse Nones from the JSON config (flags win), then defaults."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            conf = json.load(fh)
-        section = conf.get(args.command, conf)
+            try:
+                conf = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"config {args.config}: invalid JSON: {exc}") from exc
+        section = conf.get(args.command, conf) if isinstance(conf, dict) else conf
+        if not isinstance(section, dict):
+            raise UsageError(f"config {args.config}: expected a JSON object")
         for key, val in section.items():
             if getattr(args, key, None) is None and hasattr(args, key):
                 setattr(args, key, val)
@@ -273,17 +281,9 @@ def cmd_robust_sweep(args):
         n_points=int(_d(args, "points", 100)),
         per_query_budget=Budget(max_seconds=float(_d(args, "query_budget_s", 5.0))),
         cell_budget_s=float(_d(args, "cell_budget_s", 60.0)))
-    jobs = int(_d(args, "jobs", 1))
-    if jobs > 1:
-        cells = [(e, l) for e in eps_list for l in l_list]
-        grid = {}
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(_sweep_cell, core, X, e, l, sweep_kw): (e, l)
-                    for e, l in cells}
-            for fut in concurrent.futures.as_completed(futs):
-                grid[futs[fut]] = fut.result()
-    else:
-        grid = robustness_sweep(core, X, eps_list, l_list, **sweep_kw)
+    cells = [(e, l) for e in eps_list for l in l_list]
+    grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
+                                        cells, int(_d(args, "jobs", 1)))))
     out = _d(args, "out", "robust-sweep.csv")
     with open(out, "w") as fh:
         fh.write("epsilon,lstar,rate,n_verified,n_done,seconds,timeouts\n")
@@ -303,36 +303,26 @@ def cmd_robust_sweep(args):
     return EXIT_OK
 
 
-def _sweep_cell(core, X, eps, lstar, kw):
-    grid = robustness_sweep(core, X, (eps,), (lstar,), **kw)
-    return grid[(eps, lstar)]
+def _ordered_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], spread over `jobs` processes when jobs > 1."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, items))
 
 
-def _reach_cell(payload):
-    idx, cell, net, p, cfg = payload
-    sub = dataclasses.replace(cfg, n_splits=1)
-    res = reach_full(cell, net, p, sub)
-    branch = res.branches[0]
+def _sweep_cell(core, X, kw, cell):
+    eps, lstar = cell
+    return robustness_sweep(core, X, (eps,), (lstar,), **kw)[cell]
+
+
+def _reach_cell(net, p, cfg, indexed_cell):
+    """Branch of one initial x6 cell, as reach_full would number it."""
+    idx, cell = indexed_cell
+    branch = reach_full(cell, net, p, dataclasses.replace(cfg, n_splits=1)).branches[0]
     branch.index = idx
     return branch
-
-
-def _reach_parallel(x6_interval, net, p, cfg, jobs):
-    """Initial cells distributed over processes; deterministic merge by index."""
-    from .reach import ReachResult
-    from .zono import zono_hull
-    edges = np.linspace(x6_interval[0], x6_interval[1], cfg.n_splits + 1)
-    payloads = [(i, (float(edges[i]), float(edges[i + 1])), net, p, cfg)
-                for i in range(cfg.n_splits)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        branches = list(pool.map(_reach_cell, payloads))
-    branches.sort(key=lambda b: b.index)
-    surv = [b for b in branches if not b.failed]
-    final_hull = None
-    if surv:
-        los, his = zip(*(zono_hull(b.checkpoints[-1]) for b in surv))
-        final_hull = (np.min(np.array(los), axis=0), np.max(np.array(his), axis=0))
-    return ReachResult(branches, cfg, final_hull, any(b.failed for b in branches))
 
 
 def cmd_reach(args):
@@ -341,18 +331,20 @@ def cmd_reach(args):
         raise UsageError("--net is required")
     net = _load_net(args.net)
     target = mlp.embed_normalization(net) if net.norm is not None else net
-    cfg = ReachConfig(dt=float(_d(args, "dt", 0.01)),
-                      t_end=float(_d(args, "t_end", 20.0)),
-                      n_splits=int(_d(args, "splits", 16)),
-                      max_order=float(_d(args, "max_order", 20.0)),
-                      relu_mode=str(_d(args, "relu_mode", "zonotope")))
-    x6_lo = float(_d(args, "x6_lo", 1.43))
-    x6_hi = float(_d(args, "x6_hi", 4.29))
-    jobs = int(_d(args, "jobs", 1))
-    if jobs > 1 and cfg.width_resplit is None and cfg.n_splits > 1:
-        result = _reach_parallel((x6_lo, x6_hi), target, PlateParams(), cfg, jobs)
-    else:
-        result = reach_full((x6_lo, x6_hi), target, PlateParams(), cfg)
+    try:
+        cfg = ReachConfig(dt=float(_d(args, "dt", 0.01)),
+                          t_end=float(_d(args, "t_end", 20.0)),
+                          n_splits=int(_d(args, "splits", 16)),
+                          max_order=float(_d(args, "max_order", 20.0)),
+                          relu_mode=str(_d(args, "relu_mode", "zonotope")))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    edges = np.linspace(float(_d(args, "x6_lo", 1.43)), float(_d(args, "x6_hi", 4.29)),
+                        cfg.n_splits + 1)
+    cells = [(i, (float(edges[i]), float(edges[i + 1]))) for i in range(cfg.n_splits)]
+    branches = _ordered_map(functools.partial(_reach_cell, target, PlateParams(), cfg),
+                            cells, int(_d(args, "jobs", 1)))
+    result = ReachResult(branches, cfg)
     ystar = float(_d(args, "goal_ystar", 2.0))
     verdict = goal_check(result, ystar)
     out = _d(args, "out", "reach.csv")
@@ -384,8 +376,10 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file (flags win)")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--strict", action="store_true")
+
+    def jobs(sp):
+        sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
     sp = sub.add_parser("simulate", help="open- or closed-loop trajectory")
     sp.add_argument("--mode", choices=("open", "closed"), default="open")
@@ -456,6 +450,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=float)
     sp.add_argument("--out")
     common(sp)
+    jobs(sp)
     sp.set_defaults(func=cmd_robust_sweep)
 
     sp = sub.add_parser("reach", help="closed-loop reachable sets and goal check")
@@ -471,6 +466,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out")
     sp.add_argument("--svg")
     common(sp)
+    jobs(sp)
     sp.set_defaults(func=cmd_reach)
     return ap
 
@@ -486,7 +482,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, mlp.NetworkFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

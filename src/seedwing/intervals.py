@@ -75,9 +75,6 @@ class Interval:
     def union(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def widened(self, margin: float) -> "Interval":
-        return Interval(self.lo - margin, self.hi + margin)
-
     # -- arithmetic ---------------------------------------------------------
     def __neg__(self):
         return Interval(-self.hi, -self.lo)

@@ -145,6 +145,16 @@ def forward_batch(net: Network, X: np.ndarray, use_norm: bool = False) -> np.nda
     return Y[:, 0] if Y.shape[1] == 1 else Y
 
 
+def interval_preact(layer: Layer, lo: np.ndarray, hi: np.ndarray):
+    """Pre-activation interval (lo, hi) of one layer over the input box
+    [lo, hi], in midpoint-radius form: w c + b -+ |w| r."""
+    c = 0.5 * (lo + hi)
+    r = 0.5 * (hi - lo)
+    pc = layer.w @ c + layer.b
+    pr = np.abs(layer.w) @ r
+    return pc - pr, pc + pr
+
+
 def forward_preacts(net: Network, x) -> list:
     """Per-layer pre-activation vectors for one raw (unnormalized-path) input."""
     a = np.asarray(x, dtype=float)
@@ -240,19 +250,6 @@ def input_gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float).reshape(-1)
     acts, pres = _forward_trace(net, X)
     delta = 2.0 * (acts[-1][:, 0] - Y)[:, None]
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
-        if layer.act == "relu":
-            delta = delta * (pres[i] > 0.0)
-        delta = delta @ layer.w
-    return delta
-
-
-def output_input_gradient(net: Network, X: np.ndarray) -> np.ndarray:
-    """d f(x) / dx for each sample, shape (n, d)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    acts, pres = _forward_trace(net, X)
-    delta = np.ones((X.shape[0], net.n_out))
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.act == "relu":
@@ -377,6 +374,8 @@ def load(path) -> Network:
     for key in ("widths", "layers"):
         if key not in doc:
             raise NetworkFormatError(f"missing field '{key}'")
+    if not isinstance(doc["layers"], list) or not doc["layers"]:
+        raise NetworkFormatError("'layers' must be a non-empty list")
     layers = []
     for i, ld in enumerate(doc["layers"]):
         for key in ("w", "b", "act"):

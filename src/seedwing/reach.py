@@ -11,16 +11,16 @@ current set is enclosed and held as the actuation interval.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import intervals as iv
 from .aeromodel import ALPHA_HI, ALPHA_LO, EX_MAX, EX_MIN, PlateParams, \
-    _derivative_core, _deriv_raw
+    _derivative_core
 from .intervals import Dual, Interval
-from .mlp import Network
+from .mlp import Network, interval_preact
+from .verifier import interval_bounds
 from .zono import (Zonotope, zono_hull, zono_max_linear, zono_reduce,
                    zono_split)
 
@@ -55,6 +55,8 @@ class ReachConfig:
                 raise ValueError("dt must divide dt_control must divide t_end")
         if self.relu_mode not in ("zonotope", "interval"):
             raise ValueError("relu_mode must be 'zonotope' or 'interval'")
+        if self.n_splits < 1:
+            raise ValueError("n_splits must be >= 1")
 
     @property
     def steps_per_cycle(self) -> int:
@@ -181,10 +183,8 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
 
     u_c = u_set.mid
     c = Z.c
-    if core is None:
-        f_c = np.array(_deriv_raw(tuple(c), u_c, p, not cfg.exact_alpha))
-    else:
-        f_c = np.array([float(v) for v in core(list(c), u_c, p, not cfg.exact_alpha)])
+    f = core if core is not None else _derivative_core
+    f_c = np.array([float(v) for v in f(list(c), u_c, p, not cfg.exact_alpha)])
     J_c = point_jacobian(c, u_c, p, not cfg.exact_alpha, core)
 
     A = np.eye(6) + dt * J_c[:, :6]
@@ -209,7 +209,8 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     rem_rad = np.array([r.rad for r in rem])
     Z_next = Zonotope(center + rem_mid, np.hstack([G_lin, np.diag(rem_rad)]))
     Z_next = zono_reduce(Z_next, cfg.max_order)
-    w = np.max(zono_hull(Z_next)[1] - zono_hull(Z_next)[0])
+    lo_next, hi_next = zono_hull(Z_next)
+    w = np.max(hi_next - lo_next)
     if w > cfg.blowup_width:
         raise BranchFailure(f"set blow-up: hull width {w:.3g}")
     if return_info:
@@ -227,18 +228,11 @@ def nn_output_set(net: Network, Z: Zonotope, mode: str = "zonotope") -> Interval
     interval clipping in interval mode.
     """
     if mode == "interval":
+        # the output layer's pre-activation: a ReLU there would change
+        # nothing once clamped to [EX_MIN, EX_MAX], which lies above zero
         lo, hi = zono_hull(Z)
-        a_lo, a_hi = lo.copy(), hi.copy()
-        for layer in net.layers:
-            c = 0.5 * (a_lo + a_hi)
-            r = 0.5 * (a_hi - a_lo)
-            pc = layer.w @ c + layer.b
-            pr = np.abs(layer.w) @ r
-            a_lo, a_hi = pc - pr, pc + pr
-            if layer.act == "relu":
-                a_lo = np.maximum(a_lo, 0.0)
-                a_hi = np.maximum(a_hi, 0.0)
-        out_lo, out_hi = float(a_lo[0]), float(a_hi[0])
+        p_lo, p_hi = interval_bounds(net, tuple(zip(lo, hi)))["pre"][-1]
+        out_lo, out_hi = float(p_lo[0]), float(p_hi[0])
     elif mode == "zonotope":
         c = Z.c.copy()
         G = Z.G.copy()
@@ -246,16 +240,13 @@ def nn_output_set(net: Network, Z: Zonotope, mode: str = "zonotope") -> Interval
         for layer in net.layers:
             c = layer.w @ c + layer.b
             G = layer.w @ G
-            bc = 0.5 * (a_lo + a_hi)
-            br = 0.5 * (a_hi - a_lo)
-            pc = layer.w @ bc + layer.b
-            pr = np.abs(layer.w) @ br
+            p_lo, p_hi = interval_preact(layer, a_lo, a_hi)
             # combine the zonotope hull with the running interval bounds;
             # both are sound, and their intersection keeps the relu slopes
             # (and the final answer) at least as tight as interval mode
             r = np.abs(G).sum(axis=1)
-            l_b = np.maximum(c - r, pc - pr)
-            u_b = np.minimum(c + r, pc + pr)
+            l_b = np.maximum(c - r, p_lo)
+            u_b = np.minimum(c + r, p_hi)
             if layer.act != "relu":
                 a_lo, a_hi = l_b, u_b
                 continue
@@ -316,8 +307,10 @@ class Branch:
 class ReachResult:
     branches: list
     cfg: ReachConfig
-    final_hull: tuple | None      # (lo, hi) arrays over surviving branches
-    inconclusive: bool
+
+    @property
+    def inconclusive(self) -> bool:
+        return any(b.failed for b in self.branches)
 
     def surviving(self):
         return [b for b in self.branches if not b.failed]
@@ -386,13 +379,7 @@ def reach_full(x6_interval, net: Network, p: PlateParams,
             br.fail_cycle = cycle
             done.append(br)
     done.sort(key=lambda b: b.index)
-
-    surv = [b for b in done if not b.failed]
-    final_hull = None
-    if surv:
-        los, his = zip(*(zono_hull(b.checkpoints[-1]) for b in surv))
-        final_hull = (np.min(np.array(los), axis=0), np.max(np.array(his), axis=0))
-    return ReachResult(done, cfg, final_hull, any(b.failed for b in done))
+    return ReachResult(done, cfg)
 
 
 BAND_FUNCTIONAL = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])   # x5 + x6

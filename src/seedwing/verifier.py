@@ -282,11 +282,7 @@ def interval_bounds(net: Network, box, premise=(), phases=None):
     status = []
     a_lo, a_hi = lo, hi
     for li, layer in enumerate(net.layers):
-        c = 0.5 * (a_lo + a_hi)
-        r = 0.5 * (a_hi - a_lo)
-        pc = layer.w @ c + layer.b
-        pr = np.abs(layer.w) @ r
-        p_lo, p_hi = pc - pr, pc + pr
+        p_lo, p_hi = mlp.interval_preact(layer, a_lo, a_hi)
         pre.append((p_lo, p_hi))
         if layer.act == "relu":
             st = []

@@ -331,3 +331,36 @@ class TestRk4GlobalOrder:
             errs.append(np.linalg.norm(np.array(end.as_tuple()) - ref))
         ratio = errs[0] / errs[1]
         assert 10.0 <= ratio <= 22.0
+
+
+class TestBreakdownMatchesDerivative:
+    """aero_breakdown and state_derivative share one force/torque helper."""
+
+    def _check(self, s, e_x, p):
+        b = aero_breakdown(s, e_x, p)
+        d = state_derivative(s, e_x, p)
+        m, ma, mp_g = p.mass, p.added_mass, p.m_eff * p.g
+        l_cm = e_x * p.ell
+        dx3 = (b.tau_t + b.tau_r) / p.inertia(e_x)
+        dx2 = (-m * s.x3 * s.x1 + ma * dx3 * l_cm + b.lift_t[1] + b.lift_r[1]
+               + b.drag[1] - mp_g * math.cos(s.x4)) / (m + ma)
+        dx1 = ((m + ma) * s.x3 * s.x2 - ma * s.x3 * s.x3 * l_cm + b.lift_t[0]
+               + b.lift_r[0] + b.drag[0] - mp_g * math.sin(s.x4)) / m
+        assert dx3 == pytest.approx(d.dx3, rel=1e-12, abs=1e-300)
+        assert dx2 == pytest.approx(d.dx2, rel=1e-12, abs=1e-300)
+        assert dx1 == pytest.approx(d.dx1, rel=1e-12, abs=1e-300)
+
+    def test_random_states(self, params):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            self._check(rand_state(rng, wild=True), rng.uniform(0.181, 0.193), params)
+
+    @pytest.mark.parametrize("x1", [0.0, -0.0])
+    def test_zero_flow(self, params, x1):
+        for x4 in (0.0, -0.4, 0.9):
+            s = State(x1, 0.0, 0.0, x4, 0.3, 2.0)
+            self._check(s, 0.187, params)
+            d = state_derivative(s, 0.187, params)
+            assert d.dx3 == 0.0
+            assert d.dx1 == pytest.approx(-params.m_eff * params.g * math.sin(x4) / params.mass,
+                                          rel=1e-15, abs=1e-300)

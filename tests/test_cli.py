@@ -170,3 +170,66 @@ class TestReachCommand:
         a_rest = {k: v for k, v in a["args"].items() if k not in skip}
         b_rest = {k: v for k, v in b["args"].items() if k not in skip}
         assert a_rest == b_rest
+
+    def test_jobs_match_serial_byte_for_byte(self, workdir, tmp_path):
+        paths = []
+        for jobs in (1, 2):
+            out = tmp_path / f"reach-j{jobs}.csv"
+            code = main(["reach", "--net", str(workdir / "net.json"), "--splits", "2",
+                         "--jobs", str(jobs), "--out", str(out),
+                         "--svg", str(tmp_path / f"reach-j{jobs}.svg")])
+            assert code == 3
+            paths.append(out)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestJobs:
+    def test_sweep_jobs_match_serial(self, workdir, tmp_path):
+        rows = []
+        for jobs in (1, 2):
+            out = tmp_path / f"grid-j{jobs}.csv"
+            code = main(["robust-sweep", "--net", str(workdir / "net.json"),
+                         "--data", str(workdir / "data.csv"),
+                         "--eps-list", "1e-5,1e-3", "--lstar-list", "1e-3,1e-2",
+                         "--points", "3", "--jobs", str(jobs), "--out", str(out)])
+            assert code == 0
+            lines = [line.split(",") for line in out.read_text().splitlines()]
+            seconds = lines[0].index("seconds")
+            rows.append([line[:seconds] + line[seconds + 1:] for line in lines])
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 5
+
+    def test_config_sets_jobs(self, tmp_path):
+        from seedwing.cli import _apply_config, build_parser
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"jobs": 2}))
+        for command in ("reach", "robust-sweep"):
+            args = _apply_config(build_parser().parse_args([command, "--config", str(conf)]))
+            assert args.jobs == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "gen-data", "train", "train-adv",
+                                         "verify", "critical-ystar"])
+    def test_jobs_only_where_read(self, command, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)   # a command that ran would write here
+        assert main([command, "--jobs", "2"]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": []}'),
+    (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": 5}'),
+    (["verify", "--net", "NET", "--config", "BAD"], "{bad"),
+    (["verify", "--net", "NET", "--config", "BAD"], "[1]"),
+    (["verify", "--net", "NET", "--config", "BAD"], '{"verify": 5}'),
+    (["reach", "--net", "NET", "--splits", "0"], ""),
+    (["reach", "--net", "NET", "--dt", "0.3"], ""),
+], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
+        "config-section-not-object", "zero-splits", "dt-not-dividing"])
+def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = {"BAD": str(bad), "NET": str(workdir / "net.json")}
+    code = main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

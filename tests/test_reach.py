@@ -394,7 +394,8 @@ class TestGoalCheck:
         from seedwing.reach import Branch, ReachResult
         br = Branch(0, (1.0, 2.0), [Zonotope.point(np.zeros(6))],
                     failed=True, fail_reason="x", fail_cycle=1)
-        res = ReachResult([br], ReachConfig(), None, True)
+        res = ReachResult([br], ReachConfig())
+        assert res.inconclusive
         assert goal_check(res).status == "unknown"
 
     def test_band_bounds_reported(self):
@@ -410,6 +411,4 @@ class TestGoalCheck:
 def _result_with(zonos):
     from seedwing.reach import Branch, ReachResult
     branches = [Branch(i, (0.0, 1.0), [Z]) for i, Z in enumerate(zonos)]
-    lo = np.min([zono_hull(Z)[0] for Z in zonos], axis=0)
-    hi = np.max([zono_hull(Z)[1] for Z in zonos], axis=0)
-    return ReachResult(branches, ReachConfig(), (lo, hi), False)
+    return ReachResult(branches, ReachConfig())
