@@ -350,6 +350,8 @@ def simulate_open_loop(s0: State, e_x, p: PlateParams, t_end: float,
     """Fixed-actuation trajectory sampled every dt (first sample at t=0)."""
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
     u = _ex_value(e_x)
     n = round(t_end / dt)
     tr = Trace()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import json
@@ -88,6 +89,16 @@ def _load_net(path):
     return mlp.load(path)
 
 
+@contextlib.contextmanager
+def _rejected_settings():
+    """A ValueError from a config or run that rejects its settings is a
+    usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -103,11 +114,13 @@ def cmd_simulate(args):
     inputs = []
     if args.mode == "open":
         e_x = float(_d(args, "ex", 0.187))
-        tr = simulate_open_loop(s0, e_x, p, t_end, dt, strict=args.strict)
+        with _rejected_settings():
+            tr = simulate_open_loop(s0, e_x, p, t_end, dt, strict=args.strict)
     else:
-        cfg = SimConfig(t_end=t_end, dt_model=dt,
-                        dt_control=float(_d(args, "dt_control", 0.5)),
-                        n_sims=1, x6_starts=(x6_0,), record_skip=0)
+        with _rejected_settings():
+            cfg = SimConfig(t_end=t_end, dt_model=dt,
+                            dt_control=float(_d(args, "dt_control", 0.5)),
+                            n_sims=1, x6_starts=(x6_0,), record_skip=0)
         if args.net:
             ctrl = NetworkController(_load_net(args.net))
             inputs.append(args.net)
@@ -126,7 +139,8 @@ def cmd_simulate(args):
 def cmd_gen_data(args):
     t0 = time.perf_counter()
     p = PlateParams()
-    cfg = SimConfig(record_skip=int(_d(args, "record_skip", 16)))
+    with _rejected_settings():
+        cfg = SimConfig(record_skip=int(_d(args, "record_skip", 16)))
     gains = PidGains(kp=float(_d(args, "kp", DEFAULT_GAINS.kp)),
                      ki=float(_d(args, "ki", DEFAULT_GAINS.ki)),
                      kd=float(_d(args, "kd", DEFAULT_GAINS.kd)))
@@ -331,14 +345,12 @@ def cmd_reach(args):
         raise UsageError("--net is required")
     net = _load_net(args.net)
     target = mlp.embed_normalization(net) if net.norm is not None else net
-    try:
+    with _rejected_settings():
         cfg = ReachConfig(dt=float(_d(args, "dt", 0.01)),
                           t_end=float(_d(args, "t_end", 20.0)),
                           n_splits=int(_d(args, "splits", 16)),
                           max_order=float(_d(args, "max_order", 20.0)),
                           relu_mode=str(_d(args, "relu_mode", "zonotope")))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     edges = np.linspace(float(_d(args, "x6_lo", 1.43)), float(_d(args, "x6_hi", 4.29)),
                         cfg.n_splits + 1)
     cells = [(i, (float(edges[i]), float(edges[i + 1]))) for i in range(cfg.n_splits)]

@@ -61,6 +61,9 @@ class SimConfig:
     record_skip: int = 16
 
     def __post_init__(self):
+        for name in ("t_end", "dt_model", "dt_control"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"SimConfig.{name} must be > 0")
         if self.x6_starts is None:
             object.__setattr__(self, "x6_starts",
                                _evenly_spaced(1.43, 4.29, self.n_sims))

@@ -49,6 +49,9 @@ class ReachConfig:
     max_branches: int = 256
 
     def __post_init__(self):
+        for name in ("dt", "dt_control", "t_end"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"ReachConfig.{name} must be > 0")
         for a, b in ((self.dt, self.dt_control), (self.dt_control, self.t_end)):
             ratio = b / a
             if abs(ratio - round(ratio)) > 1e-9:
@@ -107,7 +110,7 @@ def point_jacobian(x, u: float, p: PlateParams, simplified: bool = True,
                    core=None):
     """6x7 Jacobian d f / d(x1..x6, u) at a point, via dual numbers."""
     f = core if core is not None else _derivative_core
-    seeds = Dual.seed(list(x) + [u], kind=float)
+    seeds = Dual.seed([float(v) for v in x] + [float(u)], kind=float)
     out = f(seeds[:6], seeds[6], p, simplified)
     J = np.zeros((6, 7))
     for i, d in enumerate(out):
@@ -151,19 +154,19 @@ def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig,
     f0 = [iv.as_interval(v) for v in
           interval_derivative(x_ivs, u_iv, p, not cfg.exact_alpha, core)]
     # one-sided extensions along the flow; grown per side only where deficient
-    m_lo = np.array([max(0.0, -dt * f.lo) + 1e-15 for f in f0])
-    m_hi = np.array([max(0.0, dt * f.hi) + 1e-15 for f in f0])
+    m_lo = [max(0.0, -dt * f.lo) + 1e-15 for f in f0]
+    m_hi = [max(0.0, dt * f.hi) + 1e-15 for f in f0]
     for _ in range(40):
         B = [Interval(l.lo - a, l.hi + b) for l, a, b in zip(x_ivs, m_lo, m_hi)]
         fB = [iv.as_interval(v) for v in
               interval_derivative(B, u_iv, p, not cfg.exact_alpha, core)]
-        need_lo = np.array([max(0.0, -dt * f.lo) + 1e-15 for f in fB])
-        need_hi = np.array([max(0.0, dt * f.hi) + 1e-15 for f in fB])
-        if np.all(m_lo >= need_lo) and np.all(m_hi >= need_hi):
+        need_lo = [max(0.0, -dt * f.lo) + 1e-15 for f in fB]
+        need_hi = [max(0.0, dt * f.hi) + 1e-15 for f in fB]
+        if all(m >= n for m, n in zip(m_lo + m_hi, need_lo + need_hi)):
             return B, fB
-        m_lo = np.where(m_lo >= need_lo, m_lo, 1.2 * need_lo)
-        m_hi = np.where(m_hi >= need_hi, m_hi, 1.2 * need_hi)
-        if max(m_lo.max(), m_hi.max()) > 1e6:
+        m_lo = [m if m >= n else 1.2 * n for m, n in zip(m_lo, need_lo)]
+        m_hi = [m if m >= n else 1.2 * n for m, n in zip(m_hi, need_hi)]
+        if max(m_lo + m_hi) > 1e6:
             break
     raise BranchFailure("a-priori step enclosure did not converge")
 
@@ -177,27 +180,30 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     remainder decomposition is returned alongside the zonotope.
     """
     dt = cfg.dt
-    lo, hi = zono_hull(Z)
+    lo, hi = (h.tolist() for h in zono_hull(Z))
     B, fB = _apriori_box(lo, hi, u_set, p, cfg, core)
     J_int = interval_jacobian(B, u_set, p, not cfg.exact_alpha, cfg, core)
 
     u_c = u_set.mid
-    c = Z.c
+    c = Z.c.tolist()
     f = core if core is not None else _derivative_core
-    f_c = np.array([float(v) for v in f(list(c), u_c, p, not cfg.exact_alpha)])
+    f_c = np.array([float(v) for v in f(c, u_c, p, not cfg.exact_alpha)])
     J_c = point_jacobian(c, u_c, p, not cfg.exact_alpha, core)
 
     A = np.eye(6) + dt * J_c[:, :6]
-    center = c + dt * f_c
+    center = Z.c + dt * f_c
     G_lin = A @ Z.G
 
     du = u_set - u_c
+    # the hull about the linearization point, shared by every row
+    dx = [Interval(lo[j] - c[j], hi[j] - c[j]) for j in range(6)]
+    J_c_rows = J_c.tolist()
     rem = []
     for i in range(6):
         acc = Interval(0.0)
         for j in range(6):
-            dJ = J_int[i][j] - J_c[i, j]
-            acc = acc + dJ * Interval(lo[j] - c[j], hi[j] - c[j])
+            dJ = J_int[i][j] - J_c_rows[i][j]
+            acc = acc + dJ * dx[j]
         acc = acc * dt
         acc = acc + (J_int[i][6] * du) * dt
         trunc = Interval(0.0)

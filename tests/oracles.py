@@ -2,8 +2,9 @@
 
 Each lives apart from the implementation it checks: a clean-room scalar
 transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
-feasibility decision, a vertex-enumeration LP optimizer, and an exhaustive
-activation-pattern verification oracle.
+feasibility decision, a vertex-enumeration LP optimizer, an exhaustive
+activation-pattern verification oracle, and a forward-mode Dual that keeps
+one Interval object per partial.
 """
 
 import itertools
@@ -12,7 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from seedwing import intervals as iv
 from seedwing import mlp
+from seedwing.intervals import Interval, IntervalDomainError
 from seedwing.verifier import (LP_MARGIN, REPLAY_TOL, constraint_violation,
                                premise_holds)
 from seedwing import lp as lpmod
@@ -219,3 +222,151 @@ def enumerate_verify(net, spec):
                 if worst > REPLAY_TOL:
                     return "falsified", x
     return "verified", None
+
+
+# ---------------------------------------------------------------------------
+# reference Dual: one Interval object per partial, with the 4-product multiply
+
+_PAD = 4e-16
+_TINY = 1e-300
+
+
+def ref_iv(lo, hi):
+    """Outward-padded interval, built through the checking constructor."""
+    return Interval(lo - (abs(lo) * _PAD + _TINY), hi + (abs(hi) * _PAD + _TINY))
+
+
+def ref_mul(x, y):
+    """x * y; two Intervals multiply as the min and max of all four corner
+    products, anything else through the operators."""
+    if isinstance(x, Interval) and isinstance(y, Interval):
+        p = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+        return ref_iv(min(p), max(p))
+    return x * y
+
+
+def ref_div(x, y):
+    if isinstance(x, Interval) and isinstance(y, Interval):
+        if y.lo <= 0.0 <= y.hi:
+            raise IntervalDomainError("interval division by zero-straddling interval")
+        return ref_mul(x, ref_iv(1.0 / y.hi, 1.0 / y.lo))
+    return x / y
+
+
+class RefDual:
+    """Value plus a tuple of float or Interval partials, one object each."""
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val, der):
+        self.val = val
+        self.der = tuple(der)
+
+    def _lift(self, other):
+        if isinstance(other, RefDual):
+            return other
+        if isinstance(other, (int, float, Interval)):
+            zero = 0.0 if all(isinstance(d, float) for d in self.der) else Interval(0.0)
+            return RefDual(other, [zero] * len(self.der))
+        return None
+
+    def __neg__(self):
+        return RefDual(-self.val, [-d for d in self.der])
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return RefDual(self.val + o.val, [a + b for a, b in zip(self.der, o.der)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        return RefDual(self.val - o.val, [a - b for a, b in zip(self.der, o.der)])
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        return RefDual(o.val - self.val, [b - a for a, b in zip(self.der, o.der)])
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return RefDual(ref_mul(self.val, o.val),
+                       [ref_mul(a, o.val) + ref_mul(self.val, b)
+                        for a, b in zip(self.der, o.der)])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        inv = 1.0 / o.val
+        q = ref_mul(self.val, inv)
+        return RefDual(q, [ref_mul(a - ref_mul(q, b), inv)
+                           for a, b in zip(self.der, o.der)])
+
+    def __rtruediv__(self, other):
+        return self._lift(other).__truediv__(self)
+
+    def __pow__(self, n):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+
+def _ref_chain(x, val, dval):
+    return RefDual(val, [ref_mul(dval, d) for d in x.der])
+
+
+def ref_sin(x):
+    if isinstance(x, RefDual):
+        return _ref_chain(x, ref_sin(x.val), ref_cos(x.val))
+    return iv.sin(x)
+
+
+def ref_cos(x):
+    if isinstance(x, RefDual):
+        return _ref_chain(x, ref_cos(x.val), -ref_sin(x.val))
+    return iv.cos(x)
+
+
+def ref_tanh(x):
+    if isinstance(x, RefDual):
+        t = ref_tanh(x.val)
+        return _ref_chain(x, t, 1.0 - ref_mul(t, t))
+    return iv.tanh(x)
+
+
+def ref_sqrt(x):
+    if isinstance(x, RefDual):
+        r = ref_sqrt(x.val)
+        return _ref_chain(x, r, 0.5 / r)
+    return iv.sqrt(x)
+
+
+def ref_absval(x):
+    if isinstance(x, RefDual):
+        v = x.val
+        if isinstance(v, Interval):
+            if v.lo >= 0:
+                return RefDual(iv.interval_abs(v), x.der)
+            if v.hi <= 0:
+                return -x
+            s = Interval(-1.0, 1.0)
+            return RefDual(iv.interval_abs(v), [ref_mul(s, d) for d in x.der])
+        return x if v >= 0 else -x
+    return iv.absval(x)
+
+
+def ref_atan2(y, x):
+    if isinstance(y, RefDual) or isinstance(x, RefDual):
+        if not isinstance(y, RefDual):
+            y = x._lift(y)
+        if not isinstance(x, RefDual):
+            x = y._lift(x)
+        v = ref_atan2(y.val, x.val)
+        denom = ref_mul(x.val, x.val) + ref_mul(y.val, y.val)
+        if isinstance(denom, Interval) and denom.lo <= 0.0:
+            raise IntervalDomainError(
+                "atan2 derivative unbounded: velocity box reaches the origin")
+        return RefDual(v, [ref_div(ref_mul(x.val, dy) - ref_mul(y.val, dx), denom)
+                           for dy, dx in zip(y.der, x.der)])
+    return iv.atan2(y, x)

@@ -223,8 +223,18 @@ class TestJobs:
     (["verify", "--net", "NET", "--config", "BAD"], '{"verify": 5}'),
     (["reach", "--net", "NET", "--splits", "0"], ""),
     (["reach", "--net", "NET", "--dt", "0.3"], ""),
+    (["reach", "--net", "NET", "--dt", "0"], ""),
+    (["reach", "--net", "NET", "--dt", "-0.01", "--t-end", "0.5", "--splits", "1"], ""),
+    (["reach", "--net", "NET", "--t-end", "0", "--splits", "1"], ""),
+    (["simulate", "--mode", "closed", "--dt", "0.3", "--t-end", "1"], ""),
+    (["simulate", "--mode", "closed", "--t-end", "-1"], ""),
+    (["simulate", "--t-end", "0"], ""),
+    (["simulate", "--dt", "0"], ""),
+    (["gen-data", "--record-skip", "-5"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
-        "config-section-not-object", "zero-splits", "dt-not-dividing"])
+        "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
+        "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
+        "sim-negative-t-end", "sim-zero-t-end", "sim-zero-dt", "negative-record-skip"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

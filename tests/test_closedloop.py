@@ -84,6 +84,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(record_skip=40)
 
+    @pytest.mark.parametrize("field", ["t_end", "dt_model", "dt_control"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_times_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"SimConfig.{field} must be > 0"):
+            SimConfig(**{field: value})
+
 
 class TestClosedLoop:
     def test_constant_network_equals_open_loop(self, params):

@@ -113,6 +113,13 @@ class TestJacobians:
         interval_jacobian(box, Interval(0.187), params)
 
 
+@pytest.mark.parametrize("field", ["dt", "dt_control", "t_end"])
+@pytest.mark.parametrize("value", [0.0, -0.01])
+def test_config_rejects_nonpositive_times(field, value):
+    with pytest.raises(ValueError, match=f"ReachConfig.{field} must be > 0"):
+        ReachConfig(**{field: value})
+
+
 class TestReachStep:
     def test_linear_dynamics_zero_linearization_remainder(self, params):
         A = np.diag([-1.0, -0.5, -2.0, 0.0, 0.0, 0.0])
