@@ -4,8 +4,8 @@
 Prints one sha256 per run, over the raw bytes of every zonotope's centre and
 generator matrix:
 
-- reach-paper: the paper's plate in the criterion-7 configuration (exact
-  alpha, dt 1e-4, cell 0 of the 16-way split of x6 in [1.43, 4.29]), one
+- reach-paper: the paper's plate in the criterion-7 configuration (dt 1e-4,
+  cell 0 of the 16-way split of x6 in [1.43, 4.29]), one
   branch under each checked-in clone, digested after every reach_step up to
   the branch's failure or 3000 steps;
 - reach-glide: the heavy plate from its settled glide, reach_full over four
@@ -35,7 +35,7 @@ def _update(h, Z):
 
 def reach_paper(clone, horizon=3000):
     p = PlateParams()
-    cfg = reach.ReachConfig(dt=1e-4, t_end=0.5, n_splits=16, exact_alpha=True)
+    cfg = reach.ReachConfig(dt=1e-4, t_end=0.5, n_splits=16)
     edges = np.linspace(1.43, 4.29, cfg.n_splits + 1)
     net = mlp.embed_normalization(mlp.load(INPUTS / f"{clone}.json"))
     Z = reach.initial_zonotope(float(edges[0]), float(edges[1]))
@@ -59,8 +59,7 @@ def reach_glide():
         start = json.load(fh)
     base = np.array(start["state"])
     net = mlp.embed_normalization(mlp.load(INPUTS / "naive.json"))
-    cfg = reach.ReachConfig(dt=1e-3, dt_control=0.1, t_end=0.3, n_splits=4,
-                            exact_alpha=True)
+    cfg = reach.ReachConfig(dt=1e-3, dt_control=0.1, t_end=0.3, n_splits=4)
     result = reach.reach_full((base[5] - 0.08, base[5] + 0.08), net,
                               PlateParams(mass=start["mass"]), cfg, base_state=base)
     h = hashlib.sha256()

@@ -202,7 +202,7 @@ def _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p: PlateParams):
     return lift_t, lift_r, drag, tau_t, tau_r
 
 
-def _derivative_core(x, e_x, p: PlateParams, simplified: bool = False):
+def _derivative_core(x, e_x, p: PlateParams):
     """Six derivatives for generic scalars. x is a 6-sequence, e_x a scalar.
 
     The angle of attack enters only through |alpha| = atan2(|vy|, x1), which
@@ -213,7 +213,7 @@ def _derivative_core(x, e_x, p: PlateParams, simplified: bool = False):
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
     l_cm = e_x * p.ell
     vy = x2 - x3 * l_cm
-    aa = iv.atan2(iv.absval(x2 if simplified else vy), x1)
+    aa = iv.atan2(iv.absval(vy), x1)
     _, c_lift, c_drag, l_cp = _coeffs_abs(aa, p)
     (lt_x, lt_y), (lr_x, lr_y), (d_x, d_y), tau_t, tau_r = \
         _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p)
@@ -244,13 +244,13 @@ def _check_alpha_region(alpha: float, strict: bool):
                   f"[-pi/2, 0]; aerodynamic fit extrapolating", stacklevel=3)
 
 
-def angle_of_attack(s: State, u, p: PlateParams, simplified: bool = False) -> float:
-    """atan2(x2 - x3*e_x*l, x1), or atan2(x2, x1) in simplified mode.
+def angle_of_attack(s: State, u, p: PlateParams) -> float:
+    """atan2(x2 - x3*e_x*l, x1): the flow at the centre of mass.
 
     Zero relative flow returns 0 by convention.
     """
     e_x = _ex_value(u)
-    vy = s.x2 if simplified else s.x2 - s.x3 * e_x * p.ell
+    vy = s.x2 - s.x3 * e_x * p.ell
     if s.x1 == 0.0 and vy == 0.0:
         return 0.0
     return math.atan2(vy, s.x1)
@@ -281,9 +281,9 @@ def aero_torques(s: State, u, p: PlateParams, l_cp: float):
                        c_lift, c_drag, l_cp, p)[3:]
 
 
-def state_derivative(s: State, u, p: PlateParams, simplified: bool = False) -> StateDerivative:
+def state_derivative(s: State, u, p: PlateParams) -> StateDerivative:
     """Time derivative of all six state variables."""
-    return StateDerivative(*_deriv_raw(s.as_tuple(), _ex_value(u), p, simplified))
+    return StateDerivative(*_deriv_raw(s.as_tuple(), _ex_value(u), p))
 
 
 def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,

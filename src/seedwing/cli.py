@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import dataclasses
 import functools
 import json
 import multiprocessing
@@ -18,16 +17,14 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
 from . import __version__, mlp, robust
 from .aeromodel import PlateParams, State, simulate_open_loop
 from .closedloop import (DEFAULT_GAINS, NetworkController, PidController,
                          PidGains, SimConfig, dataset_from_csv, dataset_to_csv,
                          fit_norm, generate_dataset, rows_to_arrays,
                          simulate_closed_loop)
-from .reach import (ReachConfig, ReachResult, goal_check, reach_full,
-                    reach_to_csv)
+from .reach import (ReachConfig, ReachResult, goal_check, reach_branch,
+                    reach_to_csv, x6_cells)
 from .svgplot import plot_reach, plot_trajectories
 from .verifier import (Budget, PropertySpec, bab_verify, encode_property,
                        find_critical_ystar, results_to_csv, robustness_sweep)
@@ -332,11 +329,14 @@ def _sweep_cell(core, X, kw, cell):
 
 
 def _reach_cell(net, p, cfg, indexed_cell):
-    """Branch of one initial x6 cell, as reach_full would number it."""
-    idx, cell = indexed_cell
-    branch = reach_full(cell, net, p, dataclasses.replace(cfg, n_splits=1)).branches[0]
-    branch.index = idx
-    return branch
+    """Branch of one initial x6 cell, numbered as reach_full numbers it."""
+    return reach_branch(*indexed_cell, net, p, cfg)
+
+
+# reach flags that set a ReachConfig field: (flag, field, type)
+_REACH_SETTINGS = (("dt", "dt", float), ("t_end", "t_end", float),
+                   ("splits", "n_splits", int), ("max_order", "max_order", float),
+                   ("relu_mode", "relu_mode", str))
 
 
 def cmd_reach(args):
@@ -345,15 +345,14 @@ def cmd_reach(args):
         raise UsageError("--net is required")
     net = _load_net(args.net)
     target = mlp.embed_normalization(net) if net.norm is not None else net
+    # only the settings given: ReachConfig owns the defaults
+    settings = {field: kind(getattr(args, flag))
+                for flag, field, kind in _REACH_SETTINGS
+                if getattr(args, flag) is not None}
     with _rejected_settings():
-        cfg = ReachConfig(dt=float(_d(args, "dt", 0.01)),
-                          t_end=float(_d(args, "t_end", 20.0)),
-                          n_splits=int(_d(args, "splits", 16)),
-                          max_order=float(_d(args, "max_order", 20.0)),
-                          relu_mode=str(_d(args, "relu_mode", "zonotope")))
-    edges = np.linspace(float(_d(args, "x6_lo", 1.43)), float(_d(args, "x6_hi", 4.29)),
-                        cfg.n_splits + 1)
-    cells = [(i, (float(edges[i]), float(edges[i + 1]))) for i in range(cfg.n_splits)]
+        cfg = ReachConfig(**settings)
+    cells = enumerate(x6_cells((_d(args, "x6_lo", 1.43), _d(args, "x6_hi", 4.29)),
+                               cfg.n_splits))
     branches = _ordered_map(functools.partial(_reach_cell, target, PlateParams(), cfg),
                             cells, int(_d(args, "jobs", 1)))
     result = ReachResult(branches, cfg)
@@ -494,7 +493,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, mlp.NetworkFormatError) as exc:
+    except (FileNotFoundError, mlp.NetworkFormatError, mlp.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

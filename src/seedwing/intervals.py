@@ -142,8 +142,13 @@ class Interval:
             return _iv(*_product(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, (int, float)):
             if other >= 0:
-                return _iv(self.lo * other, self.hi * other)
-            return _iv(self.hi * other, self.lo * other)
+                lo, hi = self.lo * other, self.hi * other
+            else:
+                lo, hi = self.hi * other, self.lo * other
+            if not lo <= hi and other == other:
+                # a 0 * inf product is NaN; count it as 0, as _product does
+                lo, hi = (0.0 if q != q else q for q in (lo, hi))
+            return _iv(lo, hi)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -23,10 +23,20 @@ class NetworkFormatError(ValueError):
     pass
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingError(RuntimeError):
+    """Training ended without a usable network."""
+
+
+class TrainingDivergedError(TrainingError):
     def __init__(self, epoch: int):
         self.epoch = epoch
         super().__init__(f"training loss diverged at epoch {epoch}")
+
+
+class TrainingCollapsedError(TrainingError):
+    def __init__(self, value: float):
+        super().__init__(f"training collapsed to a constant network "
+                         f"(output {value:.8g} on every training input)")
 
 
 @dataclass(frozen=True)
@@ -222,6 +232,21 @@ def rmse(net: Network, X: np.ndarray, Y: np.ndarray) -> float:
     return math.sqrt(mse(net, X, Y))
 
 
+def final_rmse(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int) -> float:
+    """Train RMSE of a finished run of `epochs` epochs.
+
+    Raises TrainingDivergedError when it is not finite, and
+    TrainingCollapsedError when the network gives one output on training
+    inputs that differ (every ReLU of a layer dead)."""
+    pred = forward_batch(net, X)
+    final = math.sqrt(float(np.mean((pred - np.asarray(Y, dtype=float)) ** 2)))
+    if not math.isfinite(final):
+        raise TrainingDivergedError(epochs - 1)
+    if np.ptp(pred) == 0.0 and np.ptp(X, axis=0).any():
+        raise TrainingCollapsedError(float(pred[0]))
+    return final
+
+
 def gradient(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "mse") -> Gradient:
     """Exact batch-loss gradient; ReLU subgradient 0 at kinks.
 
@@ -284,9 +309,7 @@ def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = 2000,
             cur = apply_gradient(cur, g, lr)
         if not math.isfinite(mse(cur, X[:1], Y[:1])):
             raise TrainingDivergedError(epoch)
-    final = rmse(cur, X, Y)
-    if not math.isfinite(final):
-        raise TrainingDivergedError(epochs - 1)
+    final = final_rmse(cur, X, Y, epochs)
     meta = dict(cur.meta)
     meta.update({"kind": meta.get("kind", "naive"), "epochs": epochs, "lr": lr,
                  "seed": seed, "batch_size": batch_size, "train_rmse": final})

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intervals as iv
-from .aeromodel import ALPHA_HI, ALPHA_LO, EX_MAX, EX_MIN, PlateParams, \
-    _derivative_core
+from .aeromodel import EX_MAX, EX_MIN, PlateParams, _derivative_core
 from .intervals import Dual, Interval
 from .mlp import Network, interval_preact
 from .verifier import interval_bounds
-from .zono import (Zonotope, zono_hull, zono_max_linear, zono_reduce,
-                   zono_split)
+from .zono import Zonotope, zono_hull, zono_max_linear, zono_reduce
 
 
 class BranchFailure(RuntimeError):
@@ -40,15 +38,17 @@ class ReachConfig:
     dt_control: float = 0.5
     n_splits: int = 16
     max_order: float = 20.0
-    width_resplit: float | None = None
     relu_mode: str = "zonotope"          # "zonotope" | "interval"
-    exact_alpha: bool = False
-    enforce_alpha_region: bool = False
-    alpha_margin: float = 0.05
+    # must stay True (reach encloses the exact flow only); kept so that
+    # configurations naming it still construct
+    exact_alpha: bool = True
     blowup_width: float = 1e3
-    max_branches: int = 256
 
     def __post_init__(self):
+        if not self.exact_alpha:
+            raise ValueError("ReachConfig.exact_alpha=False: the simplified "
+                             "angle of attack was removed; reach encloses the "
+                             "exact flow only")
         for name in ("dt", "dt_control", "t_end"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"ReachConfig.{name} must be > 0")
@@ -74,44 +74,24 @@ def _boxes_to_intervals(lo, hi):
     return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
-def _check_domain(x_ivs, u_iv: Interval, p: PlateParams, cfg: ReachConfig):
-    """Optional model-validity guard: |alpha| must stay in [0, pi/2+margin].
-
-    The enclosure itself is sound for any flow direction; enforcing the
-    quasi-steady fit region is a policy choice (off by default, because the
-    free-flight attractor of this parameter set sweeps through it)."""
-    if not cfg.enforce_alpha_region:
-        return
-    if cfg.exact_alpha:
-        vy = x_ivs[1] - x_ivs[2] * (u_iv * p.ell)
-    else:
-        vy = x_ivs[1]
-    aa = iv.interval_atan2(iv.interval_abs(vy), x_ivs[0])
-    if aa.hi > (ALPHA_HI - ALPHA_LO) + cfg.alpha_margin:
-        raise ReachDomainError(
-            f"|alpha| up to {aa.hi:.3f} outside the assumed fit region")
-
-
-def interval_derivative(x_ivs, u_iv: Interval, p: PlateParams,
-                        simplified: bool = True, core=None):
+def interval_derivative(x_ivs, u_iv: Interval, p: PlateParams, core=None):
     """Interval enclosure of the six derivatives over a state box x input set.
 
-    `core` may inject an alternative generic derivative (x, u, p, simplified);
-    the default is the plate model.
+    `core` may inject an alternative generic derivative (x, u, p); the
+    default is the plate model.
     """
     f = core if core is not None else _derivative_core
     try:
-        return f(list(x_ivs), u_iv, p, simplified)
+        return f(list(x_ivs), u_iv, p)
     except iv.IntervalDomainError as exc:
         raise ReachDomainError(str(exc)) from exc
 
 
-def point_jacobian(x, u: float, p: PlateParams, simplified: bool = True,
-                   core=None):
+def point_jacobian(x, u: float, p: PlateParams, core=None):
     """6x7 Jacobian d f / d(x1..x6, u) at a point, via dual numbers."""
     f = core if core is not None else _derivative_core
     seeds = Dual.seed([float(v) for v in x] + [float(u)], kind=float)
-    out = f(seeds[:6], seeds[6], p, simplified)
+    out = f(seeds[:6], seeds[6], p)
     J = np.zeros((6, 7))
     for i, d in enumerate(out):
         if isinstance(d, Dual):
@@ -119,19 +99,15 @@ def point_jacobian(x, u: float, p: PlateParams, simplified: bool = True,
     return J
 
 
-def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams,
-                      simplified: bool = True, cfg: ReachConfig = ReachConfig(),
-                      core=None):
+def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams, core=None):
     """6x7 matrix of Interval partials of f over the box x_ivs x u_iv.
 
     Raises ReachDomainError when the set leaves the enclosure domain.
     """
-    if core is None:
-        _check_domain(x_ivs, u_iv, p, cfg)
     f = core if core is not None else _derivative_core
     seeds = Dual.seed(list(x_ivs) + [u_iv], kind=Interval)
     try:
-        out = f(seeds[:6], seeds[6], p, simplified)
+        out = f(seeds[:6], seeds[6], p)
     except iv.IntervalDomainError as exc:
         raise ReachDomainError(str(exc)) from exc
     J = [[Interval(0.0)] * 7 for _ in range(6)]
@@ -151,15 +127,13 @@ def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig,
     """
     dt = cfg.dt
     x_ivs = _boxes_to_intervals(lo, hi)
-    f0 = [iv.as_interval(v) for v in
-          interval_derivative(x_ivs, u_iv, p, not cfg.exact_alpha, core)]
+    f0 = [iv.as_interval(v) for v in interval_derivative(x_ivs, u_iv, p, core)]
     # one-sided extensions along the flow; grown per side only where deficient
     m_lo = [max(0.0, -dt * f.lo) + 1e-15 for f in f0]
     m_hi = [max(0.0, dt * f.hi) + 1e-15 for f in f0]
     for _ in range(40):
         B = [Interval(l.lo - a, l.hi + b) for l, a, b in zip(x_ivs, m_lo, m_hi)]
-        fB = [iv.as_interval(v) for v in
-              interval_derivative(B, u_iv, p, not cfg.exact_alpha, core)]
+        fB = [iv.as_interval(v) for v in interval_derivative(B, u_iv, p, core)]
         need_lo = [max(0.0, -dt * f.lo) + 1e-15 for f in fB]
         need_hi = [max(0.0, dt * f.hi) + 1e-15 for f in fB]
         if all(m >= n for m, n in zip(m_lo + m_hi, need_lo + need_hi)):
@@ -182,13 +156,13 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     dt = cfg.dt
     lo, hi = (h.tolist() for h in zono_hull(Z))
     B, fB = _apriori_box(lo, hi, u_set, p, cfg, core)
-    J_int = interval_jacobian(B, u_set, p, not cfg.exact_alpha, cfg, core)
+    J_int = interval_jacobian(B, u_set, p, core)
 
     u_c = u_set.mid
     c = Z.c.tolist()
     f = core if core is not None else _derivative_core
-    f_c = np.array([float(v) for v in f(c, u_c, p, not cfg.exact_alpha)])
-    J_c = point_jacobian(c, u_c, p, not cfg.exact_alpha, core)
+    f_c = np.array([float(v) for v in f(c, u_c, p)])
+    J_c = point_jacobian(c, u_c, p, core)
 
     A = np.eye(6) + dt * J_c[:, :6]
     center = Z.c + dt * f_c
@@ -336,56 +310,39 @@ def initial_zonotope(x6_lo: float, x6_hi: float, base_state=None) -> Zonotope:
     return Zonotope(c, G)
 
 
+def x6_cells(x6_interval, n_splits: int) -> list:
+    """The initial x6 interval split into n_splits equal cells."""
+    edges = np.linspace(float(x6_interval[0]), float(x6_interval[1]), n_splits + 1)
+    return [(float(edges[i]), float(edges[i + 1])) for i in range(n_splits)]
+
+
+def reach_branch(index: int, x6_cell, net: Network, p: PlateParams,
+                 cfg: ReachConfig = ReachConfig(), base_state=None) -> Branch:
+    """One cell's branch over n_cycles control periods, or up to the cycle
+    in which it cannot be continued soundly."""
+    Z = initial_zonotope(*x6_cell, base_state)
+    br = Branch(index, x6_cell, [Z])
+    try:
+        for _ in range(cfg.n_cycles):
+            Z = reach_control_cycle(Z, net, p, cfg)
+            br.checkpoints.append(Z)
+    except BranchFailure as exc:
+        br.failed = True
+        br.fail_reason = str(exc)
+        br.fail_cycle = len(br.checkpoints) - 1
+    return br
+
+
 def reach_full(x6_interval, net: Network, p: PlateParams,
                cfg: ReachConfig = ReachConfig(), base_state=None) -> ReachResult:
     """Reachable tube from the standard initial set over the full horizon.
 
-    The initial x6 interval is split into n_splits equal cells; each branch
-    runs n_cycles control periods. With width_resplit set, a branch whose
-    hull exceeds that width is split along its dominant generator mid-flight.
-    base_state overrides the non-x6 components of the standard start.
+    The initial x6 interval is split into n_splits equal cells, one branch
+    each. base_state overrides the non-x6 components of the standard start.
     """
-    x6_lo, x6_hi = float(x6_interval[0]), float(x6_interval[1])
-    edges = np.linspace(x6_lo, x6_hi, cfg.n_splits + 1)
-    work = []
-    for i in range(cfg.n_splits):
-        work.append(Branch(i, (float(edges[i]), float(edges[i + 1])),
-                           [initial_zonotope(edges[i], edges[i + 1], base_state)]))
-    done = []
-    next_index = cfg.n_splits
-    while work:
-        br = work.pop(0)
-        Z = br.checkpoints[-1]
-        cycle = len(br.checkpoints) - 1
-        try:
-            while cycle < cfg.n_cycles:
-                Z = reach_control_cycle(Z, net, p, cfg)
-                br.checkpoints.append(Z)
-                cycle += 1
-                if cfg.width_resplit is not None and cycle < cfg.n_cycles \
-                        and len(work) + len(done) + 2 <= cfg.max_branches:
-                    lo, hi = zono_hull(Z)
-                    wide = np.flatnonzero(hi - lo > cfg.width_resplit)
-                    if wide.size and Z.n_gen > 0:
-                        d = int(wide[0])
-                        g_idx = int(np.argmax(np.abs(Z.G[d, :])))
-                        Z_a, Z_b = zono_split(Z, g_idx)
-                        for Zc in (Z_a, Z_b):
-                            child = Branch(next_index, br.x6_cell,
-                                           br.checkpoints[:-1] + [Zc])
-                            next_index += 1
-                            work.append(child)
-                        br = None
-                        break
-            if br is not None:
-                done.append(br)
-        except BranchFailure as exc:
-            br.failed = True
-            br.fail_reason = str(exc)
-            br.fail_cycle = cycle
-            done.append(br)
-    done.sort(key=lambda b: b.index)
-    return ReachResult(done, cfg)
+    return ReachResult([reach_branch(i, cell, net, p, cfg, base_state)
+                        for i, cell in enumerate(x6_cells(x6_interval, cfg.n_splits))],
+                       cfg)
 
 
 BAND_FUNCTIONAL = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])   # x5 + x6

@@ -166,9 +166,7 @@ def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
             cur = mlp.apply_gradient(cur, g, cfg.lr)
         if not math.isfinite(mlp.mse(cur, X[:1], Y[:1])):
             raise mlp.TrainingDivergedError(epoch)
-    final = mlp.rmse(cur, X, Y)
-    if not math.isfinite(final):
-        raise mlp.TrainingDivergedError(cfg.epochs - 1)
+    final = mlp.final_rmse(cur, X, Y, cfg.epochs)
     meta = dict(cur.meta)
     meta.update({"kind": "adversarial", "epochs": cfg.epochs, "lr": cfg.lr,
                  "seed": cfg.seed, "batch_size": cfg.batch_size,

@@ -1,7 +1,7 @@
 """Zonotope set arithmetic: Z = {c + G xi : ||xi||_inf <= 1}.
 
-Closed under linear maps and Minkowski sums; order reduction boxes the
-smallest generators (Girard), which always over-approximates.
+Order reduction boxes the smallest generators (Girard), which always
+over-approximates.
 """
 
 from __future__ import annotations
@@ -54,22 +54,6 @@ class Zonotope:
         return Zonotope(x, np.zeros((x.shape[0], 0)))
 
 
-def zono_linear_map(A, Z: Zonotope, b=None) -> Zonotope:
-    A = np.asarray(A, dtype=float)
-    if A.shape[1] != Z.dim:
-        raise ValueError("matrix width must match zonotope dimension")
-    c = A @ Z.c
-    if b is not None:
-        c = c + np.asarray(b, dtype=float)
-    return Zonotope(c, A @ Z.G)
-
-
-def zono_minkowski(Z1: Zonotope, Z2: Zonotope) -> Zonotope:
-    if Z1.dim != Z2.dim:
-        raise ValueError("dimension mismatch in Minkowski sum")
-    return Zonotope(Z1.c + Z2.c, np.hstack([Z1.G, Z2.G]))
-
-
 def zono_hull(Z: Zonotope):
     """Tight axis-aligned interval hull (lo, hi)."""
     r = np.abs(Z.G).sum(axis=1)
@@ -110,11 +94,3 @@ def zono_contains_point(Z: Zonotope, x, tol: float = 1e-9) -> bool:
     sol = lpmod.solve_lp(Z.G, ["="] * Z.dim, x - Z.c,
                          lo=-np.ones(g) - tol, hi=np.ones(g) + tol)
     return sol.feasible
-
-
-def zono_split(Z: Zonotope, gen_index: int):
-    """Split along one generator: xi_j in [-1,0] and [0,1]. Exact cover."""
-    g = Z.G[:, gen_index]
-    G2 = Z.G.copy()
-    G2[:, gen_index] = 0.5 * g
-    return (Zonotope(Z.c - 0.5 * g, G2), Zonotope(Z.c + 0.5 * g, G2))

@@ -282,11 +282,10 @@ def test_criterion_7_reachability_containment(params, naive_net, adv_net):
     details = []
     for name, net in (("naive", naive_net), ("adversarial", adv_net)):
         emb = embed_normalization(net)
-        # exact angle definition so branches bound the same flow the
-        # closed-loop simulator integrates; dt refined to 1e-4 because the
-        # 0.01 s default cannot validate even one step at the 1 m/s start
-        # (quadratic drag defeats the Picard enclosure there)
-        cfg = ReachConfig(n_splits=16, exact_alpha=True, dt=1e-4)
+        # dt refined to 1e-4 because at the 0.01 s default the a-priori
+        # (Picard) enclosure validates the first step from the 1 m/s start
+        # and fails to converge on the second
+        cfg = ReachConfig(n_splits=16, dt=1e-4)
         result = reach_full((1.43, 4.29), emb, params, cfg)
         results[name] = result
         n_failed = sum(1 for b in result.branches if b.failed)
@@ -330,7 +329,7 @@ def test_criterion_8_goal_check(params, naive_net, adv_net):
         for name, net in (("naive", naive_net), ("adversarial", adv_net)):
             emb = embed_normalization(net)
             results[name] = reach_full((1.43, 4.29), emb, params,
-                                       ReachConfig(n_splits=4, exact_alpha=True))
+                                       ReachConfig(n_splits=4))
     for name, result in results.items():
         verdict = goal_check(result, 2.0)
         print(f"  [REPORT] {name} goal |x6+x5| <= 2 at 20 s: {verdict.status}")

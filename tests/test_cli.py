@@ -231,14 +231,18 @@ class TestJobs:
     (["simulate", "--t-end", "0"], ""),
     (["simulate", "--dt", "0"], ""),
     (["gen-data", "--record-skip", "-5"], ""),
+    (["train", "--data", "DATA", "--lr", "1e30", "--epochs", "3"], ""),
+    (["train-adv", "--data", "DATA", "--epochs", "100", "--seed", "2"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
-        "sim-negative-t-end", "sim-zero-t-end", "sim-zero-dt", "negative-record-skip"])
+        "sim-negative-t-end", "sim-zero-t-end", "sim-zero-dt", "negative-record-skip",
+        "train-diverged", "train-adv-constant"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    paths = {"BAD": str(bad), "NET": str(workdir / "net.json")}
+    paths = {"BAD": str(bad), "NET": str(workdir / "net.json"),
+             "DATA": str(workdir / "data.csv")}
     code = main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
     assert code == 1

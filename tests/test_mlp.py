@@ -6,8 +6,8 @@ import pytest
 from seedwing import mlp
 from seedwing.closedloop import NormSpec, denormalize_out, normalize
 from seedwing.mlp import (Layer, Network, NetworkFormatError,
-                          TrainingDivergedError, double_network,
-                          embed_normalization, forward, forward_batch,
+                          TrainingCollapsedError, TrainingDivergedError,
+                          double_network, embed_normalization, forward, forward_batch,
                           forward_preacts, gradient, init_network,
                           input_gradient, load, save, train)
 
@@ -179,6 +179,15 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as exc:
             train(net, X, Y, epochs=50, lr=1e12, seed=0)
         assert exc.value.epoch >= 0
+
+    def test_constant_network_rejected(self):
+        net = init_network(seed=2)
+        first = net.layers[0]
+        dead = Layer(first.w, np.full_like(first.b, -1e3), first.act)
+        net = Network((dead,) + net.layers[1:])
+        X = np.random.default_rng(0).uniform(size=(8, 6))
+        with pytest.raises(TrainingCollapsedError):
+            train(net, X, np.linspace(0.0, 1.0, 8), epochs=2, lr=0.02, seed=0)
 
     def test_session_net_quality(self, naive_net):
         assert naive_net.meta["train_rmse"] <= 0.05

@@ -15,22 +15,17 @@ def constant_net(value, n_in=6):
     return Network((Layer(np.zeros((1, n_in)), np.array([float(value)]), "id"),))
 
 
-def simplified_deriv(x, e, p):
-    return _deriv_raw(x, e, p, True)
-
-
-def fine_flow(x, u, p, dt, simplified, n_sub=100):
+def fine_flow(x, u, p, dt, n_sub=100):
     """Reference solution over one dt window via sub-stepped RK4."""
     s = State(*x)
-    d = simplified_deriv if simplified else None
     for _ in range(n_sub):
-        s = rk4_step(s, u, p, dt / n_sub, deriv=d)
+        s = rk4_step(s, u, p, dt / n_sub)
     return np.array(s.as_tuple())
 
 
 def linear_core(A, B):
     """Injectable linear dynamics dx = A x + B u for generic scalars."""
-    def core(x, u, p, simplified):
+    def core(x, u, p):
         out = []
         for i in range(6):
             acc = A[i][0] * x[0]
@@ -52,12 +47,12 @@ class TestJacobians:
             xp, xm = list(x), list(x)
             xp[j] += h
             xm[j] -= h
-            fd = (np.array(_deriv_raw(tuple(xp), u, params, True))
-                  - np.array(_deriv_raw(tuple(xm), u, params, True))) / (2 * h)
+            fd = (np.array(_deriv_raw(tuple(xp), u, params))
+                  - np.array(_deriv_raw(tuple(xm), u, params))) / (2 * h)
             rel = np.abs(fd - J[:, j]) / np.maximum(np.abs(fd), 1e-5)
             assert rel.max() < 1e-5
-        fd_u = (np.array(_deriv_raw(x, u + h, params, True))
-                - np.array(_deriv_raw(x, u - h, params, True))) / (2 * h)
+        fd_u = (np.array(_deriv_raw(x, u + h, params))
+                - np.array(_deriv_raw(x, u - h, params))) / (2 * h)
         rel = np.abs(fd_u - J[:, 6]) / np.maximum(np.abs(fd_u), 1e-5)
         assert rel.max() < 1e-4
 
@@ -102,22 +97,17 @@ class TestJacobians:
         with pytest.raises(ReachDomainError):
             interval_jacobian(box, Interval(0.187), params)
 
-    def test_alpha_region_policy_flag(self, params):
-        cfg = ReachConfig(enforce_alpha_region=True)
-        # flow arriving from behind: |alpha| > pi/2 + margin
-        box = [Interval(-0.6, -0.5), Interval(0.3, 0.4), Interval(0.0),
-               Interval(0.0), Interval(0.0), Interval(0.0)]
-        with pytest.raises(ReachDomainError):
-            interval_jacobian(box, Interval(0.187), params, cfg=cfg)
-        # default policy evaluates the enclosure anyway
-        interval_jacobian(box, Interval(0.187), params)
-
 
 @pytest.mark.parametrize("field", ["dt", "dt_control", "t_end"])
 @pytest.mark.parametrize("value", [0.0, -0.01])
 def test_config_rejects_nonpositive_times(field, value):
     with pytest.raises(ValueError, match=f"ReachConfig.{field} must be > 0"):
         ReachConfig(**{field: value})
+
+
+def test_config_rejects_simplified_angle_of_attack():
+    with pytest.raises(ValueError, match="simplified angle of attack was removed"):
+        ReachConfig(exact_alpha=False)
 
 
 class TestReachStep:
@@ -144,31 +134,28 @@ class TestReachStep:
         assert np.max(np.abs(Z2.c - want)) <= 1e-5
 
     def test_zero_width_step_contains_flow(self, params):
-        # simplified-mode enclosure against the simplified flow, and the
-        # exact-mode enclosure against the full flow
+        cfg = ReachConfig(dt=1e-3)
         for x in [(1.0, 0, 0, 0, 0, 2.0), (0.8, -0.12, 0.3, -0.5, 0.1, 2.0)]:
-            for exact in (False, True):
-                cfg = ReachConfig(dt=1e-3, exact_alpha=exact)
-                Z = reach_step(Zonotope.point(np.array(x)), Interval(0.187),
-                               params, cfg)
-                lo, hi = zono_hull(Z)
-                v = fine_flow(x, 0.187, params, cfg.dt, simplified=not exact)
-                assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
+            Z = reach_step(Zonotope.point(np.array(x)), Interval(0.187),
+                           params, cfg)
+            lo, hi = zono_hull(Z)
+            v = fine_flow(x, 0.187, params, cfg.dt)
+            assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
 
     def test_zero_width_step_contains_one_rk4_step(self, params):
         # at the standard start the step is well resolved, so the plain
-        # RK4 point of the matching flow lands inside the hull
+        # RK4 point lands inside the hull
         cfg = ReachConfig(dt=1e-3)
         x = (1.0, 0, 0, 0, 0, 2.0)
         Z = reach_step(Zonotope.point(np.array(x)), Interval(0.187), params, cfg)
-        srk = rk4_step(State(*x), 0.187, params, cfg.dt, deriv=simplified_deriv)
+        srk = rk4_step(State(*x), 0.187, params, cfg.dt)
         lo, hi = zono_hull(Z)
         v = np.array(srk.as_tuple())
         assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
 
     def test_step_contains_propagated_samples(self, heavy_params, heavy_settled):
         rng = np.random.default_rng(1)
-        cfg = ReachConfig(dt=1e-3, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3)
         G = np.zeros((6, 2))
         G[5, 0] = 0.05
         G[1, 1] = 0.002
@@ -235,7 +222,7 @@ class TestNnOutputSet:
 
 class TestControlCycle:
     def test_constant_net_equals_override(self, heavy_params, heavy_settled):
-        cfg = ReachConfig(dt=1e-3, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3)
         G = np.zeros((6, 1))
         G[5, 0] = 0.02
         Z = Zonotope(heavy_settled, G)
@@ -246,7 +233,7 @@ class TestControlCycle:
 
     def test_zero_width_cycle_contains_point_simulation(self, heavy_params,
                                                         heavy_settled):
-        cfg = ReachConfig(dt=1e-3, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3)
         Z = Zonotope.point(heavy_settled)
         out = reach_control_cycle(Z, constant_net(0.187), heavy_params, cfg)
         s = State(*heavy_settled)
@@ -259,7 +246,7 @@ class TestControlCycle:
     def test_refinement_contains_simulations_in_both(self, heavy_params,
                                                      heavy_settled, naive_net):
         rng = np.random.default_rng(5)
-        cfg = ReachConfig(dt=1e-3, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3)
         G = np.zeros((6, 1))
         G[5, 0] = 0.04
         Z = Zonotope(heavy_settled, G)
@@ -288,7 +275,7 @@ class TestControlCycle:
 class TestReachFull:
     def test_zero_width_initial_degenerates_to_point_simulation(
             self, heavy_params, heavy_settled):
-        cfg = ReachConfig(dt=1e-3, t_end=1.0, n_splits=1, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3, t_end=1.0, n_splits=1)
         net = constant_net(0.187)
         x6 = heavy_settled[5]
         result = reach_full((x6, x6), net, heavy_params, cfg,
@@ -306,7 +293,7 @@ class TestReachFull:
                     s = rk4_step(s, 0.187, heavy_params, 0.01)
 
     def test_split_cells_partition_interval(self, heavy_params, heavy_settled):
-        cfg = ReachConfig(dt=1e-3, t_end=0.5, n_splits=4, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3, t_end=0.5, n_splits=4)
         x6 = heavy_settled[5]
         result = reach_full((x6 - 0.08, x6 + 0.08), constant_net(0.187),
                             heavy_params, cfg, base_state=heavy_settled)
@@ -320,7 +307,7 @@ class TestReachFull:
     def test_sampled_trajectories_inside_matching_branch(
             self, heavy_params, heavy_settled, naive_net):
         rng = np.random.default_rng(6)
-        cfg = ReachConfig(dt=1e-3, t_end=1.0, n_splits=2, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3, t_end=1.0, n_splits=2)
         emb = embed_normalization(naive_net)
         x6 = heavy_settled[5]
         result = reach_full((x6 - 0.04, x6 + 0.04), emb, heavy_params, cfg,
@@ -352,18 +339,8 @@ class TestReachFull:
         assert all(b.fail_reason for b in result.branches)
         assert goal_check(result).status == "unknown"
 
-    def test_mid_flight_resplit(self, heavy_params, heavy_settled):
-        cfg = ReachConfig(dt=1e-3, t_end=1.0, n_splits=1, width_resplit=1e-6,
-                          max_branches=8, exact_alpha=True)
-        G = np.zeros((6, 1))
-        G[5, 0] = 0.03
-        x6 = heavy_settled[5]
-        result = reach_full((x6 - 0.03, x6 + 0.03), constant_net(0.187),
-                            heavy_params, cfg, base_state=heavy_settled)
-        assert len(result.branches) >= 2
-
     def test_csv_export(self, tmp_path, heavy_params, heavy_settled):
-        cfg = ReachConfig(dt=1e-3, t_end=0.5, n_splits=2, exact_alpha=True)
+        cfg = ReachConfig(dt=1e-3, t_end=0.5, n_splits=2)
         x6 = heavy_settled[5]
         result = reach_full((x6 - 0.02, x6 + 0.02), constant_net(0.187),
                             heavy_params, cfg, base_state=heavy_settled)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from seedwing.zono import (Zonotope, zono_contains_point, zono_hull,
-                           zono_linear_map, zono_max_linear, zono_minkowski,
-                           zono_reduce, zono_sample, zono_split)
+                           zono_max_linear, zono_reduce, zono_sample)
 
 
 def rand_zono(rng, n=3, g=6):
@@ -11,39 +10,14 @@ def rand_zono(rng, n=3, g=6):
 
 
 class TestOps:
-    def test_identity_map_unchanged(self):
-        rng = np.random.default_rng(0)
-        Z = rand_zono(rng)
-        Z2 = zono_linear_map(np.eye(3), Z)
-        assert np.array_equal(Z2.c, Z.c) and np.array_equal(Z2.G, Z.G)
-
     def test_box_hull_exact(self):
         Z = Zonotope.from_box([-1.0, 2.0], [3.0, 4.0])
         lo, hi = zono_hull(Z)
         assert np.allclose(lo, [-1, 2]) and np.allclose(hi, [3, 4])
 
-    def test_linear_map_commutes_with_points(self):
-        rng = np.random.default_rng(1)
-        Z = rand_zono(rng)
-        A = rng.normal(size=(2, 3))
-        xi = rng.uniform(-1, 1, size=6)
-        x = Z.c + Z.G @ xi
-        Z2 = zono_linear_map(A, Z, b=[1.0, -2.0])
-        y = Z2.c + Z2.G @ xi
-        assert np.allclose(A @ x + [1.0, -2.0], y)
-
-    def test_minkowski_sum_contains_sums(self):
-        rng = np.random.default_rng(2)
-        Z1, Z2 = rand_zono(rng), rand_zono(rng)
-        S = zono_minkowski(Z1, Z2)
-        for a, b in zip(zono_sample(Z1, 20, rng), zono_sample(Z2, 20, rng)):
-            assert zono_contains_point(S, a + b, tol=1e-7)
-
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            zono_minkowski(Zonotope.point([0.0]), Zonotope.point([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            zono_linear_map(np.eye(2), Zonotope.point([0.0]))
+        with pytest.raises(ValueError, match="row count must match dimension"):
+            Zonotope(np.zeros(2), np.zeros((3, 1)))
 
 
 class TestReduce:
@@ -92,16 +66,6 @@ class TestMembershipAndSplit:
             assert zono_contains_point(Z, x)
         lo, hi = zono_hull(Z)
         assert not zono_contains_point(Z, hi + 1.0)
-
-    def test_split_covers_and_is_contained(self):
-        rng = np.random.default_rng(8)
-        Z = rand_zono(rng, n=2, g=4)
-        Z1, Z2 = zono_split(Z, 1)
-        for x in zono_sample(Z, 100, rng):
-            assert zono_contains_point(Z1, x, tol=1e-7) or \
-                zono_contains_point(Z2, x, tol=1e-7)
-        for x in zono_sample(Z1, 50, rng):
-            assert zono_contains_point(Z, x, tol=1e-7)
 
     def test_degenerate_point(self):
         Z = Zonotope.point([1.0, 2.0])
