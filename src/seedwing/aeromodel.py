@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import intervals as iv
 
@@ -121,21 +121,6 @@ class State:
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)
 
-    @staticmethod
-    def from_iterable(vals: Sequence[float]) -> "State":
-        return State(*map(float, vals))
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Dimensionless centre-of-mass offset commanded by the controller."""
-
-    e_x: float
-
-    def __post_init__(self):
-        if not (EX_MIN - 1e-12 <= self.e_x <= EX_MAX + 1e-12):
-            raise ValueError(f"e_x={self.e_x} outside [{EX_MIN}, {EX_MAX}]")
-
 
 class StateDerivative(NamedTuple):
     dx1: float
@@ -158,10 +143,6 @@ class AeroBreakdown:
     drag: tuple
     tau_t: float
     tau_r: float
-
-
-def _ex_value(u) -> float:
-    return u.e_x if isinstance(u, ControlInput) else float(u)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +230,7 @@ def angle_of_attack(s: State, u, p: PlateParams) -> float:
 
     Zero relative flow returns 0 by convention.
     """
-    e_x = _ex_value(u)
+    e_x = float(u)
     vy = s.x2 - s.x3 * e_x * p.ell
     if s.x1 == 0.0 and vy == 0.0:
         return 0.0
@@ -264,7 +245,7 @@ def force_coefficients(alpha: float, p: PlateParams, strict: bool = False):
 
 def aero_breakdown(s: State, u, p: PlateParams, strict: bool = False) -> AeroBreakdown:
     """All intermediate aerodynamic quantities for one state."""
-    e_x = _ex_value(u)
+    e_x = float(u)
     alpha = angle_of_attack(s, u, p)
     _check_alpha_region(alpha, strict)
     f, c_lift, c_drag, l_cp = _coeffs_abs(abs(alpha), p)
@@ -275,7 +256,7 @@ def aero_breakdown(s: State, u, p: PlateParams, strict: bool = False) -> AeroBre
 
 def aero_torques(s: State, u, p: PlateParams, l_cp: float):
     """(tau_t, tau_r) given l_cp in metres."""
-    e_x = _ex_value(u)
+    e_x = float(u)
     c_lift, c_drag, _ = force_coefficients(angle_of_attack(s, u, p), p)
     return _aero_terms(s.x1, s.x2 - s.x3 * (e_x * p.ell), s.x3, e_x,
                        c_lift, c_drag, l_cp, p)[3:]
@@ -283,7 +264,7 @@ def aero_torques(s: State, u, p: PlateParams, l_cp: float):
 
 def state_derivative(s: State, u, p: PlateParams) -> StateDerivative:
     """Time derivative of all six state variables."""
-    return StateDerivative(*_deriv_raw(s.as_tuple(), _ex_value(u), p))
+    return StateDerivative(*_deriv_raw(s.as_tuple(), float(u), p))
 
 
 def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,
@@ -296,7 +277,7 @@ def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,
     if dt < 0:
         raise ValueError("dt must be >= 0")
     f = deriv if deriv is not None else _deriv_raw
-    e_x = _ex_value(u)
+    e_x = float(u)
     x = s.as_tuple()
     k1 = f(x, e_x, p)
     k2 = f(tuple(x[i] + 0.5 * dt * k1[i] for i in range(6)), e_x, p)
@@ -352,7 +333,7 @@ def simulate_open_loop(s0: State, e_x, p: PlateParams, t_end: float,
         raise ValueError("t_end must be > 0")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    u = _ex_value(e_x)
+    u = float(e_x)
     n = round(t_end / dt)
     tr = Trace()
     s = s0

@@ -26,8 +26,9 @@ from .closedloop import (DEFAULT_GAINS, NetworkController, PidController,
 from .reach import (ReachConfig, ReachResult, goal_check, reach_branch,
                     reach_to_csv, x6_cells)
 from .svgplot import plot_reach, plot_trajectories
-from .verifier import (Budget, PropertySpec, bab_verify, encode_property,
-                       find_critical_ystar, results_to_csv, robustness_sweep)
+from .verifier import (SWEEP_QUERY_BUDGET, Budget, PropertySpec, bab_verify,
+                       encode_property, find_critical_ystar, results_to_csv,
+                       robustness_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,7 +291,9 @@ def cmd_robust_sweep(args):
     l_list = [float(v) for v in str(_d(args, "lstar_list", "1e-5,1e-4,1e-3,1e-2")).split(",")]
     sweep_kw = dict(
         n_points=int(_d(args, "points", 100)),
-        per_query_budget=Budget(max_seconds=float(_d(args, "query_budget_s", 5.0))),
+        per_query_budget=Budget(
+            max_nodes=SWEEP_QUERY_BUDGET.max_nodes,
+            max_seconds=float(_d(args, "query_budget_s", SWEEP_QUERY_BUDGET.max_seconds))),
         cell_budget_s=float(_d(args, "cell_budget_s", 60.0)))
     cells = [(e, l) for e in eps_list for l in l_list]
     grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
@@ -372,8 +375,10 @@ def cmd_reach(args):
     if result.inconclusive:
         for b in result.branches:
             if b.failed:
+                t = (b.fail_cycle * cfg.steps_per_cycle + b.fail_step) * cfg.dt
                 print(f"  branch {b.index} x6 in [{b.x6_cell[0]:.3f}, {b.x6_cell[1]:.3f}]"
-                      f" failed at cycle {b.fail_cycle}: {b.fail_reason}")
+                      f" failed at cycle {b.fail_cycle}, step {b.fail_step} "
+                      f"(t = {t:.4f} s): {b.fail_reason}")
                 break
     return {"success": EXIT_OK, "failure": EXIT_FALSIFIED,
             "unknown": EXIT_UNKNOWN}[verdict.status]

@@ -82,10 +82,6 @@ class SimConfig:
     def steps_per_control(self) -> int:
         return round(self.dt_control / self.dt_model)
 
-    @property
-    def n_control(self) -> int:
-        return round(self.t_end / self.dt_control)
-
 
 @dataclass(frozen=True)
 class DataRow:
@@ -284,13 +280,6 @@ def normalize(v, spec: NormSpec):
     lo = np.array(spec.in_min)
     hi = np.array(spec.in_max)
     return (v - lo) / (hi - lo)
-
-
-def denormalize(v_hat, spec: NormSpec):
-    v_hat = np.asarray(v_hat, dtype=float)
-    lo = np.array(spec.in_min)
-    hi = np.array(spec.in_max)
-    return v_hat * (hi - lo) + lo
 
 
 def normalize_out(y, spec: NormSpec):

@@ -100,18 +100,6 @@ class Interval:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def encloses(self, other: "Interval", tol: float = 0.0) -> bool:
-        return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise IntervalDomainError("empty intersection")
-        return Interval(lo, hi)
-
-    def union(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- arithmetic ---------------------------------------------------------
     def __neg__(self):
         return _interval(-self.hi, -self.lo)
@@ -556,15 +544,6 @@ def atan2(y, x):
             x = Interval(x)
         return interval_atan2(y, x)
     return math.atan2(y, x)
-
-
-def value_of(x):
-    """Plain-float value: midpoint for Intervals, recursing through Duals."""
-    if isinstance(x, Dual):
-        return value_of(x.val)
-    if isinstance(x, Interval):
-        return x.mid
-    return float(x)
 
 
 def as_interval(x) -> Interval:

@@ -178,8 +178,3 @@ def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
     x = w[:n] + lo
     obj = float(objective @ x) if objective is not None else None
     return LpSolution(True, x, obj)
-
-
-def lp_feasible(A, rel, b, lo, hi) -> LpSolution:
-    """Phase-1 feasibility; returns a satisfying point when one exists."""
-    return solve_lp(A, rel, b, lo, hi, objective=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedloop import NormSpec
+from .closedloop import NormSpec, denormalize_out, normalize
 
 DEFAULT_WIDTHS = (6, 6, 4, 1, 1)
 
@@ -77,10 +77,6 @@ class Network:
         return self.layers[0].w.shape[1]
 
     @property
-    def n_out(self) -> int:
-        return self.layers[-1].w.shape[0]
-
-    @property
     def n_relu(self) -> int:
         return sum(l.w.shape[0] for l in self.layers if l.act == "relu")
 
@@ -115,43 +111,25 @@ def _apply_act(z: np.ndarray, act: str) -> np.ndarray:
     return np.maximum(z, 0.0) if act == "relu" else z
 
 
-def forward_core_batch(net: Network, X: np.ndarray) -> np.ndarray:
-    """Raw network on (n, d) inputs, no normalization. Returns (n, n_out)."""
-    a = np.atleast_2d(np.asarray(X, dtype=float))
-    for layer in net.layers:
-        a = _apply_act(a @ layer.w.T + layer.b, layer.act)
-    return a
-
-
 def forward(net: Network, x, use_norm: bool = False):
-    """Scalar output for a single input vector (vector if n_out > 1).
-
-    With use_norm the input is normalized and the output denormalized via the
-    attached NormSpec.
-    """
-    x = np.asarray(x, dtype=float)
-    if use_norm:
-        if net.norm is None:
-            raise ValueError("network has no NormSpec")
-        from .closedloop import denormalize_out, normalize
-        y = forward_core_batch(net, normalize(x, net.norm))[0]
-        y = denormalize_out(y, net.norm)
-    else:
-        y = forward_core_batch(net, x)[0]
-    return float(y[0]) if y.shape[0] == 1 else y
+    """Scalar output for a single input vector (vector if n_out > 1): the
+    one-row case of forward_batch."""
+    y = forward_batch(net, np.asarray(x, dtype=float)[None], use_norm)[0]
+    return float(y) if np.ndim(y) == 0 else y
 
 
 def forward_batch(net: Network, X: np.ndarray, use_norm: bool = False) -> np.ndarray:
-    """(n,) outputs for single-output nets, else (n, n_out)."""
+    """(n,) outputs for single-output nets, else (n, n_out).
+
+    With use_norm the inputs are normalized and the outputs denormalized via
+    the attached NormSpec.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if use_norm and net.norm is None:
+        raise ValueError("network has no NormSpec")
+    Y = _forward_trace(net, normalize(X, net.norm) if use_norm else X)[0][-1]
     if use_norm:
-        if net.norm is None:
-            raise ValueError("network has no NormSpec")
-        from .closedloop import denormalize_out, normalize
-        Y = forward_core_batch(net, normalize(X, net.norm))
         Y = denormalize_out(Y, net.norm)
-    else:
-        Y = forward_core_batch(net, X)
     return Y[:, 0] if Y.shape[1] == 1 else Y
 
 
@@ -165,19 +143,10 @@ def interval_preact(layer: Layer, lo: np.ndarray, hi: np.ndarray):
     return pc - pr, pc + pr
 
 
-def forward_preacts(net: Network, x) -> list:
-    """Per-layer pre-activation vectors for one raw (unnormalized-path) input."""
-    a = np.asarray(x, dtype=float)
-    pres = []
-    for layer in net.layers:
-        z = layer.w @ a + layer.b
-        pres.append(z)
-        a = _apply_act(z, layer.act)
-    return pres
-
-
 def _forward_trace(net: Network, X: np.ndarray):
-    """Activations per layer for backprop: returns (acts, pres)."""
+    """The one walk over the layers, on raw (n, d) inputs: returns the
+    activations per layer (inputs first, outputs last) and the
+    pre-activations, which backprop needs."""
     acts = [np.atleast_2d(np.asarray(X, dtype=float))]
     pres = []
     for layer in net.layers:
@@ -200,10 +169,6 @@ class Gradient:
             self.dw[i] += f * other.dw[i]
             self.db[i] += f * other.db[i]
         return self
-
-    def max_abs(self) -> float:
-        return max(max(np.abs(w).max() for w in self.dw),
-                   max(np.abs(b).max() for b in self.db))
 
 
 def _backprop_from_output(net: Network, acts, pres, dL_dy: np.ndarray) -> Gradient:
@@ -298,6 +263,17 @@ def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = 2000,
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
+    meta = {"kind": net.meta.get("kind", "naive"), "epochs": epochs, "lr": lr,
+            "seed": seed, "batch_size": batch_size}
+    return _descend(net, X, Y, lambda cur, Xb, Yb: gradient(cur, Xb, Yb, loss="mse"),
+                    epochs, lr, seed, batch_size, meta)
+
+
+def _descend(net: Network, X: np.ndarray, Y: np.ndarray, batch_gradient,
+             epochs: int, lr: float, seed: int, batch_size: int, meta: dict) -> Network:
+    """The training loop of every objective: seeded mini-batch descent on
+    batch_gradient(net, X_batch, Y_batch), a divergence check per epoch, and
+    the settings in `meta` plus the final train RMSE added to the result's."""
     rng = np.random.default_rng(seed)
     cur = net
     n = X.shape[0]
@@ -305,15 +281,14 @@ def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = 2000,
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            g = gradient(cur, X[idx], Y[idx], loss="mse")
-            cur = apply_gradient(cur, g, lr)
+            cur = apply_gradient(cur, batch_gradient(cur, X[idx], Y[idx]), lr)
         if not math.isfinite(mse(cur, X[:1], Y[:1])):
             raise TrainingDivergedError(epoch)
     final = final_rmse(cur, X, Y, epochs)
-    meta = dict(cur.meta)
-    meta.update({"kind": meta.get("kind", "naive"), "epochs": epochs, "lr": lr,
-                 "seed": seed, "batch_size": batch_size, "train_rmse": final})
-    return Network(cur.layers, norm=cur.norm, meta=meta)
+    out = dict(cur.meta)
+    out.update(meta)
+    out["train_rmse"] = final
+    return Network(cur.layers, norm=cur.norm, meta=out)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +320,6 @@ def embed_normalization(net: Network) -> Network:
     meta = dict(net.meta)
     meta["normalization"] = "embedded"
     return Network(layers, norm=None, meta=meta)
-
-
-def double_network(net: Network) -> Network:
-    """Block-diagonal duplication: inputs split into two halves feeding two
-    independent copies; outputs are (f(x_a), f(x_b))."""
-    layers = []
-    for l in net.layers:
-        o, i = l.w.shape
-        w = np.zeros((2 * o, 2 * i))
-        w[:o, :i] = l.w
-        w[o:, i:] = l.w
-        b = np.concatenate([l.b, l.b])
-        layers.append(Layer(w, b, l.act))
-    meta = dict(net.meta)
-    meta["doubled"] = True
-    return Network(tuple(layers), norm=None, meta=meta)
 
 
 # ---------------------------------------------------------------------------

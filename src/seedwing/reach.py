@@ -26,6 +26,8 @@ from .zono import Zonotope, zono_hull, zono_max_linear, zono_reduce
 class BranchFailure(RuntimeError):
     """A reachability branch cannot be continued soundly."""
 
+    step = 0      # integration steps its control cycle completed before it
+
 
 class ReachDomainError(BranchFailure):
     """Set left the domain where the dynamics enclosure is defined."""
@@ -268,8 +270,12 @@ def reach_control_cycle(Z: Zonotope, net: Network, p: PlateParams,
     integration steps (state-actuation correlation dropped)."""
     u_set = u_override if u_override is not None else \
         nn_output_set(net, Z, cfg.relu_mode)
-    for _ in range(cfg.steps_per_cycle):
-        Z = reach_step(Z, u_set, p, cfg)
+    for k in range(cfg.steps_per_cycle):
+        try:
+            Z = reach_step(Z, u_set, p, cfg)
+        except BranchFailure as exc:
+            exc.step = k
+            raise
     return Z
 
 
@@ -281,6 +287,7 @@ class Branch:
     failed: bool = False
     fail_reason: str = ""
     fail_cycle: int | None = None
+    fail_step: int | None = None     # steps completed in the failing cycle
 
 
 @dataclass
@@ -330,6 +337,7 @@ def reach_branch(index: int, x6_cell, net: Network, p: PlateParams,
         br.failed = True
         br.fail_reason = str(exc)
         br.fail_cycle = len(br.checkpoints) - 1
+        br.fail_step = exc.step
     return br
 
 

@@ -8,7 +8,6 @@ and adversarial MSE terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,28 +80,17 @@ def pgd_attack_batch(net: Network, X: np.ndarray, Y: np.ndarray,
     return best_X
 
 
-def pgd_attack(net: Network, x, y: float, cfg: AttackConfig, box,
-               seed: int = 0) -> np.ndarray:
-    """Worst-case input within the epsilon-ball around x (intersected with box)."""
-    rng = np.random.default_rng(seed)
-    return pgd_attack_batch(net, np.asarray(x, dtype=float)[None, :],
-                            np.array([y]), cfg, box, rng)[0]
-
-
-class CoincidentPairError(ValueError):
-    pass
-
-
-def lipschitz_penalty(net: Network, pairs) -> float:
-    """Max |f(x) - f(x*)| / ||x - x*||_inf over the given (x, x*) pairs."""
-    worst = 0.0
-    for x, x_adv in pairs:
-        d = float(np.max(np.abs(np.asarray(x) - np.asarray(x_adv))))
-        if d == 0.0:
-            raise CoincidentPairError("coincident pair in lipschitz_penalty")
-        q = abs(mlp.forward(net, x) - mlp.forward(net, x_adv)) / d
-        worst = max(worst, q)
-    return worst
+def max_lipschitz_quotient(net: Network, X: np.ndarray, X_adv: np.ndarray):
+    """Largest |f(x) - f(x*)| / ||x - x*||_inf over the row pairs of
+    (X, X_adv), and the row attaining it. Coincident pairs are skipped;
+    (0.0, None) when every pair coincides."""
+    d = np.max(np.abs(X - X_adv), axis=1)
+    live = np.flatnonzero(d > 0)
+    if not live.size:
+        return 0.0, None
+    q = np.abs(mlp.forward_batch(net, X[live]) - mlp.forward_batch(net, X_adv[live])) / d[live]
+    k = int(np.argmax(q))
+    return float(q[k]), int(live[k])
 
 
 def empirical_lipschitz(net: Network, X: np.ndarray, cfg: AttackConfig, box,
@@ -110,21 +98,15 @@ def empirical_lipschitz(net: Network, X: np.ndarray, cfg: AttackConfig, box,
     """Fresh-PGD Lipschitz quotient maximized over the dataset."""
     rng = np.random.default_rng(seed)
     Y = mlp.forward_batch(net, X)
-    X_adv = pgd_attack_batch(net, X, Y, cfg, box, rng)
-    d = np.max(np.abs(X - X_adv), axis=1)
-    keep = d > 0
-    if not keep.any():
-        return 0.0
-    q = np.abs(mlp.forward_batch(net, X[keep]) - mlp.forward_batch(net, X_adv[keep])) / d[keep]
-    return float(q.max())
+    return max_lipschitz_quotient(net, X, pgd_attack_batch(net, X, Y, cfg, box, rng))[0]
 
 
 def _lipschitz_term_gradient(net: Network, x, x_adv) -> Gradient:
     """Parameter gradient of |f(x) - f(x*)| / ||x - x*||_inf for one pair."""
     d = float(np.max(np.abs(x - x_adv)))
-    sign = 1.0 if mlp.forward(net, x) >= mlp.forward(net, x_adv) else -1.0
     acts_a, pres_a = mlp._forward_trace(net, x[None, :])
     acts_b, pres_b = mlp._forward_trace(net, x_adv[None, :])
+    sign = 1.0 if acts_a[-1][0, 0] >= acts_b[-1][0, 0] else -1.0
     one = np.ones((1, 1))
     ga = mlp._backprop_from_output(net, acts_a, pres_a, one * (sign / d))
     gb = mlp._backprop_from_output(net, acts_b, pres_b, one * (-sign / d))
@@ -140,37 +122,23 @@ def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if box is None:
         box = (X.min(axis=0), X.max(axis=0))
-    rng = np.random.default_rng(cfg.seed)
     attack_rng = np.random.default_rng(cfg.seed + 1)
-    cur = net0
-    n = X.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            Xb, Yb = X[idx], Y[idx]
-            Xa = pgd_attack_batch(cur, Xb, Yb, cfg.attack, box, attack_rng)
-            # equal-weight average of clean and adversarial terms, so the
-            # epsilon->0 limit reproduces plain training exactly
-            g = mlp.gradient(cur, Xb, Yb, loss="mse").scaled(0.5)
-            g.add_(mlp.gradient(cur, Xa, Yb, loss="mse"), f=0.5)
-            if cfg.lambda_lip > 0:
-                d = np.max(np.abs(Xb - Xa), axis=1)
-                live = np.flatnonzero(d > 0)
-                if live.size:
-                    fa = mlp.forward_batch(cur, Xb[live])
-                    fb = mlp.forward_batch(cur, Xa[live])
-                    k = live[int(np.argmax(np.abs(fa - fb) / d[live]))]
-                    g.add_(_lipschitz_term_gradient(cur, Xb[k], Xa[k]),
-                           f=cfg.lambda_lip)
-            cur = mlp.apply_gradient(cur, g, cfg.lr)
-        if not math.isfinite(mlp.mse(cur, X[:1], Y[:1])):
-            raise mlp.TrainingDivergedError(epoch)
-    final = mlp.final_rmse(cur, X, Y, cfg.epochs)
-    meta = dict(cur.meta)
-    meta.update({"kind": "adversarial", "epochs": cfg.epochs, "lr": cfg.lr,
-                 "seed": cfg.seed, "batch_size": cfg.batch_size,
-                 "epsilon": cfg.attack.epsilon, "pgd_steps": cfg.attack.steps,
-                 "restarts": cfg.attack.restarts, "lambda_lip": cfg.lambda_lip,
-                 "train_rmse": final})
-    return Network(cur.layers, norm=cur.norm, meta=meta)
+
+    def batch_gradient(cur, Xb, Yb):
+        Xa = pgd_attack_batch(cur, Xb, Yb, cfg.attack, box, attack_rng)
+        # equal-weight average of clean and adversarial terms, so the
+        # epsilon->0 limit reproduces plain training exactly
+        g = mlp.gradient(cur, Xb, Yb, loss="mse").scaled(0.5)
+        g.add_(mlp.gradient(cur, Xa, Yb, loss="mse"), f=0.5)
+        if cfg.lambda_lip > 0:
+            k = max_lipschitz_quotient(cur, Xb, Xa)[1]
+            if k is not None:
+                g.add_(_lipschitz_term_gradient(cur, Xb[k], Xa[k]), f=cfg.lambda_lip)
+        return g
+
+    meta = {"kind": "adversarial", "epochs": cfg.epochs, "lr": cfg.lr,
+            "seed": cfg.seed, "batch_size": cfg.batch_size,
+            "epsilon": cfg.attack.epsilon, "pgd_steps": cfg.attack.steps,
+            "restarts": cfg.attack.restarts, "lambda_lip": cfg.lambda_lip}
+    return mlp._descend(net0, X, Y, batch_gradient, cfg.epochs, cfg.lr, cfg.seed,
+                        cfg.batch_size, meta)

@@ -126,6 +126,11 @@ class Budget:
     max_seconds: float = 60.0
 
 
+# per-query budget of the robustness grid; its node cap is the one place the
+# grid's cap is set (a shipped 6-6-4-1-1 clone's tree has at most 4095 nodes)
+SWEEP_QUERY_BUDGET = Budget(max_nodes=20000, max_seconds=5.0)
+
+
 # ---------------------------------------------------------------------------
 # property encodings
 
@@ -207,22 +212,6 @@ def encode_robustness(net: Network, x0, epsilon: float, lstar: float,
                         {"epsilon": epsilon, "lstar": lstar, "f0": f0})
 
 
-def encode_robustness_doubled(net: Network, x0, epsilon: float, lstar: float,
-                              box) -> PropertySpec:
-    """Same query through an explicitly doubled network: copy A ranges over the
-    ball, copy B is pinned at x0, and the conclusion bounds out_A - out_B."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    bound = lstar / epsilon
-    ball = tuple((max(box[i][0], x0[i] - epsilon), min(box[i][1], x0[i] + epsilon))
-                 for i in range(n))
-    pinned = tuple((float(v), float(v)) for v in x0)
-    conclusion = (LinConstraint((0.0,) * (2 * n), (1.0, -1.0), "<=", bound),
-                  LinConstraint((0.0,) * (2 * n), (1.0, -1.0), ">=", -bound))
-    return PropertySpec("robustness_doubled", ball + pinned, (), conclusion,
-                        {"epsilon": epsilon, "lstar": lstar})
-
-
 # ---------------------------------------------------------------------------
 # interval reasoning
 
@@ -260,10 +249,6 @@ def tighten_box(box, premise, passes: int = 8):
         if not changed:
             break
     return lo, hi, (lo > hi + 1e-12).any()
-
-
-def _relu_layers(net: Network):
-    return [i for i, l in enumerate(net.layers) if l.act == "relu"]
 
 
 def interval_bounds(net: Network, box, premise=(), phases=None):
@@ -510,6 +495,11 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
         return Verdict("verified", vacuous=True, nodes=0, lp_calls=stats["lp"],
                        seconds=time.perf_counter() - t0)
 
+    # the premise contracts the box once per query; every node starts from
+    # the contracted box (still empty when the contraction emptied it)
+    lo, hi, _ = tighten_box(spec.input_box, spec.premise)
+    box = tuple(zip(lo, hi))
+
     # DFS over phase assignments; each entry carries the conclusions still open
     stack = [({}, list(range(len(conclusions))))]
     while stack:
@@ -519,7 +509,7 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
                            seconds=time.perf_counter() - t0)
         phases, pending = stack.pop()
         stats["nodes"] += 1
-        info = interval_bounds(net, spec.input_box, spec.premise, phases)
+        info = interval_bounds(net, box, (), phases)
         if info["empty"]:
             continue
         node = _NodeLp(net, info, phases)
@@ -682,7 +672,7 @@ def robustness_sweep(net: Network, X: np.ndarray,
                      eps_list=(1e-5, 1e-4, 1e-3, 1e-2),
                      lstar_list=(1e-5, 1e-4, 1e-3, 1e-2),
                      box=None, n_points: int = 100,
-                     per_query_budget: Budget = Budget(max_nodes=20000, max_seconds=5.0),
+                     per_query_budget: Budget = SWEEP_QUERY_BUDGET,
                      cell_budget_s: float = 60.0) -> dict:
     """Verification success rate per (epsilon, L*) cell over dataset points.
 

@@ -37,17 +37,6 @@ class Zonotope:
     def n_gen(self) -> int:
         return self.G.shape[1]
 
-    @property
-    def order(self) -> float:
-        return self.n_gen / self.dim
-
-    @staticmethod
-    def from_box(lo, hi) -> "Zonotope":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        c = 0.5 * (lo + hi)
-        return Zonotope(c, np.diag(0.5 * (hi - lo)))
-
     @staticmethod
     def point(x) -> "Zonotope":
         x = np.asarray(x, dtype=float)

@@ -3,8 +3,9 @@
 Each lives apart from the implementation it checks: a clean-room scalar
 transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
 feasibility decision, a vertex-enumeration LP optimizer, an exhaustive
-activation-pattern verification oracle, and a forward-mode Dual that keeps
-one Interval object per partial.
+activation-pattern verification oracle, per-row pre-activations, the
+doubled-network form of the robustness query, and a forward-mode Dual that
+keeps one Interval object per partial.
 """
 
 import itertools
@@ -16,7 +17,9 @@ import numpy as np
 from seedwing import intervals as iv
 from seedwing import mlp
 from seedwing.intervals import Interval, IntervalDomainError
-from seedwing.verifier import (LP_MARGIN, REPLAY_TOL, constraint_violation,
+from seedwing.mlp import Layer, Network
+from seedwing.verifier import (LP_MARGIN, REPLAY_TOL, LinConstraint,
+                               PropertySpec, constraint_violation,
                                premise_holds)
 from seedwing import lp as lpmod
 
@@ -187,7 +190,6 @@ def enumerate_verify(net, spec):
     conclusions = []
     for c in spec.conclusion:
         if c.rel == "=":
-            from seedwing.verifier import LinConstraint
             conclusions.append(LinConstraint(c.in_coef, c.out_coef, "<=", c.rhs))
             conclusions.append(LinConstraint(c.in_coef, c.out_coef, ">=", c.rhs))
         else:
@@ -222,6 +224,51 @@ def enumerate_verify(net, spec):
                 if worst > REPLAY_TOL:
                     return "falsified", x
     return "verified", None
+
+
+# ---------------------------------------------------------------------------
+# the network one row at a time, and the robustness query on a doubled network
+
+def forward_preacts(net, x) -> list:
+    """Per-layer pre-activation vectors for one raw input, one matrix-vector
+    product per layer (the package evaluates whole batches)."""
+    a = np.asarray(x, dtype=float)
+    pres = []
+    for layer in net.layers:
+        z = layer.w @ a + layer.b
+        pres.append(z)
+        a = np.maximum(z, 0.0) if layer.act == "relu" else z
+    return pres
+
+
+def double_network(net) -> Network:
+    """Block-diagonal duplication: inputs split into two halves feeding two
+    independent copies; outputs are (f(x_a), f(x_b))."""
+    layers = []
+    for l in net.layers:
+        o, i = l.w.shape
+        w = np.zeros((2 * o, 2 * i))
+        w[:o, :i] = l.w
+        w[o:, i:] = l.w
+        layers.append(Layer(w, np.concatenate([l.b, l.b]), l.act))
+    return Network(tuple(layers), norm=None, meta=dict(net.meta, doubled=True))
+
+
+def encode_robustness_doubled(net, x0, epsilon, lstar, box) -> PropertySpec:
+    """The robustness query through double_network(net): copy A ranges over
+    the ball, copy B is pinned at x0, and the conclusion bounds out_A - out_B.
+    The verifier's encode_robustness pins copy B by folding f(x0) into the
+    conclusion instead."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    bound = lstar / epsilon
+    ball = tuple((max(box[i][0], x0[i] - epsilon), min(box[i][1], x0[i] + epsilon))
+                 for i in range(n))
+    pinned = tuple((float(v), float(v)) for v in x0)
+    conclusion = (LinConstraint((0.0,) * (2 * n), (1.0, -1.0), "<=", bound),
+                  LinConstraint((0.0,) * (2 * n), (1.0, -1.0), ">=", -bound))
+    return PropertySpec("robustness_doubled", ball + pinned, (), conclusion,
+                        {"epsilon": epsilon, "lstar": lstar})
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,9 @@ def test_criterion_9_training_properties(naive_net, adv_net, data_arrays):
         y = forward(net, x) + rng.uniform(-0.3, 0.3)
         eps = 0.15
         cfg = robust.AttackConfig(epsilon=eps, steps=30, step_size=eps / 8, restarts=4)
-        adv = robust.pgd_attack(net, x, y, cfg, ((0.0, 0.0), (1.0, 1.0)), seed=seed)
+        adv = robust.pgd_attack_batch(net, x[None, :], np.array([y]), cfg,
+                                      ((0.0, 0.0), (1.0, 1.0)),
+                                      np.random.default_rng(seed))[0]
         pgd_loss = (forward(net, adv) - y) ** 2
         g = np.linspace(-eps, eps, 100)
         gx, gy = np.meshgrid(g, g)
@@ -397,10 +399,12 @@ def test_criterion_9_training_properties(naive_net, adv_net, data_arrays):
     finish(9, lines)
 
 
-def test_print_acceptance_report():
+def test_print_acceptance_report(pytestconfig):
     report = "\n".join(REPORT)
     print("\n================ acceptance report ================")
     print(report)
     print("===================================================")
-    with open("acceptance_report.txt", "w") as fh:
-        fh.write(report + "\n")
+    # into pytest's cache directory, which is not part of the checkout
+    path = pytestconfig.cache.mkdir("acceptance") / "acceptance_report.txt"
+    path.write_text(report + "\n")
+    print(f"acceptance report written to {path}")

@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seedwing.aeromodel import (AlphaRegionError,
-                                ControlInput, IntegrationDivergedError,
+from seedwing.aeromodel import (AlphaRegionError, IntegrationDivergedError,
                                 PlateParams, State, Trace, aero_breakdown,
                                 aero_torques, angle_of_attack,
                                 force_coefficients, mean_glide_slope,
@@ -58,11 +57,6 @@ class TestPlateParams:
             PlateParams(cd0=0.0)
         with pytest.raises(ValueError):
             PlateParams(tau_r_sign=0.5)
-
-    def test_control_input_clamp(self):
-        assert ControlInput(0.187).e_x == 0.187
-        with pytest.raises(ValueError):
-            ControlInput(0.3)
 
     def test_state_finite(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from seedwing.closedloop import (DEFAULT_GAINS, ConstantController, DataRow,
                                  DegenerateRangeError, NormSpec,
                                  PidController, PidGains, PidState, SimConfig,
                                  dataset_from_csv, dataset_to_csv,
-                                 denormalize, denormalize_out, fit_norm,
+                                 denormalize_out, fit_norm,
                                  generate_dataset, normalize, normalize_out,
                                  pid_step, rows_to_arrays,
                                  simulate_closed_loop, target_error)
@@ -69,7 +69,7 @@ class TestPid:
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
-        assert cfg.n_control == 40 and cfg.steps_per_control == 50
+        assert cfg.steps_per_control == 50
         assert len(cfg.x6_starts) == 9
         assert cfg.x6_starts[0] == pytest.approx(1.43)
         assert cfg.x6_starts[-1] == pytest.approx(4.29)
@@ -173,7 +173,8 @@ class TestNormalization:
         rng = np.random.default_rng(5)
         for _ in range(50):
             v = rng.uniform(norm_spec.in_min, norm_spec.in_max)
-            back = denormalize(normalize(v, norm_spec), norm_spec)
+            lo, hi = np.array(norm_spec.in_min), np.array(norm_spec.in_max)
+            back = normalize(v, norm_spec) * (hi - lo) + lo
             assert np.max(np.abs(back - v) / np.maximum(np.abs(v), 1e-9)) < 1e-12
             y = rng.uniform(norm_spec.out_min, norm_spec.out_max)
             assert denormalize_out(normalize_out(y, norm_spec), norm_spec) == \

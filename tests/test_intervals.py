@@ -160,14 +160,10 @@ def test_absval_dual_through_zero_widens_slope():
 
 
 def test_interval_helpers():
-    a = Interval(0.0, 2.0)
-    b = Interval(1.0, 3.0)
-    assert a.intersect(b).lo == 1.0 and a.union(b).hi == 3.0
-    assert a.encloses(Interval(0.5, 1.5))
-    with pytest.raises(IntervalDomainError):
-        Interval(0.0, 1.0).intersect(Interval(2.0, 3.0))
-    assert iv.value_of(Interval(1.0, 3.0)) == 2.0
     assert iv.as_interval(1.5).lo == 1.5
+    a = Interval(0.0, 2.0)
+    assert iv.as_interval(a) is a
+    assert iv.as_interval(Dual(a, [Interval(1.0)])) is a
 
 
 # -- flat interval partials against one Interval object per partial ------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fourier_motzkin_feasible, vertex_lp_max
-from seedwing.lp import lp_feasible, solve_lp
+from seedwing.lp import solve_lp
 
 
 class TestBasics:
@@ -11,7 +11,7 @@ class TestBasics:
         assert not sol.feasible
 
     def test_simplex_corner(self):
-        sol = lp_feasible([[1.0, 1.0]], ["<="], [1.0], [0, 0], [10, 10])
+        sol = solve_lp([[1.0, 1.0]], ["<="], [1.0], [0, 0], [10, 10])
         assert sol.feasible
         x, y = sol.x
         assert x >= -1e-9 and y >= -1e-9 and x + y <= 1 + 1e-9

@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import double_network, forward_preacts
 from seedwing import mlp
 from seedwing.closedloop import NormSpec, denormalize_out, normalize
 from seedwing.mlp import (Layer, Network, NetworkFormatError,
                           TrainingCollapsedError, TrainingDivergedError,
-                          double_network, embed_normalization, forward, forward_batch,
-                          forward_preacts, gradient, init_network,
-                          input_gradient, load, save, train)
+                          embed_normalization, forward, forward_batch,
+                          gradient, init_network, input_gradient, load, save,
+                          train)
 
 
 def scalar_forward_oracle(net, x):
@@ -99,6 +102,18 @@ class TestForward:
         assert net.widths == (6, 6, 4, 1, 1)
         assert net.n_relu == 11
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           x=st.lists(st.floats(-2.0, 3.0), min_size=6, max_size=6),
+           use_norm=st.booleans())
+    def test_single_row_is_one_row_batch(self, seed, x, use_norm):
+        spec = NormSpec((-1.0,) * 6, (2.0,) * 6, 0.1, 0.3)
+        net = init_network(seed=seed, norm=spec)
+        x = np.array(x)
+        one = forward(net, x, use_norm=use_norm)
+        assert isinstance(one, float)
+        assert one == forward_batch(net, x[None], use_norm=use_norm)[0]
+
 
 class TestGradient:
     def test_zero_at_perfect_fit(self):
@@ -106,10 +121,11 @@ class TestGradient:
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, size=(10, 6))
         Y = forward_batch(net, X)
-        g = gradient(net, X, Y, loss="mse")
-        assert g.max_abs() == pytest.approx(0.0, abs=1e-14)
-        g2 = gradient(net, X, Y, loss="rmse")   # subgradient 0 at the kink
-        assert g2.max_abs() == 0.0
+        def max_abs(g):
+            return max(np.abs(a).max() for a in g.dw + g.db)
+        assert max_abs(gradient(net, X, Y, loss="mse")) == pytest.approx(0.0, abs=1e-14)
+        # subgradient 0 at the kink
+        assert max_abs(gradient(net, X, Y, loss="rmse")) == 0.0
 
     def test_matches_finite_differences(self):
         net = init_network(seed=7)

@@ -5,9 +5,9 @@ from seedwing.aeromodel import State, rk4_step, _deriv_raw
 from seedwing.intervals import Interval
 from seedwing.mlp import Layer, Network, embed_normalization, forward
 from seedwing.reach import (BranchFailure, ReachConfig, ReachDomainError,
-                            goal_check, interval_jacobian, nn_output_set,
-                            point_jacobian, reach_control_cycle, reach_full,
-                            reach_step, reach_to_csv)
+                            goal_check, initial_zonotope, interval_jacobian,
+                            nn_output_set, point_jacobian, reach_control_cycle,
+                            reach_full, reach_step, reach_to_csv)
 from seedwing.zono import Zonotope, zono_hull, zono_max_linear, zono_sample
 
 
@@ -338,6 +338,30 @@ class TestReachFull:
         assert all(b.failed for b in result.branches)
         assert all(b.fail_reason for b in result.branches)
         assert goal_check(result).status == "unknown"
+
+    def test_fail_step_counts_steps_of_failing_cycle(self, heavy_params, heavy_settled):
+        cfg = ReachConfig(dt=1e-3, dt_control=0.1, t_end=0.3, n_splits=1)
+        x6 = heavy_settled[5]
+        cell = (x6 - 0.02, x6 + 0.02)
+        net = constant_net(0.187)
+        # hull widths step by step; a blow-up bound just under the widest
+        # hull after step 150 makes the branch fail there or later
+        Z = initial_zonotope(*cell, heavy_settled)
+        widths = []
+        for k in range(cfg.n_cycles * cfg.steps_per_cycle):
+            if k % cfg.steps_per_cycle == 0:
+                u = nn_output_set(net, Z)
+            Z = reach_step(Z, u, heavy_params, cfg)
+            lo, hi = zono_hull(Z)
+            widths.append(np.max(hi - lo))
+        bound = max(widths[:150])
+        k_fail = next(k for k, w in enumerate(widths) if w > bound)
+        tight = ReachConfig(dt=1e-3, dt_control=0.1, t_end=0.3, n_splits=1,
+                            blowup_width=bound)
+        br = reach_full(cell, net, heavy_params, tight, base_state=heavy_settled).branches[0]
+        assert br.failed and "blow-up" in br.fail_reason
+        assert (br.fail_cycle, br.fail_step) == divmod(k_fail, cfg.steps_per_cycle)
+        assert len(br.checkpoints) == br.fail_cycle + 1
 
     def test_csv_export(self, tmp_path, heavy_params, heavy_settled):
         cfg = ReachConfig(dt=1e-3, t_end=0.5, n_splits=2)

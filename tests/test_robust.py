@@ -3,12 +3,17 @@ import pytest
 
 from seedwing import mlp
 from seedwing.mlp import Layer, Network, forward, forward_batch, init_network, train
-from seedwing.robust import (AttackConfig, CoincidentPairError,
-                             RobustTrainConfig, empirical_lipschitz,
-                             lipschitz_penalty, pgd_attack, pgd_attack_batch,
-                             train_adversarial)
+from seedwing.robust import (AttackConfig, RobustTrainConfig,
+                             empirical_lipschitz, max_lipschitz_quotient,
+                             pgd_attack_batch, train_adversarial)
 
 UNIT6 = (np.zeros(6), np.ones(6))
+
+
+def pgd_one(net, x, y, cfg, box, seed=0):
+    """PGD on one row: the worst case in the epsilon-ball around x."""
+    return pgd_attack_batch(net, x[None, :], np.array([y]), cfg, box,
+                            np.random.default_rng(seed))[0]
 
 
 def affine_net(slope, bias=0.0, n_in=1):
@@ -22,7 +27,7 @@ class TestPgdAttack:
         # zero target error and a flat network: no iterate can beat delta=0
         net = affine_net(0.0, bias=0.3)
         x = np.array([0.5])
-        adv = pgd_attack(net, x, 0.3, AttackConfig(epsilon=0.1), ((0.0,), (1.0,)))
+        adv = pgd_one(net, x, 0.3, AttackConfig(epsilon=0.1), ((0.0,), (1.0,)))
         assert forward(net, adv) == 0.3
 
     def test_affine_worst_case_on_ball_boundary(self):
@@ -30,7 +35,7 @@ class TestPgdAttack:
         cfg = AttackConfig(epsilon=0.05, steps=10, restarts=2)
         x = np.array([0.5])
         y = forward(net, x)
-        adv = pgd_attack(net, x, y, cfg, ((0.0,), (1.0,)))
+        adv = pgd_one(net, x, y, cfg, ((0.0,), (1.0,)))
         assert abs(abs(adv[0] - 0.5) - 0.05) < 1e-12
         assert abs(forward(net, adv) - y) == pytest.approx(2 * 0.05, rel=1e-12)
 
@@ -60,7 +65,7 @@ class TestPgdAttack:
             eps = 0.15
             box = ((0.0, 0.0), (1.0, 1.0))
             cfg = AttackConfig(epsilon=eps, steps=30, step_size=eps / 8, restarts=4)
-            adv = pgd_attack(net, x, y, cfg, box, seed=seed)
+            adv = pgd_one(net, x, y, cfg, box, seed=seed)
             pgd_loss = (forward(net, adv) - y) ** 2
             # dense grid over the ball (10^4 samples)
             g = np.linspace(-eps, eps, 100)
@@ -73,8 +78,7 @@ class TestPgdAttack:
 class TestLipschitzPenalty:
     def test_constant_network_zero(self):
         net = affine_net(0.0, bias=0.5)
-        pairs = [(np.array([0.1]), np.array([0.4]))]
-        assert lipschitz_penalty(net, pairs) == 0.0
+        assert max_lipschitz_quotient(net, np.array([[0.1]]), np.array([[0.4]])) == (0.0, 0)
 
     def test_affine_exact_constant(self):
         net = affine_net(3.0)
@@ -83,29 +87,27 @@ class TestLipschitzPenalty:
             a, b = rng.uniform(0, 1, size=2)
             if a == b:
                 continue
-            pairs = [(np.array([a]), np.array([b]))]
-            assert lipschitz_penalty(net, pairs) == pytest.approx(3.0, rel=1e-12)
+            q, _ = max_lipschitz_quotient(net, np.array([[a]]), np.array([[b]]))
+            assert q == pytest.approx(3.0, rel=1e-12)
 
     def test_matches_direct_quotient(self, naive_net, data_arrays):
         X, _ = data_arrays
         rng = np.random.default_rng(4)
-        pairs = []
-        for i in range(20):
-            x = X[i]
-            xa = np.clip(x + rng.uniform(-0.01, 0.01, size=6), 0, 1)
-            if np.max(np.abs(x - xa)) == 0:
-                continue
-            pairs.append((x, xa))
-        got = lipschitz_penalty(naive_net, pairs)
-        want = max(abs(forward(naive_net, x) - forward(naive_net, xa))
-                   / np.max(np.abs(x - xa)) for x, xa in pairs)
-        assert got == pytest.approx(want, rel=1e-12)
+        Xa = np.clip(X[:20] + rng.uniform(-0.01, 0.01, size=(20, 6)), 0, 1)
+        got, k = max_lipschitz_quotient(naive_net, X[:20], Xa)
+        quotients = [abs(forward(naive_net, x) - forward(naive_net, xa))
+                     / np.max(np.abs(x - xa)) for x, xa in zip(X[:20], Xa)]
+        assert got == pytest.approx(max(quotients), rel=1e-12)
+        assert got == pytest.approx(quotients[k], rel=1e-12)
         assert got >= 0.0
 
-    def test_coincident_pair_rejected(self, naive_net):
-        x = np.full(6, 0.5)
-        with pytest.raises(CoincidentPairError):
-            lipschitz_penalty(naive_net, [(x, x.copy())])
+    def test_coincident_pair_skipped(self):
+        net = affine_net(2.0, n_in=2)
+        X = np.array([[0.5, 0.5], [0.2, 0.7]])
+        Xa = np.array([[0.5, 0.5], [0.3, 0.7]])
+        q, k = max_lipschitz_quotient(net, X, Xa)
+        assert k == 1 and q == pytest.approx(2.0, rel=1e-12)
+        assert max_lipschitz_quotient(net, X[:1], Xa[:1]) == (0.0, None)
 
 
 class TestTrainAdversarial:

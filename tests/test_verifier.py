@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_verify
+from oracles import (double_network, encode_robustness_doubled,
+                     enumerate_verify, forward_preacts)
 from seedwing import mlp
-from seedwing.mlp import Layer, Network, double_network, embed_normalization, \
-    forward, forward_batch, forward_preacts, init_network
+from seedwing.mlp import Layer, Network, embed_normalization, \
+    forward, forward_batch, init_network
 from seedwing.verifier import (Budget, LinConstraint,
                                PropertySpec, PropertyThresholds, Verdict,
                                bab_verify, constraint_violation,
                                encode_property, encode_robustness,
-                               encode_robustness_doubled, find_critical_ystar,
+                               find_critical_ystar,
                                interval_bounds, lp_feasible, premise_holds,
                                results_to_csv, robustness_sweep, tighten_box)
 

@@ -11,7 +11,7 @@ def rand_zono(rng, n=3, g=6):
 
 class TestOps:
     def test_box_hull_exact(self):
-        Z = Zonotope.from_box([-1.0, 2.0], [3.0, 4.0])
+        Z = Zonotope([1.0, 3.0], np.diag([2.0, 1.0]))
         lo, hi = zono_hull(Z)
         assert np.allclose(lo, [-1, 2]) and np.allclose(hi, [3, 4])
 
