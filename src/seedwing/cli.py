@@ -18,7 +18,7 @@ import time
 import warnings
 
 from . import __version__, mlp, robust
-from .aeromodel import PlateParams, State, simulate_open_loop
+from .aeromodel import AlphaRegionError, PlateParams, State, simulate_open_loop
 from .closedloop import (DEFAULT_GAINS, NetworkController, PidController,
                          PidGains, SimConfig, dataset_from_csv, dataset_to_csv,
                          fit_norm, generate_dataset, rows_to_arrays,
@@ -158,7 +158,8 @@ def cmd_gen_data(args):
 def _train_common(args, adversarial: bool):
     t0 = time.perf_counter()
     data = _d(args, "data", "dataset.csv")
-    rows = dataset_from_csv(data)
+    with _rejected_settings():
+        rows = dataset_from_csv(data)
     spec = fit_norm(rows)
     X, Y = rows_to_arrays(rows, spec)
     seed = int(_d(args, "seed", 0))
@@ -222,7 +223,10 @@ def cmd_verify(args):
     budget = Budget(max_seconds=float(_d(args, "budget_s", 60.0)))
     if args.spec:
         with open(args.spec) as fh:
-            spec = PropertySpec.from_json(fh.read())
+            try:
+                spec = PropertySpec.from_json(fh.read())
+            except ValueError as exc:
+                raise UsageError(f"spec {args.spec}: {exc}") from exc
         inputs.append(args.spec)
         target = mlp.embed_normalization(net) if net.norm is not None else net
         param = spec.params.get("ystar", "")
@@ -234,7 +238,8 @@ def cmd_verify(args):
         spec = encode_property(int(args.prop), ystar, box)
         target = mlp.embed_normalization(net)
         param = ystar
-    v = bab_verify(target, spec, budget)
+    with _rejected_settings():     # a spec that does not fit the network
+        v = bab_verify(target, spec, budget)
     out = _d(args, "out", "verify.csv")
     results_to_csv([(spec.name, param, v)], out)
     _write_manifest(out + ".manifest.json", "verify", args, inputs, [out],
@@ -252,8 +257,14 @@ def cmd_critical_ystar(args):
     net = _load_net(args.net)
     target = mlp.embed_normalization(net)
     box = _box_from_net(net)
-    kinds = [int(k) for k in str(_d(args, "properties", "1,2,3,4")).split(",")]
-    resolution = float(_d(args, "resolution", 1.0))
+    with _rejected_settings():
+        kinds = [int(k) for k in str(_d(args, "properties", "1,2,3,4")).split(",")]
+        resolution = float(_d(args, "resolution", 1.0))
+    # checked before any search starts, so a bad entry costs no verification
+    if not set(kinds) <= {1, 2, 3, 4}:
+        raise UsageError(f"--properties takes kinds 1..4, got {kinds}")
+    if resolution <= 0:
+        raise UsageError("--resolution must be > 0")
     budget = Budget(max_seconds=float(_d(args, "budget_s", 30.0)))
     out = _d(args, "out", "critical-ystar.csv")
     lines = ["property,critical_ystar,failed,vacuous,timeout_flag"]
@@ -284,13 +295,20 @@ def cmd_robust_sweep(args):
     net = _load_net(args.net)
     if net.norm is None:
         raise UsageError("robustness sweep needs a network with normalization")
-    rows = dataset_from_csv(args.data)
+    with _rejected_settings():
+        rows = dataset_from_csv(args.data)
+        eps_list = [float(v) for v in str(_d(args, "eps_list", "1e-5,1e-4,1e-3,1e-2")).split(",")]
+        l_list = [float(v) for v in str(_d(args, "lstar_list", "1e-5,1e-4,1e-3,1e-2")).split(",")]
+        n_points = int(_d(args, "points", 100))
+    # a cell's rate divides by its points and its bound L*/epsilon by epsilon
+    if n_points < 1:
+        raise UsageError("--points must be >= 1")
+    if min(eps_list) <= 0:
+        raise UsageError("--eps-list values must be > 0")
     X, _ = rows_to_arrays(rows, net.norm)
     core = mlp.Network(net.layers, norm=None, meta=dict(net.meta))
-    eps_list = [float(v) for v in str(_d(args, "eps_list", "1e-5,1e-4,1e-3,1e-2")).split(",")]
-    l_list = [float(v) for v in str(_d(args, "lstar_list", "1e-5,1e-4,1e-3,1e-2")).split(",")]
     sweep_kw = dict(
-        n_points=int(_d(args, "points", 100)),
+        n_points=n_points,
         per_query_budget=Budget(
             max_nodes=SWEEP_QUERY_BUDGET.max_nodes,
             max_seconds=float(_d(args, "query_budget_s", SWEEP_QUERY_BUDGET.max_seconds))),
@@ -391,7 +409,6 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--config", help="JSON config file (flags win)")
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--strict", action="store_true")
 
     def jobs(sp):
@@ -428,6 +445,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--epochs", type=int)
         sp.add_argument("--lr", type=float)
         sp.add_argument("--batch-size", dest="batch_size", type=int)
+        sp.add_argument("--seed", type=int)
         if name == "train-adv":
             sp.add_argument("--epsilon", type=float)
             sp.add_argument("--pgd-steps", dest="pgd_steps", type=int)
@@ -498,7 +516,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, mlp.NetworkFormatError, mlp.TrainingError) as exc:
+    except (FileNotFoundError, mlp.NetworkFormatError, mlp.TrainingError,
+            AlphaRegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

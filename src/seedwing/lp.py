@@ -29,10 +29,17 @@ class LpSolution:
     objective: float | None = None
 
 
+def _pivot(T: np.ndarray, basis: list, row: int, col: int):
+    """Make column `col` basic in `row`: eliminate it from every other row."""
+    T[row, :] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i, :] -= T[i, col] * T[row, :]
+    basis[row] = col
+
+
 def _run_simplex(T: np.ndarray, basis: list, c: np.ndarray):
     """Minimize c.x on the tableau T (rows: B^-1 A | B^-1 b). In-place."""
-    m = T.shape[0]
-    ncols = T.shape[1] - 1
     z = c.astype(float).copy()
     for i, bi in enumerate(basis):
         if z[bi] != 0.0:
@@ -52,14 +59,9 @@ def _run_simplex(T: np.ndarray, basis: list, c: np.ndarray):
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12]
         leave = int(min(tied, key=lambda i: basis[i]))  # Bland on ties
-        piv = T[leave, enter]
-        T[leave, :] /= piv
-        for i in range(m):
-            if i != leave and T[i, enter] != 0.0:
-                T[i, :] -= T[i, enter] * T[leave, :]
+        _pivot(T, basis, leave, enter)
         if z[enter] != 0.0:
             z -= z[enter] * T[leave, :-1]
-        basis[leave] = enter
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise SimplexCycleError("pivot limit exceeded")
@@ -80,68 +82,49 @@ def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
         return LpSolution(False)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("variable bounds must be finite")
+    if not len(A) == len(rel) == len(b):
+        raise ValueError("A, rel and b need one entry per row")
 
-    # shift to w = v - lo in [0, r]; add upper bounds as rows
-    r = hi - lo
-    rows = []
-    rhs = []
-    kinds = []
-    for i in range(A.shape[0]):
-        a = A[i]
-        bi = b[i] - float(a @ lo)
-        if rel[i] == "<=":
-            rows.append(a.copy()); rhs.append(bi); kinds.append("le")
-        elif rel[i] == ">=":
-            rows.append(-a); rhs.append(-bi); kinds.append("le")
-        elif rel[i] == "=":
-            rows.append(a.copy()); rhs.append(bi); kinds.append("eq")
-        else:
-            raise ValueError(f"unknown relation {rel[i]!r}")
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append(e); rhs.append(r[j]); kinds.append("le")
-
-    m = len(rows)
-    M = np.array(rows)
-    rv = np.array(rhs)
-
-    n_slack = sum(1 for k in kinds if k == "le")
-    # build [A | S | T | rhs]
-    slack_idx = {}
-    art_rows = []
-    si = 0
-    S = np.zeros((m, n_slack))
-    for i, k in enumerate(kinds):
-        if k == "le":
-            S[i, si] = 1.0
-            slack_idx[i] = n + si
-            si += 1
-    # normalize to nonnegative rhs
+    # shift to w = v - lo in [0, hi - lo]; ">=" rows become "<=" rows, and
+    # the upper bounds follow as "<=" rows
+    rows, rhs, le = [], [], []
+    for a, kind, bi in zip(A, rel, b):
+        if kind not in ("<=", ">=", "="):
+            raise ValueError(f"unknown relation {kind!r}")
+        bi = bi - float(a @ lo)
+        if kind == ">=":
+            a, bi = -a, -bi
+        rows.append(a); rhs.append(bi); le.append(kind != "=")
+    k = len(rows)
+    m = k + n
+    le += [True] * n
+    rv = np.concatenate([rhs, hi - lo])
     flip = rv < 0
-    M[flip] *= -1.0
-    rv = rv.copy()
-    rv[flip] *= -1.0
-    S[flip] *= -1.0
 
-    basis = [-1] * m
-    for i, k in enumerate(kinds):
-        if k == "le" and not flip[i]:
-            basis[i] = slack_idx[i]
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    Tb = np.zeros((m, n_art))
-    for a_i, i in enumerate(art_rows):
-        Tb[i, a_i] = 1.0
-        basis[i] = n + n_slack + a_i
-
+    # tableau [rows | slacks | artificials | rhs]: one slack per "<=" row; a
+    # row with a negative rhs is negated, and it and every "=" row start on
+    # an artificial
+    n_slack = sum(le)
+    art_rows = np.flatnonzero(flip | ~np.array(le))
+    n_art = art_rows.size
     ncols = n + n_slack + n_art
     tab = np.zeros((m, ncols + 1))
-    tab[:, :n] = M
-    tab[:, n:n + n_slack] = S
-    tab[:, n + n_slack:ncols] = Tb
+    if k:
+        tab[:k, :n] = rows
+    tab[k:, :n] = np.eye(n)
     tab[:, -1] = rv
+    basis, s = [], n            # an "=" row's entry is replaced below
+    for i, is_le in enumerate(le):
+        if is_le:
+            tab[i, s] = 1.0
+        basis.append(s)
+        s += is_le
+    if flip.any():
+        tab[flip, :n + n_slack] *= -1.0
+        tab[flip, -1] *= -1.0
+    for a_i, i in enumerate(art_rows):
+        tab[i, n + n_slack + a_i] = 1.0
+        basis[i] = n + n_slack + a_i
 
     if n_art:
         c1 = np.zeros(ncols)
@@ -153,16 +136,9 @@ def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
         # pivot residual artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= n + n_slack:
-                row = tab[i, :n + n_slack]
-                nz = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+                nz = np.flatnonzero(np.abs(tab[i, :n + n_slack]) > PIVOT_TOL)
                 if nz.size:
-                    enter = int(nz[0])
-                    piv = tab[i, enter]
-                    tab[i, :] /= piv
-                    for k2 in range(m):
-                        if k2 != i and tab[k2, enter] != 0.0:
-                            tab[k2, :] -= tab[k2, enter] * tab[i, :]
-                    basis[i] = enter
+                    _pivot(tab, basis, i, int(nz[0]))
         # block artificial columns from re-entering
         tab[:, n + n_slack:ncols] = 0.0
 
@@ -172,9 +148,7 @@ def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
         _run_simplex(tab, basis, c2)
 
     w = np.zeros(ncols)
-    for i, bi in enumerate(basis):
-        if bi >= 0:
-            w[bi] = tab[i, -1]
+    w[basis] = tab[:, -1]
     x = w[:n] + lo
     obj = float(objective @ x) if objective is not None else None
     return LpSolution(True, x, obj)

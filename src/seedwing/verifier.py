@@ -98,11 +98,16 @@ class PropertySpec:
     @staticmethod
     def from_json(text: str) -> "PropertySpec":
         d = json.loads(text)
-        return PropertySpec(d["name"],
-                            tuple((lo, hi) for lo, hi in d["input_box"]),
-                            tuple(LinConstraint.from_json(c) for c in d["premise"]),
-                            tuple(LinConstraint.from_json(c) for c in d["conclusion"]),
-                            d.get("params", {}))
+        try:
+            return PropertySpec(d["name"],
+                                tuple((lo, hi) for lo, hi in d["input_box"]),
+                                tuple(LinConstraint.from_json(c) for c in d["premise"]),
+                                tuple(LinConstraint.from_json(c) for c in d["conclusion"]),
+                                d.get("params", {}))
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed spec: {exc}") from exc
 
 
 @dataclass
@@ -188,7 +193,7 @@ def encode_property(kind: int, ystar: float, box,
                    LinConstraint(_in_vec(n, **{"1": 1.0}), (0.0,), "<=", t.x2_max))
         conclusion = (LinConstraint((0.0,) * n, out1, "<=", t.u_center),)
     else:
-        raise ValueError("kind must be 1..4")
+        raise ValueError(f"property kind must be 1..4, got {kind}")
     return PropertySpec(f"property{kind}", box, premise, conclusion,
                         {"ystar": ystar, "kind": kind})
 
@@ -215,20 +220,25 @@ def encode_robustness(net: Network, x0, epsilon: float, lstar: float,
 # ---------------------------------------------------------------------------
 # interval reasoning
 
-def tighten_box(box, premise, passes: int = 8):
-    """Interval-consistency contraction of the box under the premise rows.
+def input_rows(constraints, n: int):
+    """Input-space constraints as one <= system (A, b), rows in `as_leq` order."""
+    rows = [row for c in constraints for row in c.as_leq()]
+    if any(np.any(oc != 0.0) for _, oc, _ in rows):
+        raise ValueError("input_rows handles input-space constraints only")
+    return (np.array([ic for ic, _, _ in rows], dtype=float).reshape(len(rows), n),
+            np.array([rhs for _, _, rhs in rows], dtype=float))
+
+
+def tighten_box(box, A, b, passes: int = 8):
+    """Interval-consistency contraction of the box under the rows A x <= b.
 
     Returns (lo, hi, empty).
     """
-    lo = np.array([b[0] for b in box], dtype=float)
-    hi = np.array([b[1] for b in box], dtype=float)
-    rows = []
-    for c in premise:
-        for ic, _, rhs in c.as_leq():
-            rows.append((np.asarray(ic), rhs))
+    lo = np.array([l for l, _ in box], dtype=float)
+    hi = np.array([h for _, h in box], dtype=float)
     for _ in range(passes):
         changed = False
-        for a, rhs in rows:
+        for a, rhs in zip(A, b):
             mins = np.where(a > 0, a * lo, a * hi)
             total = mins.sum()
             for i in np.flatnonzero(a):
@@ -245,24 +255,22 @@ def tighten_box(box, premise, passes: int = 8):
                         changed = True
             if (lo > hi + 1e-12).any():
                 return lo, hi, True
-            mins = None
         if not changed:
             break
     return lo, hi, (lo > hi + 1e-12).any()
 
 
-def interval_bounds(net: Network, box, premise=(), phases=None):
+def interval_bounds(net: Network, box, phases=None):
     """Sound pre-activation intervals per layer under branching decisions.
 
     phases maps (layer, idx) -> 0 (forced inactive) or 1 (forced active).
     Returns dict with keys: pre (list of (lo, hi) per layer), status (list of
-    per-neuron 'A'/'I'/'U' for relu layers, None otherwise), box (tightened
-    lo, hi), empty (bool).
+    per-neuron 'A'/'I'/'U' for relu layers, None otherwise), box (lo, hi as
+    arrays), empty (True when a forced phase contradicts the bounds).
     """
     phases = phases or {}
-    lo, hi, empty = tighten_box(box, premise)
-    if empty:
-        return {"pre": [], "status": [], "box": (lo, hi), "empty": True}
+    lo = np.array([l for l, _ in box], dtype=float)
+    hi = np.array([h for _, h in box], dtype=float)
     pre = []
     status = []
     a_lo, a_hi = lo, hi
@@ -308,37 +316,24 @@ def interval_bounds(net: Network, box, premise=(), phases=None):
 # LP encoding of one branch-and-bound node
 
 class _NodeLp:
-    """Affine encoding of the network under the node's neuron statuses."""
+    """Affine encoding of the network under the node's neuron statuses, as
+    <= rows over the inputs and one variable per unstable neuron (triangle
+    relaxation), followed by the premise rows."""
 
-    def __init__(self, net: Network, info, phases):
-        self.net = net
+    def __init__(self, net: Network, info, phases, premise):
         lo, hi = info["box"]
-        self.n_in = lo.shape[0]
-        unstable = []
-        for li, st in enumerate(info["status"]):
-            if st is None:
-                continue
-            for j, s in enumerate(st):
-                if s == "U":
-                    unstable.append((li, j))
-        self.unstable = unstable
-        self.z_of = {nz: self.n_in + k for k, nz in enumerate(unstable)}
-        nv = self.n_in + len(unstable)
-        self.nv = nv
-
+        self.n_in = n_in = lo.shape[0]
+        self.unstable = unstable = [(li, j) for li, st in enumerate(info["status"])
+                                    if st is not None for j, s in enumerate(st) if s == "U"]
+        z_of = {nz: n_in + k for k, nz in enumerate(unstable)}
+        self.nv = nv = n_in + len(unstable)
         self.var_lo = np.concatenate([lo, np.zeros(len(unstable))])
         z_hi = [max(info["pre"][li][1][j], 0.0) for li, j in unstable]
         self.var_hi = np.concatenate([hi, np.array(z_hi)])
 
-        self.rows_a = []
-        self.rows_rel = []
-        self.rows_b = []
-
-        # network structure
-        coefs = np.zeros((self.n_in, nv))
-        consts = np.zeros(self.n_in)
-        for i in range(self.n_in):
-            coefs[i, i] = 1.0
+        rows, rhs = [], []          # rows[k] . v <= rhs[k]
+        coefs = np.eye(n_in, nv)
+        consts = np.zeros(n_in)
         for li, layer in enumerate(net.layers):
             p_coefs = layer.w @ coefs
             p_consts = layer.w @ consts + layer.b
@@ -346,107 +341,70 @@ class _NodeLp:
                 coefs, consts = p_coefs, p_consts
                 continue
             p_lo, p_hi = info["pre"][li]
-            st = info["status"][li]
             n_coefs = np.zeros_like(p_coefs)
             n_consts = np.zeros(p_consts.shape[0])
-            for j, s in enumerate(st):
+            for j, s in enumerate(info["status"][li]):
                 forced = phases.get((li, j))
                 if s == "A":
-                    if forced == 1:
-                        self._add(p_coefs[j], ">=", -p_consts[j])
+                    if forced == 1:     # pre >= 0
+                        rows.append(-p_coefs[j]); rhs.append(p_consts[j])
                     n_coefs[j] = p_coefs[j]
                     n_consts[j] = p_consts[j]
                 elif s == "I":
-                    if forced == 0:
-                        self._add(p_coefs[j], "<=", -p_consts[j])
-                    # output already zero
+                    if forced == 0:     # pre <= 0; output already zero
+                        rows.append(p_coefs[j]); rhs.append(-p_consts[j])
                 else:
-                    z = self.z_of[(li, j)]
                     ez = np.zeros(nv)
-                    ez[z] = 1.0
+                    ez[z_of[(li, j)]] = 1.0
                     # z >= pre
-                    self._add(ez - p_coefs[j], ">=", p_consts[j])
+                    rows.append(p_coefs[j] - ez); rhs.append(-p_consts[j])
                     # z <= lam * (pre - l)
                     l, u = p_lo[j], p_hi[j]
                     lam = u / (u - l)
-                    self._add(ez - lam * p_coefs[j], "<=", lam * (p_consts[j] - l))
+                    rows.append(ez - lam * p_coefs[j]); rhs.append(lam * (p_consts[j] - l))
                     n_coefs[j] = ez
                     n_consts[j] = 0.0
             coefs, consts = n_coefs, n_consts
         self.out_coefs = coefs
         self.out_consts = consts
+        # node rows, premise rows, and a last row for each negated conclusion
+        p_a, p_b = premise
+        k = len(rows)
+        self.A = np.zeros((k + len(p_b) + 1, nv))
+        if k:
+            self.A[:k] = rows
+        self.A[k:-1, :n_in] = p_a
+        self.b = np.concatenate([rhs, p_b, [0.0]])
 
-    def _add(self, a, rel, b):
-        self.rows_a.append(np.asarray(a, dtype=float))
-        self.rows_rel.append(rel)
-        self.rows_b.append(float(b))
-
-    def constraint_expr(self, c: LinConstraint):
-        vec = np.zeros(self.nv)
-        vec[:self.n_in] = c.in_coef
-        vec = vec + np.asarray(c.out_coef) @ self.out_coefs
-        const = float(np.asarray(c.out_coef) @ self.out_consts)
-        return vec, const
-
-    def solve_negation(self, premise, conclusion: LinConstraint):
-        """Maximize violation of `conclusion` subject to node + premise rows.
+    def solve_negation(self, row):
+        """Maximize the violation of one conclusion row (ic, oc, rhs), meaning
+        ic.x + oc.y <= rhs, subject to the node and premise rows.
 
         Returns (lp_solution, violation, point) or (None, None, None) when the
         relaxation is infeasible.
         """
-        rows_a = list(self.rows_a)
-        rows_rel = list(self.rows_rel)
-        rows_b = list(self.rows_b)
-        for c in premise:
-            for ic, _, rhs in c.as_leq():
-                vec = np.zeros(self.nv)
-                vec[:self.n_in] = ic
-                rows_a.append(vec)
-                rows_rel.append("<=")
-                rows_b.append(rhs)
-        vec, const = self.constraint_expr(conclusion)
-        if conclusion.rel == "<=":
-            # violation = expr - rhs; negation requires expr >= rhs
-            rows_a.append(vec); rows_rel.append(">="); rows_b.append(conclusion.rhs - const)
-            objective = vec
-            off = const - conclusion.rhs
-        elif conclusion.rel == ">=":
-            rows_a.append(vec); rows_rel.append("<="); rows_b.append(conclusion.rhs - const)
-            objective = -vec
-            off = conclusion.rhs - const
-        else:
-            raise ValueError("equality conclusions must be expanded before solving")
-        sol = lpmod.solve_lp(np.array(rows_a), rows_rel, np.array(rows_b),
-                             self.var_lo, self.var_hi, objective=objective)
+        ic, oc, rhs = row
+        vec = np.zeros(self.nv)
+        vec[:self.n_in] = ic
+        vec = vec + oc @ self.out_coefs
+        off = float(oc @ self.out_consts) - rhs
+        # violation vec.v + off >= 0 as the last row, -vec.v <= off
+        A, b = self.A.copy(), self.b.copy()
+        A[-1] = -vec
+        b[-1] = off
+        sol = lpmod.solve_lp(A, ("<=",) * len(b), b, self.var_lo, self.var_hi,
+                             objective=vec)
         if not sol.feasible:
             return None, None, None
         return sol, sol.objective + off, sol.x[:self.n_in]
 
 
-def _expand_conclusions(conclusion):
-    out = []
-    for c in conclusion:
-        if c.rel == "=":
-            out.append(LinConstraint(c.in_coef, c.out_coef, "<=", c.rhs))
-            out.append(LinConstraint(c.in_coef, c.out_coef, ">=", c.rhs))
-        else:
-            out.append(c)
-    return out
-
-
-def constraint_value(c: LinConstraint, x, y) -> float:
-    yv = np.atleast_1d(y)
-    out = float(np.dot(c.out_coef, yv)) if yv.size else 0.0
-    return float(np.dot(c.in_coef, x)) + out
-
-
 def constraint_violation(c: LinConstraint, x, y) -> float:
-    v = constraint_value(c, x, y)
-    if c.rel == "<=":
-        return v - c.rhs
-    if c.rel == ">=":
-        return c.rhs - v
-    return abs(v - c.rhs)
+    """Largest value of lhs - rhs over the constraint's <= rows; y may be
+    empty for an input-only constraint."""
+    yv = np.atleast_1d(y)
+    return max(float(np.dot(ic, x)) + (float(np.dot(oc, yv)) if yv.size else 0.0) - rhs
+               for ic, oc, rhs in c.as_leq())
 
 
 def premise_holds(spec: PropertySpec, x, tol: float = REPLAY_TOL) -> bool:
@@ -456,25 +414,12 @@ def premise_holds(spec: PropertySpec, x, tol: float = REPLAY_TOL) -> bool:
     return all(constraint_violation(c, x, ()) <= tol for c in spec.premise)
 
 
-def lp_feasible(constraints, box):
-    """Feasibility of input-space constraints over a box (spec surface).
+def lp_feasible(A, b, box):
+    """Feasibility of the input-space rows A x <= b over a box.
 
     Returns an LpSolution whose x is a satisfying input point.
     """
-    rows_a, rows_rel, rows_b = [], [], []
-    n = len(box)
-    for c in constraints:
-        for ic, oc, rhs in c.as_leq():
-            if np.any(np.asarray(oc) != 0.0):
-                raise ValueError("lp_feasible handles input-space constraints only")
-            rows_a.append(ic)
-            rows_rel.append("<=")
-            rows_b.append(rhs)
-    lo = [b[0] for b in box]
-    hi = [b[1] for b in box]
-    if not rows_a:
-        rows_a = np.zeros((0, n))
-    return lpmod.solve_lp(np.array(rows_a), rows_rel, np.array(rows_b), lo, hi)
+    return lpmod.solve_lp(A, ("<=",) * len(b), b, [l for l, _ in box], [h for _, h in box])
 
 
 def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> Verdict:
@@ -486,22 +431,29 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
     t0 = time.perf_counter()
     stats = {"nodes": 0, "lp": 0}
 
-    conclusions = _expand_conclusions(spec.conclusion)
+    # the premise as one <= system (A, b) per query; the conclusion as <= rows,
+    # each negated in a node LP of its own
+    premise = input_rows(spec.premise, spec.n_in)
+    rows = [row for c in spec.conclusion for row in c.as_leq()]
 
     # vacuity: premise inconsistent with the box
-    feas = lp_feasible(spec.premise, spec.input_box)
+    feas = lp_feasible(*premise, spec.input_box)
     stats["lp"] += 1
     if not feas.feasible:
         return Verdict("verified", vacuous=True, nodes=0, lp_calls=stats["lp"],
                        seconds=time.perf_counter() - t0)
 
     # the premise contracts the box once per query; every node starts from
-    # the contracted box (still empty when the contraction emptied it)
-    lo, hi, _ = tighten_box(spec.input_box, spec.premise)
+    # the contracted box. A premise the LP accepts within tolerance can still
+    # empty it: the root node then closes without an LP.
+    lo, hi, empty = tighten_box(spec.input_box, *premise)
+    if empty:
+        return Verdict("verified", nodes=1, lp_calls=stats["lp"],
+                       seconds=time.perf_counter() - t0)
     box = tuple(zip(lo, hi))
 
-    # DFS over phase assignments; each entry carries the conclusions still open
-    stack = [({}, list(range(len(conclusions))))]
+    # DFS over phase assignments; each entry carries the conclusion rows still open
+    stack = [({}, list(range(len(rows))))]
     while stack:
         if stats["nodes"] >= budget.max_nodes or \
            time.perf_counter() - t0 > budget.max_seconds:
@@ -509,33 +461,30 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
                            seconds=time.perf_counter() - t0)
         phases, pending = stack.pop()
         stats["nodes"] += 1
-        info = interval_bounds(net, box, (), phases)
+        info = interval_bounds(net, box, phases)
         if info["empty"]:
             continue
-        node = _NodeLp(net, info, phases)
+        node = _NodeLp(net, info, phases, premise)
         still_open = []
-        split_needed = False
         for ci in pending:
-            c = conclusions[ci]
-            sol, viol, x = node.solve_negation(spec.premise, c)
+            sol, viol, x = node.solve_negation(rows[ci])
             stats["lp"] += 1
             if sol is None or viol <= LP_MARGIN:
-                continue   # conclusion holds on this node
+                continue   # conclusion row holds on this node
             y = mlp.forward_batch(net, x[None, :])[0]
             if premise_holds(spec, x):
-                worst = max(constraint_violation(cc, x, y) for cc in conclusions)
+                worst = max(constraint_violation(c, x, y) for c in spec.conclusion)
                 if worst > REPLAY_TOL:
                     return Verdict("falsified", witness=x,
                                    witness_outputs=np.atleast_1d(y),
                                    nodes=stats["nodes"], lp_calls=stats["lp"],
                                    seconds=time.perf_counter() - t0)
-            if not node.unstable:
-                # exact leaf: LP optimum replays below tolerance, cell is safe
-                continue
-            still_open.append(ci)
-            split_needed = True
-        if split_needed:
-            li, j = _pick_split(info, phases)
+            if node.unstable:
+                still_open.append(ci)
+            # else an exact leaf: the LP optimum replays below tolerance, the
+            # cell is safe
+        if still_open:
+            li, j = _pick_split(info)
             active = dict(phases)
             active[(li, j)] = 1
             inactive = dict(phases)
@@ -547,9 +496,9 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
                    seconds=time.perf_counter() - t0)
 
 
-def _pick_split(info, phases):
+def _pick_split(info):
     """Widest unstable pre-activation interval containing zero; ties break to
-    the lowest layer then lowest index."""
+    the lowest layer then lowest index. A forced neuron is never unstable."""
     best = None
     best_width = -1.0
     for li, st in enumerate(info["status"]):
@@ -557,7 +506,7 @@ def _pick_split(info, phases):
             continue
         p_lo, p_hi = info["pre"][li]
         for j, s in enumerate(st):
-            if s != "U" or (li, j) in phases:
+            if s != "U":
                 continue
             width = p_hi[j] - p_lo[j]
             if width > best_width + 1e-15:
@@ -576,7 +525,6 @@ class CriticalResult:
     value: float | None            # None = Failed
     flagged_timeout: bool = False
     vacuous: bool = False
-    probes: list = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
@@ -594,6 +542,8 @@ def find_critical_ystar(net: Network, kind: int, box,
     Integer-grid sweep locates the transition, bisection refines it to
     `resolution`. Timeout probes flag the result as a bound.
     """
+    if kind not in (1, 2, 3, 4):
+        raise ValueError(f"property kind must be 1..4, got {kind}")
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     res = CriticalResult(None)
@@ -602,7 +552,6 @@ def find_critical_ystar(net: Network, kind: int, box,
         v = bab_verify(net, encode_property(kind, y, box, thresholds), budget)
         if v.status == "timeout":
             res.flagged_timeout = True
-        res.probes.append((y, v.status, v.vacuous))
         return v
 
     if kind in (1, 2, 4):
@@ -619,8 +568,8 @@ def find_critical_ystar(net: Network, kind: int, box,
             y = y + max(1.0, resolution)
         if hi is None:
             return res
-        lo = prev if hi > 0.0 else 0.0
-        while hi - lo > resolution and hi > 0.0:
+        lo = prev
+        while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
             v = probe(mid)
             if v.verified:
@@ -631,32 +580,29 @@ def find_critical_ystar(net: Network, kind: int, box,
         res.vacuous = hi_vac
         return res
 
-    if kind == 3:
-        v = probe(resolution)
-        if not v.verified or v.vacuous:
-            return res
-        lo, lo_vac = resolution, v.vacuous
-        y = max(1.0, resolution)
-        while y <= search_max + 1e-12:
-            v = probe(y)
-            if v.verified and not v.vacuous:
-                lo, lo_vac = y, v.vacuous
-                y += max(1.0, resolution)
-            else:
-                break
-        hi = min(y, search_max)
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            v = probe(mid)
-            if v.verified and not v.vacuous:
-                lo, lo_vac = mid, v.vacuous
-            else:
-                hi = mid
-        res.value = lo
-        res.vacuous = lo_vac
+    # kind 3
+    v = probe(resolution)
+    if not v.verified or v.vacuous:
         return res
-
-    raise ValueError("kind must be 1..4")
+    lo = resolution
+    y = max(1.0, resolution)
+    while y <= search_max + 1e-12:
+        v = probe(y)
+        if v.verified and not v.vacuous:
+            lo = y
+            y += max(1.0, resolution)
+        else:
+            break
+    hi = min(y, search_max)
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        v = probe(mid)
+        if v.verified and not v.vacuous:
+            lo = mid
+        else:
+            hi = mid
+    res.value = lo     # a vacuous probe never counts for kind 3
+    return res
 
 
 @dataclass

@@ -214,6 +214,14 @@ class TestJobs:
         assert main([command, "--jobs", "2"]) == 1
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "gen-data", "verify", "critical-ystar",
+                                         "robust-sweep", "reach"])
+    def test_seed_only_where_read(self, command, capsys, tmp_path, monkeypatch):
+        # only train and train-adv draw random numbers
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv, text", [
     (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": []}'),
@@ -233,11 +241,29 @@ class TestJobs:
     (["gen-data", "--record-skip", "-5"], ""),
     (["train", "--data", "DATA", "--lr", "1e30", "--epochs", "3"], ""),
     (["train-adv", "--data", "DATA", "--epochs", "100", "--seed", "2"], ""),
+    (["verify", "--net", "NET", "--spec", "BAD"], "{bad"),
+    (["verify", "--net", "NET", "--spec", "BAD"], '{"name": "p", "premise": []}'),
+    (["verify", "--net", "NET", "--spec", "BAD"], "[1]"),
+    (["verify", "--net", "NET", "--spec", "BAD"],
+     '{"name": "p", "input_box": [[0, 1]], "premise": [], "conclusion": '
+     '[{"in": [0], "out": [1], "rel": "<=", "rhs": 1}]}'),
+    (["critical-ystar", "--net", "NET", "--properties", "5"], ""),
+    (["critical-ystar", "--net", "NET", "--resolution", "0"], ""),
+    (["train", "--data", "BAD", "--epochs", "3"], "a,b\n1,2\n"),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--eps-list", "abc"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--points", "0"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--eps-list", "0"], ""),
+    (["simulate", "--strict", "--t-end", "1"], ""),
+    (["simulate", "--mode", "closed", "--strict", "--t-end", "1"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
         "sim-negative-t-end", "sim-zero-t-end", "sim-zero-dt", "negative-record-skip",
-        "train-diverged", "train-adv-constant"])
+        "train-diverged", "train-adv-constant", "spec-not-json", "spec-missing-field",
+        "spec-not-object", "spec-arity-mismatch", "critical-bad-kind",
+        "critical-zero-resolution", "data-bad-header", "eps-list-not-float",
+        "sweep-zero-points", "sweep-zero-eps", "sim-strict-alpha-open",
+        "sim-strict-alpha-closed"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

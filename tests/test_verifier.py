@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from seedwing.verifier import (Budget, LinConstraint,
                                PropertySpec, PropertyThresholds, Verdict,
                                bab_verify, constraint_violation,
                                encode_property, encode_robustness,
-                               find_critical_ystar,
+                               find_critical_ystar, input_rows,
                                interval_bounds, lp_feasible, premise_holds,
                                results_to_csv, robustness_sweep, tighten_box)
 
@@ -55,6 +57,31 @@ def rand_spec(rng, net):
     return PropertySpec("rand", box, tuple(prem), conc)
 
 
+def rand_spec_relations(rng, net):
+    """One or two premises of any relation, and a conclusion that is one
+    `=` row or a two-row band `>=`/`<=` on the output."""
+    n = net.n_in
+    box = tuple(sorted(rng.uniform(-1.5, 1.5, size=2)) for _ in range(n))
+    X = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(400)])
+    prem = []
+    for _ in range(int(rng.integers(1, 3))):
+        a = rng.normal(size=n).round(2)
+        a[0] = a[0] or 1.0
+        rel = ("<=", ">=", "=")[int(rng.integers(0, 3))]
+        prem.append(LinConstraint(tuple(a), (0.0,), rel,
+                                  float(np.quantile(X @ a, rng.uniform(0.3, 0.7)))))
+    Y = forward_batch(net, X)
+    out = (0.0,) * n, (1.0,)
+    if rng.random() < 0.3:
+        conc = (LinConstraint(*out, "=", float(np.quantile(Y, rng.uniform(0.1, 0.9)))),)
+    else:
+        lo, hi = np.quantile(Y, np.sort(rng.uniform(0.0, 1.0, size=2)))
+        pad = rng.uniform(-0.1, 0.3) * (np.ptp(Y) + 0.1)
+        conc = (LinConstraint(*out, ">=", float(lo - pad)),
+                LinConstraint(*out, "<=", float(hi + pad)))
+    return PropertySpec("rand-relations", box, tuple(prem), conc)
+
+
 class TestLinConstraint:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,14 +104,14 @@ class TestTightenBox:
     def test_line_premise_contracts(self):
         box = ((0.0, 10.0), (0.0, 10.0))
         prem = (LinConstraint((1.0, 1.0), (0.0,), "<=", 4.0),)
-        lo, hi, empty = tighten_box(box, prem)
+        lo, hi, empty = tighten_box(box, *input_rows(prem, 2))
         assert not empty
         assert hi[0] <= 4.0 + 1e-9 and hi[1] <= 4.0 + 1e-9
 
     def test_infeasible_detected(self):
         box = ((0.0, 1.0), (0.0, 1.0))
         prem = (LinConstraint((1.0, 1.0), (0.0,), ">=", 5.0),)
-        _, _, empty = tighten_box(box, prem)
+        _, _, empty = tighten_box(box, *input_rows(prem, 2))
         assert empty
 
 
@@ -139,6 +166,12 @@ class TestEncodings:
         assert p4.premise[2].rhs == t.x3_max and p4.premise[3].rhs == t.x2_max
         with pytest.raises(ValueError):
             encode_property(5, 1.0, box)
+
+    def test_json_missing_field_named(self):
+        doc = json.loads(encode_property(1, 1.0, ((-5.0, 5.0),) * 6).to_json())
+        del doc["input_box"]
+        with pytest.raises(ValueError, match="input_box"):
+            PropertySpec.from_json(json.dumps(doc))
 
     def test_json_round_trip(self):
         box = tuple((-5.0, 5.0) for _ in range(6))
@@ -213,6 +246,30 @@ class TestBabVerify:
                             for c in spec.conclusion)
                 assert worst > 1e-9
         assert n_falsified >= 10   # the sample must exercise both verdicts
+
+    def test_every_relation_matches_enumeration_oracle(self):
+        # premises of all three relations, `=` and two-row conclusions: each
+        # case the verifier folds into <= rows, checked against the oracle
+        rng = np.random.default_rng(5)
+        seen = set()
+        for trial in range(60):
+            net = rand_net(rng)
+            spec = rand_spec_relations(rng, net)
+            v = bab_verify(net, spec, Budget(max_nodes=100000, max_seconds=30))
+            want, _ = enumerate_verify(net, spec)
+            assert v.status == want, f"trial {trial}: {v.status} != {want}"
+            conc = "=" if len(spec.conclusion) == 1 else "band"
+            seen |= {(c.rel, conc, v.status, v.vacuous) for c in spec.premise}
+            if v.status == "falsified":
+                assert premise_holds(spec, v.witness)
+                y = forward_batch(net, v.witness[None, :])[0]
+                assert max(constraint_violation(c, v.witness, y)
+                           for c in spec.conclusion) > 1e-9
+        # every premise relation reaches a node LP and both verdicts
+        for rel in ("<=", ">=", "="):
+            assert (rel, "band", "verified", False) in seen
+            assert (rel, "band", "falsified", False) in seen
+            assert (rel, "=", "falsified", False) in seen
 
     def test_verified_survives_sampling(self):
         rng = np.random.default_rng(7)
@@ -361,14 +418,14 @@ class TestLpFeasibleSurface:
         box = ((0.0, 1.0), (0.0, 1.0))
         cons = (LinConstraint((1.0, 1.0), (0.0,), "<=", 1.0),
                 LinConstraint((1.0, 0.0), (0.0,), ">=", 0.25),)
-        sol = lp_feasible(cons, box)
+        sol = lp_feasible(*input_rows(cons, 2), box)
         assert sol.feasible
         x = sol.x
         assert x[0] + x[1] <= 1 + 1e-9 and x[0] >= 0.25 - 1e-9
 
     def test_rejects_output_terms(self):
         with pytest.raises(ValueError):
-            lp_feasible((LinConstraint((1.0,), (1.0,), "<=", 1.0),), ((0, 1),))
+            input_rows((LinConstraint((1.0,), (1.0,), "<=", 1.0),), 1)
 
 
 class TestRobustnessMonotonicity:
