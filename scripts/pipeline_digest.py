@@ -7,7 +7,13 @@ Runs, in a temporary directory:
 - `train --epochs 200` and `train-adv --epochs 50` on that dataset;
 - `critical-ystar` and a short `robust-sweep` (8 cells x 25 points) on
   each checked-in clone (perfbench/inputs/naive.json and adv.json);
-- `verify` on the first perfbench deep query (28-ReLU net).
+- `verify` on the first perfbench deep query (28-ReLU net);
+- `simulate`, open loop and closed loop under the naive clone (CSV and SVG);
+- `verify --property 1` on the naive clone;
+- `reach --splits 2 --t-end 1` on the naive clone (CSV and SVG).
+
+The last three run every setting they do not name at its default, so they
+show that moving a default leaves its value unchanged.
 
 Prints one sha256 per artifact. CSVs are hashed without their `seconds`
 column, which holds wall-clock times. Run from the repository root:
@@ -65,6 +71,17 @@ def pipeline(d):
     calls.append((["verify", "--net", str(INPUTS / "deep-net.json"),
                    "--spec", str(d / "deep-query.json"), "--out", str(d / "deep.csv")],
                   ("deep.csv",)))
+    naive = str(INPUTS / "naive.json")
+    for mode in ("open", "closed"):
+        calls.append((["simulate", "--mode", mode, "--out", str(d / f"sim-{mode}.csv"),
+                       "--svg", str(d / f"sim-{mode}.svg")]
+                      + (["--net", naive] if mode == "closed" else []),
+                      (f"sim-{mode}.csv", f"sim-{mode}.svg")))
+    calls.append((["verify", "--net", naive, "--property", "1",
+                   "--out", str(d / "verify-p1.csv")], ("verify-p1.csv",)))
+    calls.append((["reach", "--net", naive, "--splits", "2", "--t-end", "1",
+                   "--out", str(d / "reach.csv"), "--svg", str(d / "reach.svg")],
+                  ("reach.csv", "reach.svg")))
     for argv, artifacts in calls:
         yield _run(argv), artifacts
 

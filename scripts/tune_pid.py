@@ -13,7 +13,7 @@ import argparse
 import itertools
 import warnings
 
-from seedwing.aeromodel import PlateParams, State
+from seedwing.aeromodel import EX_MAX, EX_MIN, PlateParams, State
 from seedwing.closedloop import (PidController, PidGains, SimConfig,
                                  simulate_closed_loop, target_error)
 
@@ -27,9 +27,9 @@ def evaluate(gains: PidGains, cfg: SimConfig, p: PlateParams):
         tr = simulate_closed_loop(s0, PidController(gains, cfg.dt_control), cfg, p)
         late = [abs(target_error(s)) for t, s in zip(tr.times, tr.states) if t >= 10.0]
         worst_late = max(worst_late, max(late))
-        mean_late += sum(late) / len(late) / cfg.n_sims
+        mean_late += sum(late) / len(late) / len(cfg.x6_starts)
         us.extend(tr.e_x[:: cfg.steps_per_control])
-    sat = sum(1 for u in us if u <= gains.u_min + 1e-9 or u >= gains.u_max - 1e-9) / len(us)
+    sat = sum(1 for u in us if u <= EX_MIN + 1e-9 or u >= EX_MAX - 1e-9) / len(us)
     return worst_late, mean_late, sat
 
 

@@ -22,9 +22,14 @@ DEG = math.pi / 180.0
 EX_MIN = 0.181
 EX_MAX = 0.193
 
-# assumed angle-of-attack validity region
+# assumed angle-of-attack validity region, and the rounding slack of its check
 ALPHA_LO = -math.pi / 2
 ALPHA_HI = 0.0
+ALPHA_MARGIN = 1e-9
+
+# the paper's 20 s horizon, integrated at 0.01 s
+T_END = 20.0
+DT = 0.01
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -326,13 +331,13 @@ class Trace:
         return tr
 
 
-def simulate_open_loop(s0: State, e_x, p: PlateParams, t_end: float,
-                       dt: float = 0.01, strict: bool = False) -> Trace:
+def simulate_open_loop(s0: State, e_x, p: PlateParams, t_end: float = T_END,
+                       dt: float = DT, strict: bool = False) -> Trace:
     """Fixed-actuation trajectory sampled every dt (first sample at t=0)."""
     if t_end <= 0:
-        raise ValueError("t_end must be > 0")
+        raise ValueError(f"t_end must be > 0, got {t_end}")
     if dt <= 0:
-        raise ValueError("dt must be > 0")
+        raise ValueError(f"dt must be > 0, got {dt}")
     u = float(e_x)
     n = round(t_end / dt)
     tr = Trace()
@@ -353,14 +358,13 @@ class AlphaRegionGuard:
     Warns once per run by default; raises AlphaRegionError under strict mode.
     """
 
-    def __init__(self, strict: bool = False, margin: float = 1e-9):
+    def __init__(self, strict: bool = False):
         self.strict = strict
-        self.margin = margin
         self.first = None
 
     def check(self, s: State, u, p: PlateParams, t: float):
         a = angle_of_attack(s, u, p)
-        if ALPHA_LO - self.margin <= a <= ALPHA_HI + self.margin:
+        if ALPHA_LO - ALPHA_MARGIN <= a <= ALPHA_HI + ALPHA_MARGIN:
             return
         if self.strict:
             raise AlphaRegionError(

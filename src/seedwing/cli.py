@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -19,16 +20,16 @@ import warnings
 
 from . import __version__, mlp, robust
 from .aeromodel import AlphaRegionError, PlateParams, State, simulate_open_loop
-from .closedloop import (DEFAULT_GAINS, NetworkController, PidController,
-                         PidGains, SimConfig, dataset_from_csv, dataset_to_csv,
-                         fit_norm, generate_dataset, rows_to_arrays,
-                         simulate_closed_loop)
-from .reach import (ReachConfig, ReachResult, goal_check, reach_branch,
-                    reach_to_csv, x6_cells)
+from .closedloop import (DEFAULT_GAINS, X6_RANGE, NetworkController,
+                         PidController, SimConfig, dataset_from_csv,
+                         dataset_to_csv, fit_norm, generate_dataset,
+                         rows_to_arrays, simulate_closed_loop)
+from .reach import (GOAL_YSTAR, ReachConfig, ReachResult, goal_check,
+                    reach_branch, reach_to_csv, x6_cells)
 from .svgplot import plot_reach, plot_trajectories
-from .verifier import (SWEEP_QUERY_BUDGET, Budget, PropertySpec, bab_verify,
-                       encode_property, find_critical_ystar, results_to_csv,
-                       robustness_sweep)
+from .verifier import (SWEEP_GRID, SWEEP_QUERY_BUDGET, Budget, PropertySpec,
+                       bab_verify, encode_property, find_critical_ystar,
+                       results_to_csv, robustness_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,6 +42,20 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting. `options` maps each setting
+    (an argument's dest) to its action, so that a config value can be
+    parsed as its flag."""
+
+    def __init__(self, *args, **kw):
+        self.options = {}
+        super().__init__(*args, **kw)
+
+    def add_argument(self, *names, **kw):
+        action = super().add_argument(*names, **kw)
+        if action.dest not in ("help", "config"):
+            self.options[action.dest] = action
+        return action
+
     def error(self, message):
         raise UsageError(message)
 
@@ -62,29 +77,55 @@ def _write_manifest(path, command, args_ns, inputs, outputs, wall):
 
 
 def _apply_config(args):
-    """Fill argparse Nones from the JSON config (flags win), then defaults."""
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                conf = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config {args.config}: invalid JSON: {exc}") from exc
-        section = conf.get(args.command, conf) if isinstance(conf, dict) else conf
-        if not isinstance(section, dict):
-            raise UsageError(f"config {args.config}: expected a JSON object")
-        for key, val in section.items():
-            if getattr(args, key, None) is None and hasattr(args, key):
-                setattr(args, key, val)
+    """Fill the settings no flag gave from the JSON config (flags win).
+
+    Each config value is parsed as the flag of the same setting would be,
+    with the same type, choices and errors; keys that name no setting of
+    the command are ignored, so one flat config can serve every command.
+    """
+    if not getattr(args, "config", None):
+        return args
+    with open(args.config) as fh:
+        try:
+            conf = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config {args.config}: invalid JSON: {exc}") from exc
+    section = conf.get(args.command, conf) if isinstance(conf, dict) else conf
+    if not isinstance(section, dict):
+        raise UsageError(f"config {args.config}: expected a JSON object")
+    parser = build_parser().commands[args.command]
+    tokens = []
+    for key, val in section.items():
+        action = parser.options.get(key)
+        if action is None or val is None:
+            continue
+        opt = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{opt}={val}")
+        elif val is not False:          # a switch: true gives it, false leaves it off
+            tokens.append(opt if val is True else f"{opt}={val}")
+    try:
+        given = parser.parse_args(tokens)
+    except UsageError as exc:
+        raise UsageError(f"config {args.config}: {exc}") from exc
+    for key, val in vars(given).items():
+        if val is not None and getattr(args, key) is None:
+            setattr(args, key, val)
     return args
+
+
+def _given(args, *names, **renamed):
+    """The settings the user gave, by flag or config, as library keyword
+    arguments; the library owns every other default. A name in `names` is
+    both keyword and dest; `renamed` maps keyword=dest."""
+    pairs = [(n, n) for n in names] + list(renamed.items())
+    return {kw: getattr(args, dest) for kw, dest in pairs
+            if getattr(args, dest) is not None}
 
 
 def _d(args, name, default):
     v = getattr(args, name, None)
     return default if v is None else v
-
-
-def _load_net(path):
-    return mlp.load(path)
 
 
 @contextlib.contextmanager
@@ -97,37 +138,59 @@ def _rejected_settings():
         raise UsageError(str(exc)) from exc
 
 
+# argparse types of the list and count flags: a bad value is a usage error
+# before any work starts
+
+def float_list(text) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def positive_float_list(text) -> tuple:
+    vals = float_list(text)
+    if min(vals) <= 0:
+        raise argparse.ArgumentTypeError(f"values must be > 0, got {text}")
+    return vals
+
+
+def property_kinds(text) -> tuple:
+    kinds = tuple(int(v) for v in text.split(","))
+    if not set(kinds) <= {1, 2, 3, 4}:
+        raise argparse.ArgumentTypeError(f"takes kinds 1..4, got {text}")
+    return kinds
+
+
+def positive_int(text) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_simulate(args):
     t0 = time.perf_counter()
     p = PlateParams()
-    t_end = float(_d(args, "t_end", 20.0))
-    dt = float(_d(args, "dt", 0.01))
-    x6_0 = float(_d(args, "x6_start", 2.86))
-    s0 = State(1.0, 0.0, 0.0, 0.0, 0.0, x6_0)
+    mode = args.mode or "open"
+    s0 = State(1.0, 0.0, 0.0, 0.0, 0.0, _d(args, "x6_start", 2.86))
     out = _d(args, "out", "trace.csv")
     svg = _d(args, "svg", "trace.svg")
     inputs = []
-    if args.mode == "open":
-        e_x = float(_d(args, "ex", 0.187))
-        with _rejected_settings():
-            tr = simulate_open_loop(s0, e_x, p, t_end, dt, strict=args.strict)
-    else:
-        with _rejected_settings():
-            cfg = SimConfig(t_end=t_end, dt_model=dt,
-                            dt_control=float(_d(args, "dt_control", 0.5)),
-                            n_sims=1, x6_starts=(x6_0,), record_skip=0)
-        if args.net:
-            ctrl = NetworkController(_load_net(args.net))
-            inputs.append(args.net)
+    with _rejected_settings():
+        if mode == "open":
+            tr = simulate_open_loop(s0, _d(args, "ex", 0.187), p,
+                                    **_given(args, "t_end", "dt", "strict"))
         else:
-            ctrl = PidController(DEFAULT_GAINS, cfg.dt_control)
-        tr = simulate_closed_loop(s0, ctrl, cfg, p, strict=args.strict)
+            cfg = SimConfig(x6_starts=(s0.x6,), record_skip=0,
+                            **_given(args, "t_end", "dt_control", dt_model="dt"))
+            if args.net:
+                ctrl = NetworkController(mlp.load(args.net))
+                inputs.append(args.net)
+            else:
+                ctrl = PidController(DEFAULT_GAINS, cfg.dt_control)
+            tr = simulate_closed_loop(s0, ctrl, cfg, p, **_given(args, "strict"))
     tr.to_csv(out)
-    plot_trajectories([tr], svg, title=f"{args.mode}-loop trajectory",
-                      goal_ystar=2.0)
+    plot_trajectories([tr], svg, f"{mode}-loop trajectory", GOAL_YSTAR)
     _write_manifest(out + ".manifest.json", "simulate", args, inputs,
                     [out, svg], time.perf_counter() - t0)
     print(f"wrote {out} ({len(tr)} samples) and {svg}")
@@ -136,13 +199,10 @@ def cmd_simulate(args):
 
 def cmd_gen_data(args):
     t0 = time.perf_counter()
-    p = PlateParams()
     with _rejected_settings():
-        cfg = SimConfig(record_skip=int(_d(args, "record_skip", 16)))
-    gains = PidGains(kp=float(_d(args, "kp", DEFAULT_GAINS.kp)),
-                     ki=float(_d(args, "ki", DEFAULT_GAINS.ki)),
-                     kd=float(_d(args, "kd", DEFAULT_GAINS.kd)))
-    rows = generate_dataset(cfg, gains, p)
+        cfg = SimConfig(**_given(args, "record_skip"))
+    gains = dataclasses.replace(DEFAULT_GAINS, **_given(args, "kp", "ki", "kd"))
+    rows = generate_dataset(cfg, gains, PlateParams())
     out = _d(args, "out", "dataset.csv")
     norm_out = _d(args, "norm_out", "norm.json")
     dataset_to_csv(rows, out)
@@ -162,28 +222,21 @@ def _train_common(args, adversarial: bool):
         rows = dataset_from_csv(data)
     spec = fit_norm(rows)
     X, Y = rows_to_arrays(rows, spec)
-    seed = int(_d(args, "seed", 0))
-    epochs = int(_d(args, "epochs", 2000))
-    lr = float(_d(args, "lr", 0.02))
-    batch = int(_d(args, "batch_size", 32))
-    net0 = mlp.init_network(seed=seed, norm=spec)
+    net0 = mlp.init_network(norm=spec, **_given(args, "seed"))
+    settings = _given(args, "epochs", "lr", "seed", "batch_size")
     if adversarial:
         rcfg = robust.RobustTrainConfig(
-            attack=robust.AttackConfig(
-                epsilon=float(_d(args, "epsilon", 0.01)),
-                steps=int(_d(args, "pgd_steps", 10)),
-                restarts=int(_d(args, "restarts", 2))),
-            lambda_lip=float(_d(args, "lambda_lip", 0.01)),
-            epochs=epochs, lr=lr, seed=seed, batch_size=batch)
+            attack=robust.AttackConfig(**_given(args, "epsilon", "restarts",
+                                                steps="pgd_steps")),
+            **_given(args, "lambda_lip"), **settings)
         net = robust.train_adversarial(net0, X, Y, rcfg)
     else:
-        net = mlp.train(net0, X, Y, epochs=epochs, lr=lr, seed=seed,
-                        batch_size=batch)
+        net = mlp.train(net0, X, Y, **settings)
     net = mlp.Network(net.layers, norm=spec, meta=net.meta)
     out = _d(args, "out", "net-adv.json" if adversarial else "net.json")
     mlp.save(net, out)
     outputs = [out]
-    if getattr(args, "embedded_out", None):
+    if args.embedded_out:
         mlp.save(mlp.embed_normalization(net), args.embedded_out)
         outputs.append(args.embedded_out)
     _write_manifest(out + ".manifest.json",
@@ -218,9 +271,9 @@ def cmd_verify(args):
     t0 = time.perf_counter()
     if not args.net:
         raise UsageError("--net is required")
-    net = _load_net(args.net)
+    net = mlp.load(args.net)
     inputs = [args.net]
-    budget = Budget(max_seconds=float(_d(args, "budget_s", 60.0)))
+    budget = Budget(**_given(args, max_seconds="budget_s"))
     if args.spec:
         with open(args.spec) as fh:
             try:
@@ -233,9 +286,8 @@ def cmd_verify(args):
     else:
         if args.prop is None:
             raise UsageError("--property (1..4) or --spec is required")
-        ystar = float(_d(args, "ystar", 2.0))
-        box = _box_from_net(net)
-        spec = encode_property(int(args.prop), ystar, box)
+        ystar = _d(args, "ystar", 2.0)
+        spec = encode_property(args.prop, ystar, _box_from_net(net))
         target = mlp.embed_normalization(net)
         param = ystar
     with _rejected_settings():     # a spec that does not fit the network
@@ -254,24 +306,16 @@ def cmd_critical_ystar(args):
     t0 = time.perf_counter()
     if not args.net:
         raise UsageError("--net is required")
-    net = _load_net(args.net)
+    net = mlp.load(args.net)
     target = mlp.embed_normalization(net)
     box = _box_from_net(net)
-    with _rejected_settings():
-        kinds = [int(k) for k in str(_d(args, "properties", "1,2,3,4")).split(",")]
-        resolution = float(_d(args, "resolution", 1.0))
-    # checked before any search starts, so a bad entry costs no verification
-    if not set(kinds) <= {1, 2, 3, 4}:
-        raise UsageError(f"--properties takes kinds 1..4, got {kinds}")
-    if resolution <= 0:
-        raise UsageError("--resolution must be > 0")
-    budget = Budget(max_seconds=float(_d(args, "budget_s", 30.0)))
+    budget = Budget(max_seconds=_d(args, "budget_s", 30.0))
+    settings = _given(args, "resolution", "search_max")
     out = _d(args, "out", "critical-ystar.csv")
     lines = ["property,critical_ystar,failed,vacuous,timeout_flag"]
-    for kind in kinds:
-        res = find_critical_ystar(target, kind, box, resolution=resolution,
-                                  search_max=float(_d(args, "search_max", 50.0)),
-                                  budget=budget)
+    for kind in _d(args, "properties", (1, 2, 3, 4)):
+        with _rejected_settings():   # raised before the first probe
+            res = find_critical_ystar(target, kind, box, budget=budget, **settings)
         val = "" if res.failed else format(res.value, ".17g")
         lines.append(f"{kind},{val},{int(res.failed)},{int(res.vacuous)},"
                      f"{int(res.flagged_timeout)}")
@@ -292,30 +336,22 @@ def cmd_robust_sweep(args):
         raise UsageError("--net is required")
     if not args.data:
         raise UsageError("--data is required")
-    net = _load_net(args.net)
+    net = mlp.load(args.net)
     if net.norm is None:
         raise UsageError("robustness sweep needs a network with normalization")
     with _rejected_settings():
         rows = dataset_from_csv(args.data)
-        eps_list = [float(v) for v in str(_d(args, "eps_list", "1e-5,1e-4,1e-3,1e-2")).split(",")]
-        l_list = [float(v) for v in str(_d(args, "lstar_list", "1e-5,1e-4,1e-3,1e-2")).split(",")]
-        n_points = int(_d(args, "points", 100))
-    # a cell's rate divides by its points and its bound L*/epsilon by epsilon
-    if n_points < 1:
-        raise UsageError("--points must be >= 1")
-    if min(eps_list) <= 0:
-        raise UsageError("--eps-list values must be > 0")
+    eps_list = _d(args, "eps_list", SWEEP_GRID)
+    l_list = _d(args, "lstar_list", SWEEP_GRID)
     X, _ = rows_to_arrays(rows, net.norm)
     core = mlp.Network(net.layers, norm=None, meta=dict(net.meta))
-    sweep_kw = dict(
-        n_points=n_points,
-        per_query_budget=Budget(
-            max_nodes=SWEEP_QUERY_BUDGET.max_nodes,
-            max_seconds=float(_d(args, "query_budget_s", SWEEP_QUERY_BUDGET.max_seconds))),
-        cell_budget_s=float(_d(args, "cell_budget_s", 60.0)))
+    sweep_kw = _given(args, "cell_budget_s", n_points="points")
+    if args.query_budget_s is not None:
+        sweep_kw["per_query_budget"] = dataclasses.replace(
+            SWEEP_QUERY_BUDGET, max_seconds=args.query_budget_s)
     cells = [(e, l) for e in eps_list for l in l_list]
     grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
-                                        cells, int(_d(args, "jobs", 1)))))
+                                        cells, _d(args, "jobs", 1))))
     out = _d(args, "out", "robust-sweep.csv")
     with open(out, "w") as fh:
         fh.write("epsilon,lstar,rate,n_verified,n_done,seconds,timeouts\n")
@@ -354,35 +390,25 @@ def _reach_cell(net, p, cfg, indexed_cell):
     return reach_branch(*indexed_cell, net, p, cfg)
 
 
-# reach flags that set a ReachConfig field: (flag, field, type)
-_REACH_SETTINGS = (("dt", "dt", float), ("t_end", "t_end", float),
-                   ("splits", "n_splits", int), ("max_order", "max_order", float),
-                   ("relu_mode", "relu_mode", str))
-
-
 def cmd_reach(args):
     t0 = time.perf_counter()
     if not args.net:
         raise UsageError("--net is required")
-    net = _load_net(args.net)
+    net = mlp.load(args.net)
     target = mlp.embed_normalization(net) if net.norm is not None else net
-    # only the settings given: ReachConfig owns the defaults
-    settings = {field: kind(getattr(args, flag))
-                for flag, field, kind in _REACH_SETTINGS
-                if getattr(args, flag) is not None}
     with _rejected_settings():
-        cfg = ReachConfig(**settings)
-    cells = enumerate(x6_cells((_d(args, "x6_lo", 1.43), _d(args, "x6_hi", 4.29)),
+        cfg = ReachConfig(**_given(args, "dt", "t_end", "max_order", n_splits="splits"))
+    cells = enumerate(x6_cells((_d(args, "x6_lo", X6_RANGE[0]), _d(args, "x6_hi", X6_RANGE[1])),
                                cfg.n_splits))
     branches = _ordered_map(functools.partial(_reach_cell, target, PlateParams(), cfg),
-                            cells, int(_d(args, "jobs", 1)))
+                            cells, _d(args, "jobs", 1))
     result = ReachResult(branches, cfg)
-    ystar = float(_d(args, "goal_ystar", 2.0))
+    ystar = _d(args, "goal_ystar", GOAL_YSTAR)
     verdict = goal_check(result, ystar)
     out = _d(args, "out", "reach.csv")
     svg = _d(args, "svg", "reach.svg")
     reach_to_csv(result, out)
-    plot_reach(result, svg, title="reachable sets", goal_ystar=ystar)
+    plot_reach(result, svg, "reachable sets", ystar)
     _write_manifest(out + ".manifest.json", "reach", args, [args.net],
                     [out, svg], time.perf_counter() - t0)
     n_fail = sum(1 for b in result.branches if b.failed)
@@ -403,19 +429,21 @@ def cmd_reach(args):
 
 
 def build_parser() -> _Parser:
+    """Every setting defaults to None, meaning "not given": a command passes
+    the library only the settings given, and the library owns the rest."""
     ap = _Parser(prog="seedwing", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices
 
-    def common(sp):
+    def config(sp):
         sp.add_argument("--config", help="JSON config file (flags win)")
-        sp.add_argument("--strict", action="store_true")
 
     def jobs(sp):
         sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
     sp = sub.add_parser("simulate", help="open- or closed-loop trajectory")
-    sp.add_argument("--mode", choices=("open", "closed"), default="open")
+    sp.add_argument("--mode", choices=("open", "closed"), help="default open")
     sp.add_argument("--ex", type=float, help="fixed actuation (open loop)")
     sp.add_argument("--net", help="network controller (closed loop)")
     sp.add_argument("--x6-start", dest="x6_start", type=float)
@@ -424,7 +452,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--dt-control", dest="dt_control", type=float)
     sp.add_argument("--out")
     sp.add_argument("--svg")
-    common(sp)
+    sp.add_argument("--strict", action="store_true", default=None,
+                    help="an angle of attack outside [-pi/2, 0] is an error")
+    config(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("gen-data", help="behaviour-cloning dataset from the PID teacher")
@@ -434,7 +464,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--record-skip", dest="record_skip", type=int)
     sp.add_argument("--out")
     sp.add_argument("--norm-out", dest="norm_out")
-    common(sp)
+    config(sp)
     sp.set_defaults(func=cmd_gen_data)
 
     for name, fn in (("train", cmd_train), ("train-adv", cmd_train_adv)):
@@ -451,7 +481,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--pgd-steps", dest="pgd_steps", type=int)
             sp.add_argument("--restarts", type=int)
             sp.add_argument("--lambda-lip", dest="lambda_lip", type=float)
-        common(sp)
+        config(sp)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("verify", help="verify one property")
@@ -461,29 +491,29 @@ def build_parser() -> _Parser:
     sp.add_argument("--spec", help="PropertySpec JSON file")
     sp.add_argument("--budget-s", dest="budget_s", type=float)
     sp.add_argument("--out")
-    common(sp)
+    config(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("critical-ystar", help="critical threshold per property")
     sp.add_argument("--net")
-    sp.add_argument("--properties")
+    sp.add_argument("--properties", type=property_kinds)
     sp.add_argument("--resolution", type=float)
     sp.add_argument("--search-max", dest="search_max", type=float)
     sp.add_argument("--budget-s", dest="budget_s", type=float)
     sp.add_argument("--out")
-    common(sp)
+    config(sp)
     sp.set_defaults(func=cmd_critical_ystar)
 
     sp = sub.add_parser("robust-sweep", help="robustness success-rate grid")
     sp.add_argument("--net")
     sp.add_argument("--data")
-    sp.add_argument("--eps-list", dest="eps_list")
-    sp.add_argument("--lstar-list", dest="lstar_list")
-    sp.add_argument("--points", type=int)
+    sp.add_argument("--eps-list", dest="eps_list", type=positive_float_list)
+    sp.add_argument("--lstar-list", dest="lstar_list", type=float_list)
+    sp.add_argument("--points", type=positive_int)
     sp.add_argument("--query-budget-s", dest="query_budget_s", type=float)
     sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=float)
     sp.add_argument("--out")
-    common(sp)
+    config(sp)
     jobs(sp)
     sp.set_defaults(func=cmd_robust_sweep)
 
@@ -496,10 +526,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--dt", type=float)
     sp.add_argument("--t-end", dest="t_end", type=float)
     sp.add_argument("--max-order", dest="max_order", type=float)
-    sp.add_argument("--relu-mode", dest="relu_mode", choices=("zonotope", "interval"))
     sp.add_argument("--out")
     sp.add_argument("--svg")
-    common(sp)
+    config(sp)
     jobs(sp)
     sp.set_defaults(func=cmd_reach)
     return ap
@@ -508,11 +537,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        args = _apply_config(args)
-        if not getattr(args, "strict", False):
-            warnings.simplefilter("ignore")
-        return args.func(args)
+        args = _apply_config(ap.parse_args(argv))
+        # warnings are silenced for this command only, unless --strict
+        with warnings.catch_warnings():
+            if not getattr(args, "strict", None):
+                warnings.simplefilter("ignore")
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,29 +9,34 @@ min-max normalization maps it into the unit box for training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .aeromodel import (EX_MAX, EX_MIN, AlphaRegionGuard,
+from .aeromodel import (DT, EX_MAX, EX_MIN, T_END, AlphaRegionGuard,
                         IntegrationDivergedError, PlateParams, State, Trace,
                         rk4_step)
+
+# controller period: the actuation is held for 0.5 s between queries
+DT_CONTROL = 0.5
+
+# initial x6 of the dataset starts, and of the reachable sets' initial cells
+X6_RANGE = (1.43, 4.29)
 
 
 @dataclass(frozen=True)
 class PidGains:
-    """Gains on the x6+x5 tracking error, plus the actuation bias and clamp."""
+    """Gains on the x6+x5 tracking error, plus the actuation bias."""
 
     kp: float
     ki: float = 0.0
     kd: float = 0.0
     u_center: float = 0.187
-    u_min: float = EX_MIN
-    u_max: float = EX_MAX
 
     def __post_init__(self):
-        if not (self.u_min <= self.u_center <= self.u_max):
-            raise ValueError("u_center must lie inside [u_min, u_max]")
+        if not (EX_MIN <= self.u_center <= EX_MAX):
+            raise ValueError(f"u_center {self.u_center} must lie inside "
+                             f"[{EX_MIN}, {EX_MAX}]")
 
 
 # Desk-tuned with scripts/tune_pid.py over the nine default starts. The
@@ -45,38 +50,36 @@ DEFAULT_GAINS = PidGains(kp=0.005, ki=0.0, kd=0.0)
 
 
 def _evenly_spaced(lo: float, hi: float, n: int) -> tuple:
-    if n == 1:
-        return (0.5 * (lo + hi),)
     step = (hi - lo) / (n - 1)
     return tuple(lo + i * step for i in range(n))
 
 
+def check_multiple(cfg, big: str, small: str):
+    """ValueError naming both times unless cfg.<big> is a whole multiple of
+    cfg.<small>."""
+    b, a = getattr(cfg, big), getattr(cfg, small)
+    if abs(b / a - round(b / a)) > 1e-9:
+        raise ValueError(f"{big} {b} is not a multiple of {small} {a}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    t_end: float = 20.0
-    dt_model: float = 0.01
-    dt_control: float = 0.5
-    n_sims: int = 9
-    x6_starts: tuple = field(default=None)
+    t_end: float = T_END
+    dt_model: float = DT
+    dt_control: float = DT_CONTROL
+    x6_starts: tuple = _evenly_spaced(*X6_RANGE, 9)
     record_skip: int = 16
 
     def __post_init__(self):
         for name in ("t_end", "dt_model", "dt_control"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"SimConfig.{name} must be > 0")
-        if self.x6_starts is None:
-            object.__setattr__(self, "x6_starts",
-                               _evenly_spaced(1.43, 4.29, self.n_sims))
-        ratio = self.dt_control / self.dt_model
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("dt_control must be an integer multiple of dt_model")
-        n_ctrl = self.t_end / self.dt_control
-        if abs(n_ctrl - round(n_ctrl)) > 1e-9:
-            raise ValueError("t_end must be an integer multiple of dt_control")
-        if len(self.x6_starts) != self.n_sims:
-            raise ValueError("x6_starts must have n_sims entries")
-        if self.record_skip < 0 or self.record_skip >= round(n_ctrl):
-            raise ValueError("record_skip out of range")
+                raise ValueError(f"SimConfig.{name} must be > 0, got {getattr(self, name)}")
+        check_multiple(self, "dt_control", "dt_model")
+        check_multiple(self, "t_end", "dt_control")
+        n_ctrl = round(self.t_end / self.dt_control)
+        if not 0 <= self.record_skip < n_ctrl:
+            raise ValueError(f"SimConfig.record_skip {self.record_skip} is outside "
+                             f"[0, {n_ctrl}), the controller queries per run")
 
     @property
     def steps_per_control(self) -> int:
@@ -94,12 +97,9 @@ class DataRow:
             raise ValueError("actuation outside the clamp range")
 
 
-def target_error(s: State, slope: float = -1.0, intercept: float = 0.0) -> float:
-    """Signed offset of the state above the reference line x6 = slope*x5 + intercept.
-
-    With the defaults this is x6 + x5: positive above the line x6 = -x5.
-    """
-    return s.x6 - (slope * s.x5 + intercept)
+def target_error(s: State) -> float:
+    """Signed offset x6 + x5 of the state above the target line x6 = -x5."""
+    return s.x6 + s.x5
 
 
 @dataclass
@@ -119,11 +119,11 @@ def pid_step(e: float, pid_state: PidState, gains: PidGains, dt: float) -> float
     integral_next = pid_state.integral + e * dt
     deriv = 0.0 if pid_state.prev_err is None else (e - pid_state.prev_err) / dt
     u_raw = gains.u_center + gains.kp * e + gains.ki * integral_next + gains.kd * deriv
-    if gains.u_min <= u_raw <= gains.u_max:
+    if EX_MIN <= u_raw <= EX_MAX:
         pid_state.integral = integral_next
         u = u_raw
     else:
-        u = min(gains.u_max, max(gains.u_min, u_raw))
+        u = min(EX_MAX, max(EX_MIN, u_raw))
     pid_state.prev_err = e
     return u
 
@@ -131,38 +131,33 @@ def pid_step(e: float, pid_state: PidState, gains: PidGains, dt: float) -> float
 class PidController:
     """State-to-actuation teacher; owns its PID memory, reset per simulation."""
 
-    def __init__(self, gains: PidGains = DEFAULT_GAINS, dt_control: float = 0.5,
-                 slope: float = -1.0, intercept: float = 0.0):
+    def __init__(self, gains: PidGains, dt_control: float):
         self.gains = gains
         self.dt_control = dt_control
-        self.slope = slope
-        self.intercept = intercept
         self._pid = PidState()
 
     def reset(self):
         self._pid = PidState()
 
     def __call__(self, s: State) -> float:
-        e = target_error(s, self.slope, self.intercept)
+        e = target_error(s)
         return pid_step(e, self._pid, self.gains, self.dt_control)
 
 
 class NetworkController:
     """Wraps a trained network as a state-to-actuation controller."""
 
-    def __init__(self, net, u_min: float = EX_MIN, u_max: float = EX_MAX):
+    def __init__(self, net):
         from .mlp import forward
         self._forward = forward
         self.net = net
-        self.u_min = u_min
-        self.u_max = u_max
 
     def reset(self):
         pass
 
     def __call__(self, s: State) -> float:
         y = self._forward(self.net, np.array(s.as_tuple()), use_norm=True)
-        return min(self.u_max, max(self.u_min, float(y)))
+        return min(EX_MAX, max(EX_MIN, float(y)))
 
 
 class ConstantController:

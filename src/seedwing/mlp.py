@@ -17,6 +17,10 @@ import numpy as np
 from .closedloop import NormSpec, denormalize_out, normalize
 
 DEFAULT_WIDTHS = (6, 6, 4, 1, 1)
+# training settings shared by plain and adversarial training
+EPOCHS = 2000
+LR = 0.02
+BATCH_SIZE = 32
 
 
 class NetworkFormatError(ValueError):
@@ -212,12 +216,9 @@ def final_rmse(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int) -> float
     return final
 
 
-def gradient(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "mse") -> Gradient:
-    """Exact batch-loss gradient; ReLU subgradient 0 at kinks.
-
-    loss "mse" is the mean squared error; "rmse" chains through the square
-    root (subgradient 0 when the loss is exactly zero).
-    """
+def gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> Gradient:
+    """Exact gradient of the batch mean squared error; ReLU subgradient 0
+    at kinks."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if X.shape[0] == 0:
@@ -225,13 +226,7 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "mse") -> G
     acts, pres = _forward_trace(net, X)
     resid = acts[-1][:, 0] - Y
     # d(mean(r^2))/dy = 2 r / n, the 1/n lives in _backprop_from_output
-    g = _backprop_from_output(net, acts, pres, (2.0 * resid)[:, None])
-    if loss == "rmse":
-        r = math.sqrt(float(np.mean(resid ** 2)))
-        g = g.scaled(0.0 if r == 0.0 else 0.5 / r)
-    elif loss != "mse":
-        raise ValueError(f"unknown loss {loss!r}")
-    return g
+    return _backprop_from_output(net, acts, pres, (2.0 * resid)[:, None])
 
 
 def input_gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -254,8 +249,8 @@ def apply_gradient(net: Network, g: Gradient, lr: float) -> Network:
     return Network(layers, norm=net.norm, meta=dict(net.meta))
 
 
-def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = 2000,
-          lr: float = 0.02, seed: int = 0, batch_size: int = 32) -> Network:
+def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = EPOCHS,
+          lr: float = LR, seed: int = 0, batch_size: int = BATCH_SIZE) -> Network:
     """Plain mini-batch gradient descent on the MSE; deterministic in seed.
 
     Expects normalized data (inputs and outputs in the unit box). The result
@@ -265,8 +260,7 @@ def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = 2000,
     Y = np.asarray(Y, dtype=float).reshape(-1)
     meta = {"kind": net.meta.get("kind", "naive"), "epochs": epochs, "lr": lr,
             "seed": seed, "batch_size": batch_size}
-    return _descend(net, X, Y, lambda cur, Xb, Yb: gradient(cur, Xb, Yb, loss="mse"),
-                    epochs, lr, seed, batch_size, meta)
+    return _descend(net, X, Y, gradient, epochs, lr, seed, batch_size, meta)
 
 
 def _descend(net: Network, X: np.ndarray, Y: np.ndarray, batch_gradient,

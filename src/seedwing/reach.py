@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intervals as iv
-from .aeromodel import EX_MAX, EX_MIN, PlateParams, _derivative_core
+from .aeromodel import DT, EX_MAX, EX_MIN, T_END, PlateParams, _derivative_core
+from .closedloop import DT_CONTROL, check_multiple
 from .intervals import Dual, Interval
 from .mlp import Network, interval_preact
-from .verifier import interval_bounds
 from .zono import Zonotope, zono_hull, zono_max_linear, zono_reduce
 
 
@@ -33,16 +33,21 @@ class ReachDomainError(BranchFailure):
     """Set left the domain where the dynamics enclosure is defined."""
 
 
+# goal band half-width: success means |x6 + x5| <= GOAL_YSTAR at the horizon
+GOAL_YSTAR = 2.0
+
+
 @dataclass(frozen=True)
 class ReachConfig:
-    dt: float = 0.01
-    t_end: float = 20.0
-    dt_control: float = 0.5
+    dt: float = DT
+    t_end: float = T_END
+    dt_control: float = DT_CONTROL
     n_splits: int = 16
     max_order: float = 20.0
-    relu_mode: str = "zonotope"          # "zonotope" | "interval"
-    # must stay True (reach encloses the exact flow only); kept so that
-    # configurations naming it still construct
+    # relu_mode must stay "zonotope" and exact_alpha True: the interval ReLU
+    # mode and the simplified angle of attack were removed; both fields are
+    # kept so that configurations naming them still construct
+    relu_mode: str = "zonotope"
     exact_alpha: bool = True
     blowup_width: float = 1e3
 
@@ -54,14 +59,13 @@ class ReachConfig:
         for name in ("dt", "dt_control", "t_end"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"ReachConfig.{name} must be > 0")
-        for a, b in ((self.dt, self.dt_control), (self.dt_control, self.t_end)):
-            ratio = b / a
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError("dt must divide dt_control must divide t_end")
-        if self.relu_mode not in ("zonotope", "interval"):
-            raise ValueError("relu_mode must be 'zonotope' or 'interval'")
+        check_multiple(self, "dt_control", "dt")
+        check_multiple(self, "t_end", "dt_control")
+        if self.relu_mode != "zonotope":
+            raise ValueError(f"ReachConfig.relu_mode={self.relu_mode!r}: only the "
+                             "zonotope ReLU enclosure remains")
         if self.n_splits < 1:
-            raise ValueError("n_splits must be >= 1")
+            raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
 
     @property
     def steps_per_cycle(self) -> int:
@@ -206,70 +210,61 @@ def nn_output_set(net: Network, Z: Zonotope, mode: str = "zonotope") -> Interval
 
     The network must be the raw-input form (normalization embedded). Stable
     ReLUs pass or zero exactly; unstable ones use the standard zonotope ReLU
-    abstraction (slope u/(u-l), one fresh generator) in zonotope mode, or
-    interval clipping in interval mode.
+    abstraction (slope u/(u-l), one fresh generator). `mode` must be
+    "zonotope", the one enclosure left.
     """
-    if mode == "interval":
-        # the output layer's pre-activation: a ReLU there would change
-        # nothing once clamped to [EX_MIN, EX_MAX], which lies above zero
-        lo, hi = zono_hull(Z)
-        p_lo, p_hi = interval_bounds(net, tuple(zip(lo, hi)))["pre"][-1]
-        out_lo, out_hi = float(p_lo[0]), float(p_hi[0])
-    elif mode == "zonotope":
-        c = Z.c.copy()
-        G = Z.G.copy()
-        a_lo, a_hi = zono_hull(Z)
-        for layer in net.layers:
-            c = layer.w @ c + layer.b
-            G = layer.w @ G
-            p_lo, p_hi = interval_preact(layer, a_lo, a_hi)
-            # combine the zonotope hull with the running interval bounds;
-            # both are sound, and their intersection keeps the relu slopes
-            # (and the final answer) at least as tight as interval mode
-            r = np.abs(G).sum(axis=1)
-            l_b = np.maximum(c - r, p_lo)
-            u_b = np.minimum(c + r, p_hi)
-            if layer.act != "relu":
-                a_lo, a_hi = l_b, u_b
-                continue
-            fresh = []
-            for j in range(c.shape[0]):
-                if l_b[j] >= 0.0:
-                    continue
-                if u_b[j] <= 0.0:
-                    c[j] = 0.0
-                    G[j, :] = 0.0
-                    continue
-                lam = u_b[j] / (u_b[j] - l_b[j])
-                mu = -lam * l_b[j] / 2.0
-                c[j] = lam * c[j] + mu
-                G[j, :] *= lam
-                col = np.zeros(c.shape[0])
-                col[j] = mu
-                fresh.append(col)
-            if fresh:
-                G = np.hstack([G, np.array(fresh).T])
-            a_lo = np.maximum(l_b, 0.0)
-            a_hi = np.maximum(u_b, 0.0)
+    if mode != "zonotope":
+        raise ValueError(f"mode {mode!r}: only the zonotope ReLU enclosure remains")
+    c = Z.c.copy()
+    G = Z.G.copy()
+    a_lo, a_hi = zono_hull(Z)
+    for layer in net.layers:
+        c = layer.w @ c + layer.b
+        G = layer.w @ G
+        p_lo, p_hi = interval_preact(layer, a_lo, a_hi)
+        # combine the zonotope hull with the running interval bounds; both
+        # are sound, and their intersection keeps the relu slopes (and the
+        # final answer) at least as tight as interval propagation alone
         r = np.abs(G).sum(axis=1)
-        out_lo = float(max(c[0] - r[0], a_lo[0]))
-        out_hi = float(min(c[0] + r[0], a_hi[0]))
-        if out_lo > out_hi:   # float dust when the two bounds coincide
-            out_lo = out_hi = 0.5 * (out_lo + out_hi)
-    else:
-        raise ValueError("mode must be 'zonotope' or 'interval'")
+        l_b = np.maximum(c - r, p_lo)
+        u_b = np.minimum(c + r, p_hi)
+        if layer.act != "relu":
+            a_lo, a_hi = l_b, u_b
+            continue
+        fresh = []
+        for j in range(c.shape[0]):
+            if l_b[j] >= 0.0:
+                continue
+            if u_b[j] <= 0.0:
+                c[j] = 0.0
+                G[j, :] = 0.0
+                continue
+            lam = u_b[j] / (u_b[j] - l_b[j])
+            mu = -lam * l_b[j] / 2.0
+            c[j] = lam * c[j] + mu
+            G[j, :] *= lam
+            col = np.zeros(c.shape[0])
+            col[j] = mu
+            fresh.append(col)
+        if fresh:
+            G = np.hstack([G, np.array(fresh).T])
+        a_lo = np.maximum(l_b, 0.0)
+        a_hi = np.maximum(u_b, 0.0)
+    r = np.abs(G).sum(axis=1)
+    out_lo = float(max(c[0] - r[0], a_lo[0]))
+    out_hi = float(min(c[0] + r[0], a_hi[0]))
+    if out_lo > out_hi:   # float dust when the two bounds coincide
+        out_lo = out_hi = 0.5 * (out_lo + out_hi)
     # image of the actuation clamp
     return Interval(min(max(out_lo, EX_MIN), EX_MAX),
                     min(max(out_hi, EX_MIN), EX_MAX))
 
 
 def reach_control_cycle(Z: Zonotope, net: Network, p: PlateParams,
-                        cfg: ReachConfig = ReachConfig(),
-                        u_override: Interval | None = None) -> Zonotope:
-    """One 0.5 s control period: controller range held over steps_per_cycle
+                        cfg: ReachConfig = ReachConfig()) -> Zonotope:
+    """One control period: controller range held over steps_per_cycle
     integration steps (state-actuation correlation dropped)."""
-    u_set = u_override if u_override is not None else \
-        nn_output_set(net, Z, cfg.relu_mode)
+    u_set = nn_output_set(net, Z, cfg.relu_mode)
     for k in range(cfg.steps_per_cycle):
         try:
             Z = reach_step(Z, u_set, p, cfg)
@@ -363,7 +358,7 @@ class GoalVerdict:
     band_min: float | None
 
 
-def goal_check(result: ReachResult, ystar: float = 2.0) -> GoalVerdict:
+def goal_check(result: ReachResult, ystar: float = GOAL_YSTAR) -> GoalVerdict:
     """Exact test of |x6 + x5| <= ystar on the final reachable sets."""
     surv = result.surviving()
     if result.inconclusive or not surv:

@@ -38,10 +38,10 @@ class AttackConfig:
 class RobustTrainConfig:
     attack: AttackConfig = field(default_factory=AttackConfig)
     lambda_lip: float = 0.01
-    epochs: int = 2000
-    lr: float = 0.02
+    epochs: int = mlp.EPOCHS
+    lr: float = mlp.LR
     seed: int = 0
-    batch_size: int = 32
+    batch_size: int = mlp.BATCH_SIZE
 
     def __post_init__(self):
         if self.lambda_lip < 0:
@@ -128,8 +128,8 @@ def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
         Xa = pgd_attack_batch(cur, Xb, Yb, cfg.attack, box, attack_rng)
         # equal-weight average of clean and adversarial terms, so the
         # epsilon->0 limit reproduces plain training exactly
-        g = mlp.gradient(cur, Xb, Yb, loss="mse").scaled(0.5)
-        g.add_(mlp.gradient(cur, Xa, Yb, loss="mse"), f=0.5)
+        g = mlp.gradient(cur, Xb, Yb).scaled(0.5)
+        g.add_(mlp.gradient(cur, Xa, Yb), f=0.5)
         if cfg.lambda_lip > 0:
             k = max_lipschitz_quotient(cur, Xb, Xa)[1]
             if k is not None:

@@ -1,4 +1,4 @@
-"""Minimal static SVG output: polyline plots with an optional goal band.
+"""Minimal static SVG output: polyline plots over the goal band.
 
 Hand-rolled so every trajectory or hull is exactly one <polyline> element,
 which downstream checks can count.
@@ -10,16 +10,17 @@ from xml.sax.saxutils import escape
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
+WIDTH, HEIGHT = 640, 480
+BAND_COLOR = "#f2d0d0"
+LINE_COLOR = "#444444"
 
 
 class SvgPlot:
-    def __init__(self, width: int = 640, height: int = 480, title: str = ""):
-        self.width = width
-        self.height = height
+    def __init__(self, title: str = ""):
         self.title = title
-        self.series = []          # (points, color, stroke_width, dashed)
-        self.band = None          # (functional direction): drawn as a polygon
-        self.lines = []           # raw guide lines ((x1,y1),(x2,y2))
+        self.series = []          # (points, color, stroke_width)
+        self.band = None          # goal band corners: drawn as a polygon
+        self.line = None          # target line ((x1,y1),(x2,y2)), dashed
         self._bounds = [float("inf"), float("inf"), -float("inf"), -float("inf")]
 
     def _grow(self, pts):
@@ -29,25 +30,23 @@ class SvgPlot:
             self._bounds[2] = max(self._bounds[2], x)
             self._bounds[3] = max(self._bounds[3], y)
 
-    def add_polyline(self, pts, color: str | None = None, width: float = 1.2,
-                     dashed: bool = False):
+    def add_polyline(self, pts, color: str | None = None, width: float = 1.2):
         pts = [(float(x), float(y)) for x, y in pts]
         if not pts:
             return
         if color is None:
             color = _COLORS[len(self.series) % len(_COLORS)]
-        self.series.append((pts, color, width, dashed))
+        self.series.append((pts, color, width))
         self._grow(pts)
 
-    def add_guide_line(self, p0, p1, color: str = "#444444"):
-        self.lines.append(((float(p0[0]), float(p0[1])),
-                           (float(p1[0]), float(p1[1])), color))
-        self._grow([p0, p1])
-
-    def add_band(self, corners, color: str = "#f2d0d0"):
-        """Shaded quadrilateral (e.g. the goal band around the target line)."""
-        self.band = ([(float(x), float(y)) for x, y in corners], color)
-        self._grow(self.band[0])
+    def add_goal(self, x5_lo: float, x5_hi: float, ystar: float):
+        """The band |x6 + x5| <= ystar, shaded, and the target line x6 = -x5
+        over [x5_lo, x5_hi] widened by a tenth of its width plus 0.1 a side."""
+        pad = 0.1 * (x5_hi - x5_lo + 1.0)
+        a, b = float(x5_lo - pad), float(x5_hi + pad)
+        self.band = [(a, -a - ystar), (b, -b - ystar), (b, -b + ystar), (a, -a + ystar)]
+        self.line = ((a, -a), (b, -b))
+        self._grow(self.band + list(self.line))
 
     def _tx(self):
         x0, y0, x1, y1 = self._bounds
@@ -58,63 +57,51 @@ class SvgPlot:
         mx = 0.05 * (x1 - x0)
         my = 0.05 * (y1 - y0)
         x0, x1, y0, y1 = x0 - mx, x1 + mx, y0 - my, y1 + my
-        sx = self.width / (x1 - x0)
-        sy = self.height / (y1 - y0)
+        sx = WIDTH / (x1 - x0)
+        sy = HEIGHT / (y1 - y0)
 
         def t(p):
-            return ((p[0] - x0) * sx, self.height - (p[1] - y0) * sy)
+            return ((p[0] - x0) * sx, HEIGHT - (p[1] - y0) * sy)
         return t
 
     def write(self, path):
         t = self._tx()
         parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-                 f'width="{self.width}" height="{self.height}" '
-                 f'viewBox="0 0 {self.width} {self.height}">']
+                 f'width="{WIDTH}" height="{HEIGHT}" '
+                 f'viewBox="0 0 {WIDTH} {HEIGHT}">']
         if self.title:
             parts.append(f'<title>{escape(self.title)}</title>')
-        parts.append(f'<rect x="0" y="0" width="{self.width}" '
-                     f'height="{self.height}" fill="white"/>')
+        parts.append(f'<rect x="0" y="0" width="{WIDTH}" '
+                     f'height="{HEIGHT}" fill="white"/>')
         if self.band is not None:
-            pts, color = self.band
-            coord = " ".join(f"{t(p)[0]:.2f},{t(p)[1]:.2f}" for p in pts)
-            parts.append(f'<polygon points="{coord}" fill="{color}" stroke="none"/>')
-        for p0, p1, color in self.lines:
-            a, b = t(p0), t(p1)
+            coord = " ".join(f"{t(p)[0]:.2f},{t(p)[1]:.2f}" for p in self.band)
+            parts.append(f'<polygon points="{coord}" fill="{BAND_COLOR}" stroke="none"/>')
+            a, b = (t(p) for p in self.line)
             parts.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" '
-                         f'x2="{b[0]:.2f}" y2="{b[1]:.2f}" stroke="{color}" '
+                         f'x2="{b[0]:.2f}" y2="{b[1]:.2f}" stroke="{LINE_COLOR}" '
                          f'stroke-dasharray="6,4"/>')
-        for pts, color, width, dashed in self.series:
+        for pts, color, width in self.series:
             coord = " ".join(f"{t(p)[0]:.2f},{t(p)[1]:.2f}" for p in pts)
-            dash = ' stroke-dasharray="4,3"' if dashed else ""
             parts.append(f'<polyline points="{coord}" fill="none" '
-                         f'stroke="{color}" stroke-width="{width}"{dash}/>')
+                         f'stroke="{color}" stroke-width="{width}"/>')
         parts.append("</svg>")
         with open(path, "w") as fh:
             fh.write("\n".join(parts) + "\n")
 
 
-def plot_trajectories(traces, path, title: str = "", target_line: bool = True,
-                      goal_ystar: float | None = None):
-    """(x5, x6) projection: one polyline per trace."""
+def plot_trajectories(traces, path, title: str, goal_ystar: float):
+    """(x5, x6) projection: one polyline per trace over the goal band."""
     plot = SvgPlot(title=title)
     xs = [s.x5 for tr in traces for s in tr.states]
     if not xs:
         raise ValueError("no trajectories to plot")
-    lo, hi = min(xs), max(xs)
-    pad = 0.1 * (hi - lo + 1.0)
-    if goal_ystar is not None:
-        plot.add_band([(lo - pad, -(lo - pad) - goal_ystar),
-                       (hi + pad, -(hi + pad) - goal_ystar),
-                       (hi + pad, -(hi + pad) + goal_ystar),
-                       (lo - pad, -(lo - pad) + goal_ystar)])
-    if target_line:
-        plot.add_guide_line((lo - pad, -(lo - pad)), (hi + pad, -(hi + pad)))
+    plot.add_goal(min(xs), max(xs), goal_ystar)
     for tr in traces:
         plot.add_polyline([(s.x5, s.x6) for s in tr.states])
     plot.write(path)
 
 
-def plot_reach(result, path, title: str = "", goal_ystar: float = 2.0):
+def plot_reach(result, path, title: str, goal_ystar: float):
     """(x5, x6) hull rectangles: one closed polyline per stored checkpoint."""
     from .zono import zono_hull
     plot = SvgPlot(title=title)
@@ -125,14 +112,7 @@ def plot_reach(result, path, title: str = "", goal_ystar: float = 2.0):
             rects.append((lo[4], hi[4], lo[5], hi[5]))
     if not rects:
         raise ValueError("no reachable sets to plot")
-    x_lo = min(r[0] for r in rects)
-    x_hi = max(r[1] for r in rects)
-    pad = 0.1 * (x_hi - x_lo + 1.0)
-    plot.add_band([(x_lo - pad, -(x_lo - pad) - goal_ystar),
-                   (x_hi + pad, -(x_hi + pad) - goal_ystar),
-                   (x_hi + pad, -(x_hi + pad) + goal_ystar),
-                   (x_lo - pad, -(x_lo - pad) + goal_ystar)])
-    plot.add_guide_line((x_lo - pad, -(x_lo - pad)), (x_hi + pad, -(x_hi + pad)))
+    plot.add_goal(min(r[0] for r in rects), max(r[1] for r in rects), goal_ystar)
     for xl, xh, yl, yh in rects:
         plot.add_polyline([(xl, yl), (xh, yl), (xh, yh), (xl, yh), (xl, yl)],
                           color="#1f77b4", width=0.8)

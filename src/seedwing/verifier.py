@@ -24,6 +24,7 @@ from .mlp import Network
 REPLAY_TOL = 1e-9
 LP_MARGIN = 1e-9
 MAX_RELUS = 30
+TIGHTEN_PASSES = 8        # sweeps of the premise rows over the box
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,8 @@ class Budget:
 # per-query budget of the robustness grid; its node cap is the one place the
 # grid's cap is set (a shipped 6-6-4-1-1 clone's tree has at most 4095 nodes)
 SWEEP_QUERY_BUDGET = Budget(max_nodes=20000, max_seconds=5.0)
+# epsilon and L* values of the robustness grid
+SWEEP_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +232,14 @@ def input_rows(constraints, n: int):
             np.array([rhs for _, _, rhs in rows], dtype=float))
 
 
-def tighten_box(box, A, b, passes: int = 8):
+def tighten_box(box, A, b):
     """Interval-consistency contraction of the box under the rows A x <= b.
 
     Returns (lo, hi, empty).
     """
     lo = np.array([l for l, _ in box], dtype=float)
     hi = np.array([h for _, h in box], dtype=float)
-    for _ in range(passes):
+    for _ in range(TIGHTEN_PASSES):
         changed = False
         for a, rhs in zip(A, b):
             mins = np.where(a > 0, a * lo, a * hi)
@@ -615,20 +618,19 @@ class SweepCell:
 
 
 def robustness_sweep(net: Network, X: np.ndarray,
-                     eps_list=(1e-5, 1e-4, 1e-3, 1e-2),
-                     lstar_list=(1e-5, 1e-4, 1e-3, 1e-2),
-                     box=None, n_points: int = 100,
+                     eps_list=SWEEP_GRID, lstar_list=SWEEP_GRID,
+                     n_points: int = 100,
                      per_query_budget: Budget = SWEEP_QUERY_BUDGET,
                      cell_budget_s: float = 60.0) -> dict:
-    """Verification success rate per (epsilon, L*) cell over dataset points.
+    """Verification success rate per (epsilon, L*) cell over dataset points;
+    the epsilon-balls are clipped to the data's bounding box.
 
     A cell is marked absent (rate None) when its cumulative time exceeds
     cell_budget_s before n_points queries complete.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if box is None:
-        box = tuple((float(X[:, i].min()), float(X[:, i].max()))
-                    for i in range(X.shape[1]))
+    box = tuple((float(X[:, i].min()), float(X[:, i].max()))
+                for i in range(X.shape[1]))
     quota = min(n_points, X.shape[0])
     grid = {}
     for eps in eps_list:

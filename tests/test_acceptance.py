@@ -382,7 +382,7 @@ def test_criterion_9_training_properties(naive_net, adv_net, data_arrays):
     net = init_network(seed=7)
     Xb = np.random.default_rng(10).uniform(0.05, 0.95, size=(12, 6))
     Yb = np.random.default_rng(11).uniform(0, 1, size=12)
-    g = mlp.gradient(net, Xb, Yb, loss="mse")
+    g = mlp.gradient(net, Xb, Yb)
     ref = fd_gradient(net, Xb, Yb)
     worst = 0.0
     for gw, rw in zip(g.dw + g.db, ref.dw + ref.db):

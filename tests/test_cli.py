@@ -1,10 +1,11 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from seedwing import mlp
-from seedwing.cli import main
+from seedwing.cli import _apply_config, build_parser, main
 from seedwing.verifier import LinConstraint, PropertySpec
 
 
@@ -41,6 +42,31 @@ class TestSimulate:
                      "--svg", str(tmp_path / "cl.svg")])
         assert code == 0
         assert out.read_text().startswith("t,x1,x2,x3,x4,x5,x6,e_x")
+
+    def test_config_sets_closed_loop(self, workdir, tmp_path):
+        # the mode and the network come from the config only; the trace is
+        # the one the same flags give, and a flag still wins over the config
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"simulate": {"mode": "closed",
+                                                 "net": str(workdir / "net.json")}}))
+        runs = {"config": ["--config", str(conf)],
+                "flags": ["--mode", "closed", "--net", str(workdir / "net.json")],
+                "open": [],
+                "flag-wins": ["--config", str(conf), "--mode", "open"]}
+        for name, extra in runs.items():
+            assert main(["simulate", "--t-end", "1.0", "--out", str(tmp_path / f"{name}.csv"),
+                         "--svg", str(tmp_path / f"{name}.svg")] + extra) == 0
+        trace = (tmp_path / "config.csv").read_bytes()
+        assert trace == (tmp_path / "flags.csv").read_bytes()
+        assert trace != (tmp_path / "open.csv").read_bytes()
+        assert (tmp_path / "flag-wins.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
+
+    def test_warnings_filter_ends_with_the_command(self, tmp_path):
+        assert main(["simulate", "--t-end", "1.0", "--out", str(tmp_path / "tr.csv"),
+                     "--svg", str(tmp_path / "tr.svg")]) == 0
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.warn("raised after main returned", UserWarning)
+        assert [str(w.message) for w in rec] == ["raised after main returned"]
 
 
 class TestGenData:
@@ -200,7 +226,6 @@ class TestJobs:
         assert len(rows[0]) == 5
 
     def test_config_sets_jobs(self, tmp_path):
-        from seedwing.cli import _apply_config, build_parser
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"jobs": 2}))
         for command in ("reach", "robust-sweep"):
@@ -221,6 +246,51 @@ class TestJobs:
         monkeypatch.chdir(tmp_path)
         assert main([command, "--seed", "1"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "train-adv", "verify",
+                                         "critical-ystar", "robust-sweep", "reach"])
+    def test_strict_only_where_read(self, command, capsys, tmp_path, monkeypatch):
+        # only simulate checks the angle-of-attack region
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--strict"]) == 1
+        assert "--strict" in capsys.readouterr().err
+
+
+# a value each custom-typed setting accepts; other settings take a sample of
+# their type or their last choice
+_SAMPLES = {"properties": "1,2", "eps_list": "0.1,0.2", "lstar_list": "0.1", "points": "2"}
+
+
+def _sample(dest, action):
+    if dest in _SAMPLES:
+        return _SAMPLES[dest]
+    if action.choices:
+        return str(list(action.choices)[-1])
+    return {int: "2", float: "0.25"}.get(action.type, "x")
+
+
+@pytest.mark.parametrize("command", sorted(build_parser().commands))
+def test_config_sets_every_flag(command, tmp_path):
+    # each setting parses to the same value from a config as from its flag
+    parser = build_parser().commands[command]
+    for dest, action in parser.options.items():
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            argv, value = [flag], True
+        else:
+            value = _sample(dest, action)
+            argv = [flag, value]
+        conf = tmp_path / f"{dest}.json"
+        conf.write_text(json.dumps({command: {dest: value}}))
+        from_flag = build_parser().parse_args([command] + argv)
+        from_config = _apply_config(build_parser().parse_args([command, "--config", str(conf)]))
+        assert getattr(from_config, dest) == getattr(from_flag, dest) is not None, dest
+
+
+def test_reach_divisibility_error_names_the_values(workdir, capsys):
+    assert main(["reach", "--net", str(workdir / "net.json"), "--t-end", "0.1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: t_end 0.1 is not a multiple of dt_control 0.5\n"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -255,6 +325,11 @@ class TestJobs:
     (["robust-sweep", "--net", "NET", "--data", "DATA", "--eps-list", "0"], ""),
     (["simulate", "--strict", "--t-end", "1"], ""),
     (["simulate", "--mode", "closed", "--strict", "--t-end", "1"], ""),
+    (["verify", "--net", "NET", "--config", "BAD"], '{"verify": {"prop": 7}}'),
+    (["train", "--data", "DATA", "--config", "BAD"], '{"train": {"epochs": "abc"}}'),
+    (["simulate", "--t-end", "1", "--config", "BAD"],
+     '{"simulate": {"mode": "closed", "strict": true}}'),
+    (["simulate", "--t-end", "1", "--config", "BAD"], '{"simulate": {"mode": "sideways"}}'),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -263,7 +338,8 @@ class TestJobs:
         "spec-not-object", "spec-arity-mismatch", "critical-bad-kind",
         "critical-zero-resolution", "data-bad-header", "eps-list-not-float",
         "sweep-zero-points", "sweep-zero-eps", "sim-strict-alpha-open",
-        "sim-strict-alpha-closed"])
+        "sim-strict-alpha-closed", "config-bad-choice", "config-bad-int",
+        "config-strict-alpha-closed", "config-bad-mode"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -24,8 +24,9 @@ class TestTargetError:
         assert target_error(State(0, 0, 0, 0, 1, 1)) == 2.0
 
     def test_custom_line(self):
-        s = State(0, 0, 0, 0, 2.0, 1.0)
-        assert target_error(s, slope=0.5, intercept=1.0) == pytest.approx(-1.0)
+        # x6 + x5 off the axes: above and below the line x6 = -x5
+        assert target_error(State(0, 0, 0, 0, 2.0, 1.0)) == 3.0
+        assert target_error(State(0, 0, 0, 0, 2.0, -5.0)) == -3.0
 
 
 class TestPid:
@@ -80,9 +81,20 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(t_end=20.3)
         with pytest.raises(ValueError):
-            SimConfig(x6_starts=(1.0,))
-        with pytest.raises(ValueError):
             SimConfig(record_skip=40)
+
+    def test_errors_name_the_values(self):
+        with pytest.raises(ValueError, match=r"dt_control 0\.503 is not a multiple "
+                                             r"of dt_model 0\.01"):
+            SimConfig(dt_control=0.503)
+        with pytest.raises(ValueError, match=r"t_end 20\.3 is not a multiple "
+                                             r"of dt_control 0\.5"):
+            SimConfig(t_end=20.3)
+        with pytest.raises(ValueError, match=r"record_skip 40 is outside \[0, 40\)"):
+            SimConfig(record_skip=40)
+
+    def test_one_start_runs_one_simulation(self):
+        assert SimConfig(x6_starts=(1.0,)).x6_starts == (1.0,)
 
     @pytest.mark.parametrize("field", ["t_end", "dt_model", "dt_control"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -94,7 +106,7 @@ class TestSimConfig:
 class TestClosedLoop:
     def test_constant_network_equals_open_loop(self, params):
         s0 = State(1, 0, 0, 0, 0, 2.0)
-        cfg = SimConfig(t_end=2.0, n_sims=1, x6_starts=(2.0,), record_skip=0)
+        cfg = SimConfig(t_end=2.0, x6_starts=(2.0,), record_skip=0)
         closed = simulate_closed_loop(s0, ConstantController(0.187), cfg, params)
         opened = simulate_open_loop(s0, 0.187, params, 2.0, 0.01)
         assert all(a == b for a, b in zip(closed.states, opened.states))
@@ -116,7 +128,7 @@ class TestClosedLoop:
             def __call__(self, s):
                 return float("nan")
 
-        cfg = SimConfig(t_end=1.0, n_sims=1, x6_starts=(2.0,), record_skip=0)
+        cfg = SimConfig(t_end=1.0, x6_starts=(2.0,), record_skip=0)
         with pytest.raises(Exception) as exc:
             simulate_closed_loop(State(1, 0, 0, 0, 0, 2.0), Bad(), cfg, params)
         assert "control step 0" in str(exc.value)
@@ -124,7 +136,7 @@ class TestClosedLoop:
 
 class TestDataset:
     def test_row_counting_minimal(self, params):
-        cfg = SimConfig(t_end=1.0, n_sims=1, x6_starts=(2.0,), record_skip=0)
+        cfg = SimConfig(t_end=1.0, x6_starts=(2.0,), record_skip=0)
         rows = generate_dataset(cfg, DEFAULT_GAINS, params)
         assert len(rows) == 2
 
@@ -132,7 +144,7 @@ class TestDataset:
         assert len(dataset) == 216
 
     def test_row_count_formula(self, params):
-        cfg = SimConfig(n_sims=2, x6_starts=(1.5, 3.0), record_skip=10)
+        cfg = SimConfig(x6_starts=(1.5, 3.0), record_skip=10)
         rows = generate_dataset(cfg, DEFAULT_GAINS, params)
         assert len(rows) == 2 * (40 - 10)
 

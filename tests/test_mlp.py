@@ -123,16 +123,14 @@ class TestGradient:
         Y = forward_batch(net, X)
         def max_abs(g):
             return max(np.abs(a).max() for a in g.dw + g.db)
-        assert max_abs(gradient(net, X, Y, loss="mse")) == pytest.approx(0.0, abs=1e-14)
-        # subgradient 0 at the kink
-        assert max_abs(gradient(net, X, Y, loss="rmse")) == 0.0
+        assert max_abs(gradient(net, X, Y)) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_finite_differences(self):
         net = init_network(seed=7)
         rng = np.random.default_rng(4)
         X = rng.uniform(0.05, 0.95, size=(12, 6))
         Y = rng.uniform(0, 1, size=12)
-        g = gradient(net, X, Y, loss="mse")
+        g = gradient(net, X, Y)
         ref = fd_gradient(net, X, Y)
         for gw, rw in zip(g.dw, ref.dw):
             denom = np.maximum(np.abs(rw), 1e-4)
@@ -145,14 +143,14 @@ class TestGradient:
         net = init_network(seed=8)
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, size=(8, 6))
-        g1 = gradient(net, X, np.zeros(8), loss="mse")
-        g2 = gradient(net, X, np.zeros(8), loss="mse")
+        g1 = gradient(net, X, np.zeros(8))
+        g2 = gradient(net, X, np.zeros(8))
         pred = forward_batch(net, X)
         # residual linear in y: doubling targets y=f(x)-r vs y=f(x)-2r
         Ya = pred - 1.0
         Yb = pred - 2.0
-        ga = gradient(net, X, Ya, loss="mse")
-        gb = gradient(net, X, Yb, loss="mse")
+        ga = gradient(net, X, Ya)
+        gb = gradient(net, X, Yb)
         assert gb.db[-1][0] == pytest.approx(2.0 * ga.db[-1][0], rel=1e-12)
         assert g1.db[-1][0] == g2.db[-1][0]
 

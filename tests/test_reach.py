@@ -8,11 +8,20 @@ from seedwing.reach import (BranchFailure, ReachConfig, ReachDomainError,
                             goal_check, initial_zonotope, interval_jacobian,
                             nn_output_set, point_jacobian, reach_control_cycle,
                             reach_full, reach_step, reach_to_csv)
+from seedwing.verifier import interval_bounds
 from seedwing.zono import Zonotope, zono_hull, zono_max_linear, zono_sample
 
 
 def constant_net(value, n_in=6):
     return Network((Layer(np.zeros((1, n_in)), np.array([float(value)]), "id"),))
+
+
+def interval_output(net, Z):
+    """Clamped output interval of plain interval propagation over Z's hull."""
+    lo, hi = zono_hull(Z)
+    p_lo, p_hi = interval_bounds(net, tuple(zip(lo, hi)))["pre"][-1]
+    return Interval(min(max(float(p_lo[0]), 0.181), 0.193),
+                    min(max(float(p_hi[0]), 0.181), 0.193))
 
 
 def fine_flow(x, u, p, dt, n_sub=100):
@@ -110,6 +119,22 @@ def test_config_rejects_simplified_angle_of_attack():
         ReachConfig(exact_alpha=False)
 
 
+def test_config_rejects_interval_relu_mode():
+    with pytest.raises(ValueError, match="only the zonotope ReLU enclosure remains"):
+        ReachConfig(relu_mode="interval")
+    with pytest.raises(ValueError, match="only the zonotope ReLU enclosure remains"):
+        nn_output_set(constant_net(0.187), Zonotope.point(np.zeros(6)), "interval")
+
+
+@pytest.mark.parametrize("kw, text", [
+    (dict(t_end=0.1), r"t_end 0\.1 is not a multiple of dt_control 0\.5"),
+    (dict(dt=0.3), r"dt_control 0\.5 is not a multiple of dt 0\.3"),
+])
+def test_config_divisibility_errors_name_the_values(kw, text):
+    with pytest.raises(ValueError, match=text):
+        ReachConfig(**kw)
+
+
 class TestReachStep:
     def test_linear_dynamics_zero_linearization_remainder(self, params):
         A = np.diag([-1.0, -0.5, -2.0, 0.0, 0.0, 0.0])
@@ -193,8 +218,7 @@ class TestNnOutputSet:
         hi = np.array(norm_spec.in_max)
         c = 0.5 * (lo + hi)
         Z = Zonotope(c, np.diag(0.1 * (hi - lo)))
-        for mode in ("zonotope", "interval"):
-            out = nn_output_set(emb, Z, mode)
+        for out in (nn_output_set(emb, Z), interval_output(emb, Z)):
             for x in zono_sample(Z, 3000, rng):
                 y = min(max(forward(emb, x), 0.181), 0.193)
                 assert out.lo - 1e-9 <= y <= out.hi + 1e-9
@@ -208,7 +232,7 @@ class TestNnOutputSet:
             c = rng.uniform(lo, hi)
             Z = Zonotope(c, np.diag(0.15 * (hi - lo)))
             zi = nn_output_set(emb, Z, "zonotope")
-            ii = nn_output_set(emb, Z, "interval")
+            ii = interval_output(emb, Z)
             assert zi.lo >= ii.lo - 1e-12 and zi.hi <= ii.hi + 1e-12
 
     def test_clamp_image(self):
@@ -227,8 +251,9 @@ class TestControlCycle:
         G[5, 0] = 0.02
         Z = Zonotope(heavy_settled, G)
         a = reach_control_cycle(Z, constant_net(0.187), heavy_params, cfg)
-        b = reach_control_cycle(Z, constant_net(0.0), heavy_params, cfg,
-                                u_override=Interval(0.187, 0.187))
+        b = Z
+        for _ in range(cfg.steps_per_cycle):
+            b = reach_step(b, Interval(0.187, 0.187), heavy_params, cfg)
         assert np.allclose(a.c, b.c) and np.allclose(a.G, b.G)
 
     def test_zero_width_cycle_contains_point_simulation(self, heavy_params,
