@@ -80,8 +80,9 @@ def _apply_config(args):
     """Fill the settings no flag gave from the JSON config (flags win).
 
     Each config value is parsed as the flag of the same setting would be,
-    with the same type, choices and errors; keys that name no setting of
-    the command are ignored, so one flat config can serve every command.
+    with the same type, choices and errors (a JSON list as its items joined
+    by commas); keys that name no setting of the command are ignored, so one
+    flat config can serve every command.
     """
     if not getattr(args, "config", None):
         return args
@@ -100,6 +101,8 @@ def _apply_config(args):
         if action is None or val is None:
             continue
         opt = action.option_strings[-1]
+        if isinstance(val, list):       # items joined as a list flag takes them
+            val = ",".join(map(str, val))
         if action.nargs != 0:
             tokens.append(f"{opt}={val}")
         elif val is not False:          # a switch: true gives it, false leaves it off

@@ -5,6 +5,12 @@ a.v {<=,=,>=} b, optional linear objective to maximize. Phase 1 minimizes
 artificial variables under Bland's rule (no cycling); phase 2 optimizes the
 objective. All feasible regions here are bounded, so phase 2 cannot be
 unbounded.
+
+The kernel works on whole arrays. A pivot is one masked rank-1 update of the
+tableau: it subtracts a multiple of the pivot row from exactly the rows with
+a nonzero entry in the pivot column. Skipping the other rows keeps the result
+bit-identical to row-by-row elimination; updating them would subtract
+0 * x = -0.0 and turn their -0.0 entries into +0.0.
 """
 
 from __future__ import annotations
@@ -30,41 +36,45 @@ class LpSolution:
 
 
 def _pivot(T: np.ndarray, basis: list, row: int, col: int):
-    """Make column `col` basic in `row`: eliminate it from every other row."""
-    T[row, :] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i, :] -= T[i, col] * T[row, :]
+    """Make column `col` basic in `row`: eliminate it from every other row.
+
+    One masked rank-1 update. Only rows with a nonzero entry in `col` are
+    touched: in any other row `0 * T[row, j]` may be -0.0, and subtracting
+    it would turn a -0.0 entry into +0.0.
+    """
+    r = T[row]
+    r /= r[col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    nz = f.nonzero()[0]
+    T[nz] -= f[nz, None] * r
     basis[row] = col
 
 
 def _run_simplex(T: np.ndarray, basis: list, c: np.ndarray):
     """Minimize c.x on the tableau T (rows: B^-1 A | B^-1 b). In-place."""
-    z = c.astype(float).copy()
+    z = c.copy()
     for i, bi in enumerate(basis):
         if z[bi] != 0.0:
             z -= z[bi] * T[i, :-1]
-    pivots = 0
-    while True:
-        neg = np.flatnonzero(z < -PIVOT_TOL)
-        if neg.size == 0:
+    rhs = T[:, -1]
+    for _ in range(MAX_PIVOTS + 1):
+        neg = z < -PIVOT_TOL
+        enter = int(neg.argmax())  # Bland: lowest eligible index
+        if not neg[enter]:
             return
-        enter = int(neg[0])  # Bland: lowest eligible index
         col = T[:, enter]
-        rows = np.flatnonzero(col > PIVOT_TOL)
+        rows = (col > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             # unbounded direction; cannot occur with box-bounded variables
             raise SimplexCycleError("unbounded pivot column in bounded LP")
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + 1e-12]
-        leave = int(min(tied, key=lambda i: basis[i]))  # Bland on ties
+        ratios = rhs[rows] / col[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        # Bland on ties: the row whose basic variable has the lowest index
+        leave = int(tied[0] if tied.size == 1 else min(tied, key=basis.__getitem__))
         _pivot(T, basis, leave, enter)
-        if z[enter] != 0.0:
-            z -= z[enter] * T[leave, :-1]
-        pivots += 1
-        if pivots > MAX_PIVOTS:
-            raise SimplexCycleError("pivot limit exceeded")
+        z -= z[enter] * T[leave, :-1]
+    raise SimplexCycleError("pivot limit exceeded")
 
 
 def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
@@ -84,61 +94,57 @@ def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
         raise ValueError("variable bounds must be finite")
     if not len(A) == len(rel) == len(b):
         raise ValueError("A, rel and b need one entry per row")
+    for kind in rel:
+        if kind not in ("<=", ">=", "="):
+            raise ValueError(f"unknown relation {kind!r}")
 
     # shift to w = v - lo in [0, hi - lo]; ">=" rows become "<=" rows, and
     # the upper bounds follow as "<=" rows
-    rows, rhs, le = [], [], []
-    for a, kind, bi in zip(A, rel, b):
-        if kind not in ("<=", ">=", "="):
-            raise ValueError(f"unknown relation {kind!r}")
-        bi = bi - float(a @ lo)
-        if kind == ">=":
-            a, bi = -a, -bi
-        rows.append(a); rhs.append(bi); le.append(kind != "=")
-    k = len(rows)
+    k = len(b)
     m = k + n
-    le += [True] * n
-    rv = np.concatenate([rhs, hi - lo])
+    ge = np.array([kind == ">=" for kind in rel], dtype=bool)
+    le = np.ones(m, dtype=bool)
+    le[:k] = [kind != "=" for kind in rel]
+    rhs = b - np.array([float(a @ lo) for a in A])
+    rv = np.concatenate([np.where(ge, -rhs, rhs), hi - lo])
     flip = rv < 0
 
     # tableau [rows | slacks | artificials | rhs]: one slack per "<=" row; a
     # row with a negative rhs is negated, and it and every "=" row start on
     # an artificial
-    n_slack = sum(le)
-    art_rows = np.flatnonzero(flip | ~np.array(le))
+    slack_rows = le.nonzero()[0]
+    n_slack = slack_rows.size
+    art_rows = (flip | ~le).nonzero()[0]
     n_art = art_rows.size
     ncols = n + n_slack + n_art
     tab = np.zeros((m, ncols + 1))
-    if k:
-        tab[:k, :n] = rows
+    tab[:k, :n] = np.where(ge[:, None], -A, A)
     tab[k:, :n] = np.eye(n)
     tab[:, -1] = rv
-    basis, s = [], n            # an "=" row's entry is replaced below
-    for i, is_le in enumerate(le):
-        if is_le:
-            tab[i, s] = 1.0
-        basis.append(s)
-        s += is_le
+    tab[slack_rows, n + np.arange(n_slack)] = 1.0
     if flip.any():
         tab[flip, :n + n_slack] *= -1.0
         tab[flip, -1] *= -1.0
-    for a_i, i in enumerate(art_rows):
-        tab[i, n + n_slack + a_i] = 1.0
-        basis[i] = n + n_slack + a_i
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = n + np.arange(n_slack)
+    basis[art_rows] = n + n_slack + np.arange(n_art)
+    tab[art_rows, basis[art_rows]] = 1.0
+    basis = basis.tolist()
 
     if n_art:
         c1 = np.zeros(ncols)
         c1[n + n_slack:] = 1.0
         _run_simplex(tab, basis, c1)
-        art_val = sum(tab[i, -1] for i in range(m) if basis[i] >= n + n_slack)
-        if art_val > FEAS_TOL:
+        residual = [i for i in range(m) if basis[i] >= n + n_slack]
+        # Python's sum adds in row order; np.sum's pairwise order could
+        # round differently at the FEAS_TOL decision
+        if sum(tab[residual, -1].tolist()) > FEAS_TOL:
             return LpSolution(False)
         # pivot residual artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                nz = np.flatnonzero(np.abs(tab[i, :n + n_slack]) > PIVOT_TOL)
-                if nz.size:
-                    _pivot(tab, basis, i, int(nz[0]))
+        for i in residual:
+            nz = (np.abs(tab[i, :n + n_slack]) > PIVOT_TOL).nonzero()[0]
+            if nz.size:
+                _pivot(tab, basis, i, int(nz[0]))
         # block artificial columns from re-entering
         tab[:, n + n_slack:ncols] = 0.0
 

@@ -628,6 +628,8 @@ def robustness_sweep(net: Network, X: np.ndarray,
     A cell is marked absent (rate None) when its cumulative time exceeds
     cell_budget_s before n_points queries complete.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     box = tuple((float(X[:, i].min()), float(X[:, i].max()))
                 for i in range(X.shape[1]))

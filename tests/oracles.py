@@ -2,10 +2,10 @@
 
 Each lives apart from the implementation it checks: a clean-room scalar
 transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
-feasibility decision, a vertex-enumeration LP optimizer, an exhaustive
-activation-pattern verification oracle, per-row pre-activations, the
-doubled-network form of the robustness query, and a forward-mode Dual that
-keeps one Interval object per partial.
+feasibility decision, a vertex-enumeration LP optimizer, a row-by-row
+simplex pivot, an exhaustive activation-pattern verification oracle,
+per-row pre-activations, the doubled-network form of the robustness query,
+and a forward-mode Dual that keeps one Interval object per partial.
 """
 
 import itertools
@@ -137,6 +137,19 @@ def vertex_lp_max(A, b, lo, hi, c, tol=1e-9):
             if best is None or v > best:
                 best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# row-by-row simplex pivot (the reference for lp._pivot)
+
+def pivot_rows(T, basis, row, col):
+    """Gauss-Jordan pivot one row at a time: normalise `row`, then subtract
+    its multiple from each other row whose entry in `col` is nonzero."""
+    T[row, :] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i, :] -= T[i, col] * T[row, :]
+    basis[row] = col
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,31 @@ def test_config_sets_every_flag(command, tmp_path):
         assert getattr(from_config, dest) == getattr(from_flag, dest) is not None, dest
 
 
+@pytest.mark.parametrize("command, dest, items", [
+    ("robust-sweep", "eps_list", [0.01, 0.02]),
+    ("robust-sweep", "lstar_list", [0.5, 1, 2.25]),
+    ("critical-ystar", "properties", [1, 3]),
+])
+def test_config_list_sets_list_flag(command, dest, items, tmp_path):
+    # a JSON list parses like the flag given its items joined by commas
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({command: {dest: items}}))
+    parser = build_parser()
+    flag = parser.commands[command].options[dest].option_strings[-1]
+    from_flag = parser.parse_args([command, flag, ",".join(map(str, items))])
+    from_config = _apply_config(parser.parse_args([command, "--config", str(conf)]))
+    assert getattr(from_config, dest) == getattr(from_flag, dest) == tuple(items)
+
+
+def test_config_list_bad_item_gets_the_flag_type_error(workdir, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"robust-sweep": {"eps_list": [0.01, 0]}}')
+    assert main(["robust-sweep", "--net", str(workdir / "net.json"),
+                 "--data", str(workdir / "data.csv"), "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config {conf}: argument --eps-list: values must be > 0, got 0.01,0\n"
+
+
 def test_reach_divisibility_error_names_the_values(workdir, capsys):
     assert main(["reach", "--net", str(workdir / "net.json"), "--t-end", "0.1"]) == 1
     assert capsys.readouterr().err == \

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fourier_motzkin_feasible, vertex_lp_max
+from oracles import fourier_motzkin_feasible, pivot_rows, vertex_lp_max
+from seedwing import lp
 from seedwing.lp import solve_lp
 
 
@@ -91,3 +96,85 @@ class TestPhaseTwo:
         assert sol.feasible
         assert sol.objective == pytest.approx(2.0)
         assert sol.x[0] == pytest.approx(1.0)
+
+
+# tableau entries: signed zeros and small integers (exact ties) as often as
+# general floats
+ENTRY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]) | st.floats(-1e3, 1e3)
+PIVOT = st.floats(1e-2, 1e2) | st.floats(-1e2, -1e-2)
+
+
+@st.composite
+def tableaus(draw):
+    """A tableau, a pivot position with a nonzero entry, and a basis; some
+    rows get a zero (of either sign) in the pivot column."""
+    m = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    T = np.array([[draw(ENTRY) for _ in range(ncols + 1)] for _ in range(m)])
+    row = draw(st.integers(0, m - 1))
+    col = draw(st.integers(0, ncols - 1))
+    for i in range(m):
+        if draw(st.booleans()):
+            T[i, col] = draw(st.sampled_from([0.0, -0.0]))
+    T[row, col] = draw(PIVOT)
+    basis = draw(st.lists(st.integers(0, ncols - 1), min_size=m, max_size=m))
+    return T, basis, row, col
+
+
+class TestPivot:
+    def test_untouched_rows_keep_negative_zeros(self):
+        # an unmasked update would subtract 0 * -0.0 = -0.0 from row 1's
+        # last entry and turn its -0.0 into +0.0
+        T = np.array([[2.0, 1.0, -0.0], [0.0, 3.0, -0.0]])
+        lp._pivot(T, [0, 1], 0, 0)
+        assert np.signbit(T[1, 2])
+
+    @settings(max_examples=400, deadline=None)
+    @given(tableaus())
+    def test_pivot_matches_row_loop_bit_for_bit(self, case):
+        T, basis, row, col = case
+        T_ref, basis_ref = T.copy(), list(basis)
+        lp._pivot(T, basis, row, col)
+        pivot_rows(T_ref, basis_ref, row, col)
+        assert T.tobytes() == T_ref.tobytes()
+        assert basis == basis_ref
+
+
+# LP data: small integer coefficients, and right-hand sides met exactly at a
+# corner or the centre of the box, make degenerate ties common; offsets of
+# either sign make infeasible systems common
+COEF = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+OFFSET = st.sampled_from([0.0, 0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def box_lps(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 6))
+    A = np.array([[draw(COEF) for _ in range(n)] for _ in range(m)]).reshape(m, n)
+    rel = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
+    lo = np.array([draw(st.sampled_from([-2.0, -1.0, 0.0]) | st.floats(-2.0, 0.0))
+                   for _ in range(n)])
+    width = np.array([draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0))
+                      for _ in range(n)])
+    x0 = lo + width * np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(n)])
+    b = A @ x0 + np.array([draw(OFFSET) for _ in range(m)])
+    objective = draw(st.none() | st.lists(COEF, min_size=n, max_size=n).map(np.array))
+    return A, rel, b, lo, lo + width, objective
+
+
+def _outcome(A, rel, b, lo, hi, objective):
+    sol = solve_lp(A, rel, b, lo, hi, objective=objective)
+    x = None if sol.x is None else sol.x.tobytes()
+    obj = None if sol.objective is None else np.float64(sol.objective).tobytes()
+    return sol.feasible, x, obj
+
+
+class TestSolveWithRowLoopPivot:
+    @settings(max_examples=400, deadline=None)
+    @given(box_lps())
+    def test_same_solution_as_row_loop_pivot(self, case):
+        mine = _outcome(*case)
+        with mock.patch.object(lp, "_pivot", pivot_rows):
+            ref = _outcome(*case)
+        assert mine == ref

@@ -401,6 +401,13 @@ class TestRobustnessSweep:
                                 n_points=50, cell_budget_s=0.0)
         assert grid[(1e-2, 1e-5)].rate is None
 
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_no_points_rejected(self, n_points):
+        net = mlp.init_network((1, 2, 1), seed=0)
+        with pytest.raises(ValueError, match=f"n_points must be >= 1, got {n_points}"):
+            robustness_sweep(net, np.zeros((4, 1)), eps_list=(0.1,), lstar_list=(1.0,),
+                             n_points=n_points)
+
 
 class TestResultsCsv:
     def test_schema(self, tmp_path):
