@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Digests of branch-and-bound verdicts, to show a change to the verifier leaves them bit-identical.
 
-Prints one sha256 per group of queries, over each query's status, vacuous
-flag, witness bytes, node count and LP count, in query order:
+Prints two sha256 per group of queries, in query order: the first over
+each query's status, vacuous flag, witness bytes, node count and LP count;
+the second over its status and vacuous flag only, so that a change which
+moves node counts or witnesses can show that its verdicts did not move:
 
 - random: seeded random ReLU nets (1-3 inputs, at most 8 ReLUs) with
   premises and conclusions of all three relations (`<=`, `>=`, `=`),
@@ -130,10 +132,12 @@ def deep_group():
 
 def digest(queries):
     h = hashlib.sha256()
+    h_verdict = hashlib.sha256()
     counts = {"verified": 0, "falsified": 0, "timeout": 0, "vacuous": 0, "emptied": 0}
     for net, spec in queries:
         v = bab_verify(net, spec, BUDGET)
         h.update(f"{v.status},{int(v.vacuous)},{v.nodes},{v.lp_calls};".encode())
+        h_verdict.update(f"{v.status},{int(v.vacuous)};".encode())
         if v.witness is not None:
             h.update(np.asarray(v.witness, dtype=float).tobytes())
         counts[v.status] += 1
@@ -141,13 +145,14 @@ def digest(queries):
         # a box emptied by the contraction closes its root without a node LP
         counts["emptied"] += v.verified and not v.vacuous and v.lp_calls == 1 \
             and v.nodes == 1
-    return counts, h.hexdigest()
+    return counts, h.hexdigest(), h_verdict.hexdigest()
 
 
 if __name__ == "__main__":
     for name, group in (("random", random_group), ("edge", edge_group),
                         ("properties", property_group), ("deep", deep_group)):
-        counts, hexdigest = digest(group())
+        counts, full, verdicts = digest(group())
         summary = " ".join(f"{k}={v}" for k, v in counts.items())
         print(f"{name}: {sum(counts[k] for k in ('verified', 'falsified', 'timeout'))} "
-              f"queries ({summary}) {hexdigest}", flush=True)
+              f"queries ({summary}) {full}", flush=True)
+        print(f"{name} verdicts: {verdicts}", flush=True)

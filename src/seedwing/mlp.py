@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedloop import NormSpec, denormalize_out, normalize
+from .zono import Zonotope, zono_hull
 
 DEFAULT_WIDTHS = (6, 6, 4, 1, 1)
 # training settings shared by plain and adversarial training
@@ -145,6 +146,59 @@ def interval_preact(layer: Layer, lo: np.ndarray, hi: np.ndarray):
     pc = layer.w @ c + layer.b
     pr = np.abs(layer.w) @ r
     return pc - pr, pc + pr
+
+
+def propagate_bounds(net: Network, Z: Zonotope, phases=None) -> dict:
+    """The one ReLU bound propagator: Z through the zonotope ReLU abstraction
+    (DeepZ), each layer's hull intersected with interval_preact of the
+    running interval. Active rows ('A', lower bound >= 0) pass, inactive ('I',
+    upper <= 0) zero, unstable ('U') scale by lam = u/(u-l), shift by
+    mu = -lam*l/2 and add one generator mu each, in neuron order. phases maps
+    (layer, idx) to 1 (row passes, interval clipped at 0) or 0 (row zeroed);
+    one the bounds contradict by more than 1e-12 empties the node. Returns
+    {pre: per layer (lo, hi), status: per ReLU layer an 'A'/'I'/'U' string,
+    empty} plus, unless empty, out (c, G) and its running interval out_box.
+    """
+    phases = phases or {}
+    c, G = Z.c, Z.G
+    a_lo, a_hi = zono_hull(Z)
+    pre, status = [], []
+    for li, layer in enumerate(net.layers):
+        c = layer.w @ c + layer.b
+        G = layer.w @ G
+        p_lo, p_hi = interval_preact(layer, a_lo, a_hi)
+        r = np.abs(G).sum(axis=1)
+        lo = np.maximum(c - r, p_lo)
+        hi = np.minimum(c + r, p_hi)
+        pre.append((lo, hi))
+        if layer.act != "relu":
+            status.append(None)
+            a_lo, a_hi = lo, hi
+            continue
+        a_lo, a_hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+        rows, fresh = [], []           # per neuron (status, scale, shift)
+        for j, (l, u) in enumerate(zip(lo.tolist(), hi.tolist())):
+            phase = phases.get((li, j))
+            if phase is not None and (u < -1e-12 if phase else l > 1e-12):
+                return {"pre": pre, "status": status, "empty": True}
+            if phase == 1 or (phase is None and l >= 0.0):
+                rows.append(("A", 1.0, 0.0))
+            elif phase == 0 or u <= 0.0:
+                rows.append(("I", 0.0, 0.0))
+                a_lo[j] = a_hi[j] = 0.0
+            else:
+                lam = u / (u - l)
+                rows.append(("U", lam, -lam * l / 2.0))
+                fresh.append(j)
+        st, scale, shift = zip(*rows)
+        status.append("".join(st))
+        scale, shift = np.array(scale), np.array(shift)
+        c = scale * c + shift
+        G = G * scale[:, None]
+        if fresh:
+            G = np.concatenate((G, np.diag(shift)[:, fresh]), axis=1)
+    return {"pre": pre, "status": status, "empty": False,
+            "out": (c, G), "out_box": (a_lo, a_hi)}
 
 
 def _forward_trace(net: Network, X: np.ndarray):

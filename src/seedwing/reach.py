@@ -19,7 +19,7 @@ from . import intervals as iv
 from .aeromodel import DT, EX_MAX, EX_MIN, T_END, PlateParams, _derivative_core
 from .closedloop import DT_CONTROL, check_multiple
 from .intervals import Dual, Interval
-from .mlp import Network, interval_preact
+from .mlp import Network, propagate_bounds
 from .zono import Zonotope, zono_hull, zono_max_linear, zono_reduce
 
 
@@ -206,53 +206,15 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
 
 
 def nn_output_set(net: Network, Z: Zonotope, mode: str = "zonotope") -> Interval:
-    """Sound enclosure of the clamped controller output over Z.
-
-    The network must be the raw-input form (normalization embedded). Stable
-    ReLUs pass or zero exactly; unstable ones use the standard zonotope ReLU
-    abstraction (slope u/(u-l), one fresh generator). `mode` must be
-    "zonotope", the one enclosure left.
+    """Sound enclosure of the clamped controller output over Z (raw-input
+    network, normalization embedded): the output's running interval from
+    mlp.propagate_bounds, the verifier's propagator, which already
+    intersects the output zonotope's hull with interval propagation. `mode`
+    must be "zonotope", the one enclosure left.
     """
     if mode != "zonotope":
         raise ValueError(f"mode {mode!r}: only the zonotope ReLU enclosure remains")
-    c = Z.c.copy()
-    G = Z.G.copy()
-    a_lo, a_hi = zono_hull(Z)
-    for layer in net.layers:
-        c = layer.w @ c + layer.b
-        G = layer.w @ G
-        p_lo, p_hi = interval_preact(layer, a_lo, a_hi)
-        # combine the zonotope hull with the running interval bounds; both
-        # are sound, and their intersection keeps the relu slopes (and the
-        # final answer) at least as tight as interval propagation alone
-        r = np.abs(G).sum(axis=1)
-        l_b = np.maximum(c - r, p_lo)
-        u_b = np.minimum(c + r, p_hi)
-        if layer.act != "relu":
-            a_lo, a_hi = l_b, u_b
-            continue
-        fresh = []
-        for j in range(c.shape[0]):
-            if l_b[j] >= 0.0:
-                continue
-            if u_b[j] <= 0.0:
-                c[j] = 0.0
-                G[j, :] = 0.0
-                continue
-            lam = u_b[j] / (u_b[j] - l_b[j])
-            mu = -lam * l_b[j] / 2.0
-            c[j] = lam * c[j] + mu
-            G[j, :] *= lam
-            col = np.zeros(c.shape[0])
-            col[j] = mu
-            fresh.append(col)
-        if fresh:
-            G = np.hstack([G, np.array(fresh).T])
-        a_lo = np.maximum(l_b, 0.0)
-        a_hi = np.maximum(u_b, 0.0)
-    r = np.abs(G).sum(axis=1)
-    out_lo = float(max(c[0] - r[0], a_lo[0]))
-    out_hi = float(min(c[0] + r[0], a_hi[0]))
+    out_lo, out_hi = (float(b[0]) for b in propagate_bounds(net, Z)["out_box"])
     if out_lo > out_hi:   # float dust when the two bounds coincide
         out_lo = out_hi = 0.5 * (out_lo + out_hi)
     # image of the actuation clamp

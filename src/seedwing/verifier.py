@@ -1,7 +1,9 @@
 """Sound and complete verification of linear properties of small ReLU nets.
 
-Branch and bound over unstable ReLU phases: interval propagation fixes
-stable neurons, each negated conclusion becomes an LP over the inputs plus
+Branch and bound over unstable ReLU phases: the one bound propagator
+(mlp.propagate_bounds: the zonotope ReLU abstraction intersected with
+interval bounds, which reach also uses) fixes stable neurons and bounds the
+unstable ones, each negated conclusion becomes an LP over the inputs plus
 one variable per unstable neuron (triangle relaxation), and the LP optimum
 is replayed through the concrete network. Genuine violations falsify;
 spurious optima split the widest unstable neuron. An exhausted tree verifies
@@ -12,6 +14,7 @@ so max violation <= tolerance at a leaf closes that cell.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -20,6 +23,7 @@ import numpy as np
 from . import lp as lpmod
 from . import mlp
 from .mlp import Network
+from .zono import Zonotope
 
 REPLAY_TOL = 1e-9
 LP_MARGIN = 1e-9
@@ -41,6 +45,8 @@ class LinConstraint:
         object.__setattr__(self, "out_coef", tuple(float(v) for v in self.out_coef))
         if self.rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {self.rel!r}")
+        if not all(math.isfinite(v) for v in self.in_coef + self.out_coef + (self.rhs,)):
+            raise ValueError("constraint coefficients and rhs must be finite")
         if all(v == 0.0 for v in self.in_coef) and all(v == 0.0 for v in self.out_coef):
             raise ValueError("constraint must have a nonzero coefficient")
 
@@ -79,6 +85,15 @@ class PropertySpec:
                            tuple((float(lo), float(hi)) for lo, hi in self.input_box))
         object.__setattr__(self, "premise", tuple(self.premise))
         object.__setattr__(self, "conclusion", tuple(self.conclusion))
+        for i, (lo, hi) in enumerate(self.input_box):
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError(f"input_box[{i}] must be finite with lo <= hi, "
+                                 f"got [{lo}, {hi}]")
+        for part, cs in (("premise", self.premise), ("conclusion", self.conclusion)):
+            for k, c in enumerate(cs):
+                if len(c.in_coef) != self.n_in:
+                    raise ValueError(f"{part}[{k}]: {len(c.in_coef)} 'in' "
+                                     f"coefficients for {self.n_in} inputs")
         for c in self.premise:
             if not c.input_only:
                 raise ValueError("premise constraints must be over inputs only")
@@ -264,55 +279,14 @@ def tighten_box(box, A, b):
 
 
 def interval_bounds(net: Network, box, phases=None):
-    """Sound pre-activation intervals per layer under branching decisions.
-
-    phases maps (layer, idx) -> 0 (forced inactive) or 1 (forced active).
-    Returns dict with keys: pre (list of (lo, hi) per layer), status (list of
-    per-neuron 'A'/'I'/'U' for relu layers, None otherwise), box (lo, hi as
-    arrays), empty (True when a forced phase contradicts the bounds).
-    """
-    phases = phases or {}
-    lo = np.array([l for l, _ in box], dtype=float)
-    hi = np.array([h for _, h in box], dtype=float)
-    pre = []
-    status = []
-    a_lo, a_hi = lo, hi
-    for li, layer in enumerate(net.layers):
-        p_lo, p_hi = mlp.interval_preact(layer, a_lo, a_hi)
-        pre.append((p_lo, p_hi))
-        if layer.act == "relu":
-            st = []
-            n_lo = np.empty_like(p_lo)
-            n_hi = np.empty_like(p_hi)
-            for j in range(p_lo.shape[0]):
-                forced = phases.get((li, j))
-                if forced == 1:
-                    if p_hi[j] < -1e-12:
-                        return {"pre": pre, "status": status, "box": (lo, hi),
-                                "empty": True}
-                    st.append("A")
-                    n_lo[j], n_hi[j] = max(p_lo[j], 0.0), max(p_hi[j], 0.0)
-                elif forced == 0:
-                    if p_lo[j] > 1e-12:
-                        return {"pre": pre, "status": status, "box": (lo, hi),
-                                "empty": True}
-                    st.append("I")
-                    n_lo[j] = n_hi[j] = 0.0
-                elif p_lo[j] >= 0.0:
-                    st.append("A")
-                    n_lo[j], n_hi[j] = p_lo[j], p_hi[j]
-                elif p_hi[j] <= 0.0:
-                    st.append("I")
-                    n_lo[j] = n_hi[j] = 0.0
-                else:
-                    st.append("U")
-                    n_lo[j], n_hi[j] = 0.0, p_hi[j]
-            status.append(st)
-            a_lo, a_hi = n_lo, n_hi
-        else:
-            status.append(None)
-            a_lo, a_hi = p_lo, p_hi
-    return {"pre": pre, "status": status, "box": (lo, hi), "empty": False}
+    """mlp.propagate_bounds (the propagator reach uses) over the box as a
+    zonotope (centre the midpoint, generators diag(radius)) under forced
+    phases: its dict (pre, status, empty) plus box (lo, hi)."""
+    lo, hi = np.array(box, dtype=float).T
+    info = mlp.propagate_bounds(net, Zonotope(0.5 * (lo + hi), np.diag(0.5 * (hi - lo))),
+                                phases)
+    info["box"] = (lo, hi)
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +405,10 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
         raise ValueError(f"network has {net.n_relu} ReLUs; verifier accepts <= {MAX_RELUS}")
     if net.n_in != spec.n_in:
         raise ValueError("spec input arity does not match network")
+    for k, c in enumerate(spec.conclusion):
+        if len(c.out_coef) != net.widths[-1]:
+            raise ValueError(f"conclusion[{k}]: {len(c.out_coef)} 'out' "
+                             f"coefficients for {net.widths[-1]} network outputs")
     t0 = time.perf_counter()
     stats = {"nodes": 0, "lp": 0}
 

@@ -4,7 +4,7 @@ Each lives apart from the implementation it checks: a clean-room scalar
 transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
 feasibility decision, a vertex-enumeration LP optimizer, a row-by-row
 simplex pivot, an exhaustive activation-pattern verification oracle,
-per-row pre-activations, the doubled-network form of the robustness query,
+plain interval bound propagation, per-row pre-activations, the doubled-network form of the robustness query,
 and a forward-mode Dual that keeps one Interval object per partial.
 """
 
@@ -237,6 +237,62 @@ def enumerate_verify(net, spec):
                 if worst > REPLAY_TOL:
                     return "falsified", x
     return "verified", None
+
+
+# ---------------------------------------------------------------------------
+# plain interval bound propagation (the reference for the verifier's bounds)
+
+def interval_propagation(net, box, phases=None):
+    """Pre-activation intervals per layer under branching decisions, one
+    neuron at a time (plain IBP, no zonotope).
+
+    phases maps (layer, idx) -> 0 (forced inactive) or 1 (forced active).
+    Returns dict with keys: pre (list of (lo, hi) per layer), status (list of
+    per-neuron 'A'/'I'/'U' for relu layers, None otherwise), box (lo, hi as
+    arrays), empty (True when a forced phase contradicts the bounds).
+    """
+    phases = phases or {}
+    lo = np.array([l for l, _ in box], dtype=float)
+    hi = np.array([h for _, h in box], dtype=float)
+    pre = []
+    status = []
+    a_lo, a_hi = lo, hi
+    for li, layer in enumerate(net.layers):
+        p_lo, p_hi = mlp.interval_preact(layer, a_lo, a_hi)
+        pre.append((p_lo, p_hi))
+        if layer.act == "relu":
+            st = []
+            n_lo = np.empty_like(p_lo)
+            n_hi = np.empty_like(p_hi)
+            for j in range(p_lo.shape[0]):
+                forced = phases.get((li, j))
+                if forced == 1:
+                    if p_hi[j] < -1e-12:
+                        return {"pre": pre, "status": status, "box": (lo, hi),
+                                "empty": True}
+                    st.append("A")
+                    n_lo[j], n_hi[j] = max(p_lo[j], 0.0), max(p_hi[j], 0.0)
+                elif forced == 0:
+                    if p_lo[j] > 1e-12:
+                        return {"pre": pre, "status": status, "box": (lo, hi),
+                                "empty": True}
+                    st.append("I")
+                    n_lo[j] = n_hi[j] = 0.0
+                elif p_lo[j] >= 0.0:
+                    st.append("A")
+                    n_lo[j], n_hi[j] = p_lo[j], p_hi[j]
+                elif p_hi[j] <= 0.0:
+                    st.append("I")
+                    n_lo[j] = n_hi[j] = 0.0
+                else:
+                    st.append("U")
+                    n_lo[j], n_hi[j] = 0.0, p_hi[j]
+            status.append(st)
+            a_lo, a_hi = n_lo, n_hi
+        else:
+            status.append(None)
+            a_lo, a_hi = p_lo, p_hi
+    return {"pre": pre, "status": status, "box": (lo, hi), "empty": False}
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,13 @@ def test_reach_divisibility_error_names_the_values(workdir, capsys):
         "error: t_end 0.1 is not a multiple of dt_control 0.5\n"
 
 
+# a well-formed spec for a 6-input, 1-output net; the bad-input cases below
+# break one part of it
+SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1]], '
+         '"premise": [], "conclusion": [{"in": [0, 0, 0, 0, 0, 0], "out": [1], '
+         '"rel": "<=", "rhs": 1}]}')
+
+
 @pytest.mark.parametrize("argv, text", [
     (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": []}'),
     (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": 5}'),
@@ -355,6 +362,10 @@ def test_reach_divisibility_error_names_the_values(workdir, capsys):
     (["simulate", "--t-end", "1", "--config", "BAD"],
      '{"simulate": {"mode": "closed", "strict": true}}'),
     (["simulate", "--t-end", "1", "--config", "BAD"], '{"simulate": {"mode": "sideways"}}'),
+    (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace("[0, 1]]", "[1, 0]]")),
+    (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace('"rhs": 1', '"rhs": NaN')),
+    (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace("[0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0]")),
+    (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace('"out": [1]', '"out": [1, 0]')),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -364,7 +375,8 @@ def test_reach_divisibility_error_names_the_values(workdir, capsys):
         "critical-zero-resolution", "data-bad-header", "eps-list-not-float",
         "sweep-zero-points", "sweep-zero-eps", "sim-strict-alpha-open",
         "sim-strict-alpha-closed", "config-bad-choice", "config-bad-int",
-        "config-strict-alpha-closed", "config-bad-mode"])
+        "config-strict-alpha-closed", "config-bad-mode", "spec-reversed-box",
+        "spec-nan-rhs", "spec-short-in", "spec-long-out"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import interval_propagation
 from seedwing.aeromodel import State, rk4_step, _deriv_raw
 from seedwing.intervals import Interval
 from seedwing.mlp import Layer, Network, embed_normalization, forward
@@ -8,7 +9,6 @@ from seedwing.reach import (BranchFailure, ReachConfig, ReachDomainError,
                             goal_check, initial_zonotope, interval_jacobian,
                             nn_output_set, point_jacobian, reach_control_cycle,
                             reach_full, reach_step, reach_to_csv)
-from seedwing.verifier import interval_bounds
 from seedwing.zono import Zonotope, zono_hull, zono_max_linear, zono_sample
 
 
@@ -19,7 +19,7 @@ def constant_net(value, n_in=6):
 def interval_output(net, Z):
     """Clamped output interval of plain interval propagation over Z's hull."""
     lo, hi = zono_hull(Z)
-    p_lo, p_hi = interval_bounds(net, tuple(zip(lo, hi)))["pre"][-1]
+    p_lo, p_hi = interval_propagation(net, tuple(zip(lo, hi)))["pre"][-1]
     return Interval(min(max(float(p_lo[0]), 0.181), 0.193),
                     min(max(float(p_hi[0]), 0.181), 0.193))
 

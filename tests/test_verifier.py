@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import (double_network, encode_robustness_doubled,
-                     enumerate_verify, forward_preacts)
+                     enumerate_verify, forward_preacts, interval_propagation)
 from seedwing import mlp
 from seedwing.mlp import Layer, Network, embed_normalization, \
     forward, forward_batch, init_network
@@ -99,6 +102,43 @@ class TestLinConstraint:
             PropertySpec("bad", ((0, 1),),
                          (LinConstraint((0.0,), (1.0,), "<=", 1.0),), ())
 
+    @pytest.mark.parametrize("in_coef, out_coef, rhs", [
+        ((1.0,), (0.0,), float("nan")), ((1.0,), (0.0,), float("inf")),
+        ((float("nan"),), (0.0,), 1.0), ((1.0,), (float("-inf"),), 1.0)])
+    def test_non_finite_rejected(self, in_coef, out_coef, rhs):
+        with pytest.raises(ValueError, match="must be finite"):
+            LinConstraint(in_coef, out_coef, "<=", rhs)
+
+
+OUT_LE_1 = LinConstraint((0.0, 0.0), (1.0,), "<=", 1.0)
+
+
+class TestPropertySpecValidation:
+    @pytest.mark.parametrize("box", [((0.0, 1.0), (1.0, 0.0)),
+                                     ((0.0, 1.0), (0.0, float("inf"))),
+                                     ((0.0, 1.0), (float("nan"), 1.0))])
+    def test_bad_box_rejected_by_index(self, box):
+        with pytest.raises(ValueError, match=r"input_box\[1\]"):
+            PropertySpec("p", box, (), (OUT_LE_1,))
+
+    def test_point_box_accepted(self):
+        assert PropertySpec("p", ((0.5, 0.5), (0.0, 1.0)), (), (OUT_LE_1,)).n_in == 2
+
+    def test_in_length_must_match_box(self):
+        short = LinConstraint((1.0,), (0.0,), "<=", 1.0)
+        with pytest.raises(ValueError, match=r"premise\[0\]: 1 'in' coefficients for 2"):
+            PropertySpec("p", ((0.0, 1.0), (0.0, 1.0)), (short,), (OUT_LE_1,))
+        with pytest.raises(ValueError, match=r"conclusion\[1\]: 3 'in'"):
+            PropertySpec("p", ((0.0, 1.0), (0.0, 1.0)), (),
+                         (OUT_LE_1, LinConstraint((0.0,) * 3, (1.0,), "<=", 1.0)))
+
+    def test_out_length_must_match_network(self):
+        net = init_network((2, 3, 1), seed=0)
+        spec = PropertySpec("p", ((0.0, 1.0), (0.0, 1.0)), (),
+                            (LinConstraint((0.0, 0.0), (1.0, 0.0), "<=", 1.0),))
+        with pytest.raises(ValueError, match=r"conclusion\[0\]: 2 'out' coefficients for 1"):
+            bab_verify(net, spec)
+
 
 class TestTightenBox:
     def test_line_premise_contracts(self):
@@ -147,6 +187,80 @@ class TestIntervalBounds:
                        Layer(np.array([[1.0]]), np.array([0.0]), "id")))
         info = interval_bounds(net, ((0.0, 1.0),), phases={(0, 0): 0})
         assert info["empty"]
+
+    @pytest.mark.parametrize("phase, bias, empty", [
+        (1, -1.0 - 1e-13, False), (1, -1.0 - 1e-11, True),
+        (0, 1e-13, False), (0, 1e-11, True)])
+    def test_forced_phase_contradiction_slack(self, phase, bias, empty):
+        # x in [0, 1], pre = x + bias: a forced phase empties the node only
+        # when the bounds contradict it by more than 1e-12
+        net = Network((Layer(np.array([[1.0]]), np.array([bias]), "relu"),
+                       Layer(np.array([[1.0]]), np.array([0.0]), "id")))
+        assert interval_bounds(net, ((0.0, 1.0),), phases={(0, 0): phase})["empty"] == empty
+
+    def test_forced_phases_pass_or_zero_the_row(self):
+        # x in [-1, 1] feeds two copies of relu(x); forced active, the first
+        # keeps x's row (interval clipped at 0), forced inactive the second is 0
+        net = Network((Layer(np.array([[1.0], [1.0]]), np.zeros(2), "relu"),
+                       Layer(np.array([[1.0, 1.0]]), np.zeros(1), "id")))
+        info = interval_bounds(net, ((-1.0, 1.0),), phases={(0, 0): 1, (0, 1): 0})
+        assert info["status"][0] == "AI"
+        assert info["pre"][1][0][0] == 0.0 and info["pre"][1][1][0] == 1.0
+
+
+@st.composite
+def phased_queries(draw):
+    """A random small net (as rand_net builds them), a box with some zero
+    widths, a dict of forced phases and sample points in the box."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    net = rand_net(rng)
+    lo = np.array([draw(st.floats(-1.5, 1.5)) for _ in range(net.n_in)])
+    width = np.array([draw(st.sampled_from([0.0, 1e-3, 1.0]) | st.floats(0.0, 2.0))
+                      for _ in range(net.n_in)])
+    phases = {}
+    for li, layer in enumerate(net.layers):
+        if layer.act == "relu":
+            for j in range(layer.w.shape[0]):
+                phase = draw(st.sampled_from([None, None, 0, 1]))
+                if phase is not None:
+                    phases[(li, j)] = phase
+    X = np.vstack([lo, lo + width, rng.uniform(lo, lo + width, size=(300, net.n_in))])
+    return net, tuple(zip(lo, lo + width)), phases, X
+
+
+def _agrees(phases, pres) -> bool:
+    return all((pres[li][j] >= 0.0) if phase else (pres[li][j] <= 0.0)
+               for (li, j), phase in phases.items())
+
+
+class TestIntervalBoundsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(phased_queries())
+    def test_bounds_contain_points_that_agree_with_the_phases(self, query):
+        net, box, phases, X = query
+        info = interval_bounds(net, box, phases)
+        for x in X:
+            pres = forward_preacts(net, x)
+            if not _agrees(phases, pres):
+                continue
+            assert not info["empty"], f"node emptied but {x} agrees with {phases}"
+            for (lo, hi), z in zip(info["pre"], pres):
+                tol = 1e-9 * (1.0 + np.abs(z))
+                assert np.all(z >= lo - tol) and np.all(z <= hi + tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(phased_queries(), st.booleans())
+    def test_bounds_inside_interval_propagation(self, query, use_phases):
+        net, box, phases, _ = query
+        phases = phases if use_phases else {}
+        info = interval_bounds(net, box, phases)
+        ref = interval_propagation(net, box, phases)
+        if not phases:
+            assert not info["empty"] and not ref["empty"]
+        # a node either routine empties has bounds up to that layer only
+        for (lo, hi), (r_lo, r_hi) in zip(info["pre"], ref["pre"]):
+            tol = 1e-12 * (1.0 + np.abs(r_lo) + np.abs(r_hi))
+            assert np.all(lo >= r_lo - tol) and np.all(hi <= r_hi + tol)
 
 
 class TestEncodings:
