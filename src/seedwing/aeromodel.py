@@ -214,6 +214,10 @@ def _derivative_core(x, e_x, p: PlateParams):
     return (dx1, dx2, dx3, x3, x1 * c4 - x2 * s4, x1 * s4 + x2 * c4)
 
 
+# the state entries the core reads: positions x5, x6 never enter f, so
+# Jacobians seed dual lanes for x1..x4 and u only
+_derivative_core.reads = (0, 1, 2, 3)
+
 # float-path name of the core, used by rk4_step
 _deriv_raw = _derivative_core
 

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import multiprocessing
 import sys
 import time
@@ -141,11 +142,18 @@ def _rejected_settings():
         raise UsageError(str(exc)) from exc
 
 
-# argparse types of the list and count flags: a bad value is a usage error
-# before any work starts
+# argparse types of the number, list and count flags: a bad value is a
+# usage error before any work starts
+
+def finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
 
 def float_list(text) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(finite_float(v) for v in text.split(","))
 
 
 def positive_float_list(text) -> tuple:
@@ -401,8 +409,8 @@ def cmd_reach(args):
     target = mlp.embed_normalization(net) if net.norm is not None else net
     with _rejected_settings():
         cfg = ReachConfig(**_given(args, "dt", "t_end", "max_order", n_splits="splits"))
-    cells = enumerate(x6_cells((_d(args, "x6_lo", X6_RANGE[0]), _d(args, "x6_hi", X6_RANGE[1])),
-                               cfg.n_splits))
+        cells = enumerate(x6_cells((_d(args, "x6_lo", X6_RANGE[0]),
+                                    _d(args, "x6_hi", X6_RANGE[1])), cfg.n_splits))
     branches = _ordered_map(functools.partial(_reach_cell, target, PlateParams(), cfg),
                             cells, _d(args, "jobs", 1))
     result = ReachResult(branches, cfg)
@@ -447,12 +455,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("simulate", help="open- or closed-loop trajectory")
     sp.add_argument("--mode", choices=("open", "closed"), help="default open")
-    sp.add_argument("--ex", type=float, help="fixed actuation (open loop)")
+    sp.add_argument("--ex", type=finite_float, help="fixed actuation (open loop)")
     sp.add_argument("--net", help="network controller (closed loop)")
-    sp.add_argument("--x6-start", dest="x6_start", type=float)
-    sp.add_argument("--t-end", dest="t_end", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--dt-control", dest="dt_control", type=float)
+    sp.add_argument("--x6-start", dest="x6_start", type=finite_float)
+    sp.add_argument("--t-end", dest="t_end", type=finite_float)
+    sp.add_argument("--dt", type=finite_float)
+    sp.add_argument("--dt-control", dest="dt_control", type=finite_float)
     sp.add_argument("--out")
     sp.add_argument("--svg")
     sp.add_argument("--strict", action="store_true", default=None,
@@ -461,9 +469,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("gen-data", help="behaviour-cloning dataset from the PID teacher")
-    sp.add_argument("--kp", type=float)
-    sp.add_argument("--ki", type=float)
-    sp.add_argument("--kd", type=float)
+    sp.add_argument("--kp", type=finite_float)
+    sp.add_argument("--ki", type=finite_float)
+    sp.add_argument("--kd", type=finite_float)
     sp.add_argument("--record-skip", dest="record_skip", type=int)
     sp.add_argument("--out")
     sp.add_argument("--norm-out", dest="norm_out")
@@ -476,23 +484,23 @@ def build_parser() -> _Parser:
         sp.add_argument("--out")
         sp.add_argument("--embedded-out", dest="embedded_out")
         sp.add_argument("--epochs", type=int)
-        sp.add_argument("--lr", type=float)
+        sp.add_argument("--lr", type=finite_float)
         sp.add_argument("--batch-size", dest="batch_size", type=int)
         sp.add_argument("--seed", type=int)
         if name == "train-adv":
-            sp.add_argument("--epsilon", type=float)
+            sp.add_argument("--epsilon", type=finite_float)
             sp.add_argument("--pgd-steps", dest="pgd_steps", type=int)
             sp.add_argument("--restarts", type=int)
-            sp.add_argument("--lambda-lip", dest="lambda_lip", type=float)
+            sp.add_argument("--lambda-lip", dest="lambda_lip", type=finite_float)
         config(sp)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("verify", help="verify one property")
     sp.add_argument("--net")
     sp.add_argument("--property", dest="prop", type=int, choices=(1, 2, 3, 4))
-    sp.add_argument("--ystar", type=float)
+    sp.add_argument("--ystar", type=finite_float)
     sp.add_argument("--spec", help="PropertySpec JSON file")
-    sp.add_argument("--budget-s", dest="budget_s", type=float)
+    sp.add_argument("--budget-s", dest="budget_s", type=finite_float)
     sp.add_argument("--out")
     config(sp)
     sp.set_defaults(func=cmd_verify)
@@ -500,9 +508,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("critical-ystar", help="critical threshold per property")
     sp.add_argument("--net")
     sp.add_argument("--properties", type=property_kinds)
-    sp.add_argument("--resolution", type=float)
-    sp.add_argument("--search-max", dest="search_max", type=float)
-    sp.add_argument("--budget-s", dest="budget_s", type=float)
+    sp.add_argument("--resolution", type=finite_float)
+    sp.add_argument("--search-max", dest="search_max", type=finite_float)
+    sp.add_argument("--budget-s", dest="budget_s", type=finite_float)
     sp.add_argument("--out")
     config(sp)
     sp.set_defaults(func=cmd_critical_ystar)
@@ -513,8 +521,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--eps-list", dest="eps_list", type=positive_float_list)
     sp.add_argument("--lstar-list", dest="lstar_list", type=float_list)
     sp.add_argument("--points", type=positive_int)
-    sp.add_argument("--query-budget-s", dest="query_budget_s", type=float)
-    sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=float)
+    sp.add_argument("--query-budget-s", dest="query_budget_s", type=finite_float)
+    sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=finite_float)
     sp.add_argument("--out")
     config(sp)
     jobs(sp)
@@ -523,12 +531,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("reach", help="closed-loop reachable sets and goal check")
     sp.add_argument("--net")
     sp.add_argument("--splits", type=int)
-    sp.add_argument("--goal-ystar", dest="goal_ystar", type=float)
-    sp.add_argument("--x6-lo", dest="x6_lo", type=float)
-    sp.add_argument("--x6-hi", dest="x6_hi", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--t-end", dest="t_end", type=float)
-    sp.add_argument("--max-order", dest="max_order", type=float)
+    sp.add_argument("--goal-ystar", dest="goal_ystar", type=finite_float)
+    sp.add_argument("--x6-lo", dest="x6_lo", type=finite_float)
+    sp.add_argument("--x6-hi", dest="x6_hi", type=finite_float)
+    sp.add_argument("--dt", type=finite_float)
+    sp.add_argument("--t-end", dest="t_end", type=finite_float)
+    sp.add_argument("--max-order", dest="max_order", type=finite_float)
     sp.add_argument("--out")
     sp.add_argument("--svg")
     config(sp)

@@ -66,6 +66,25 @@ def _product(al, ah, bl, bh):
     return lo, hi
 
 
+def _pad(l, h):
+    """(l, h) widened outward as _iv widens it, as a float pair; a NaN or
+    reversed pair raises the Interval error."""
+    l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+    h += (h if h >= 0.0 else -h) * _PAD + _TINY
+    if not l <= h:
+        Interval(l, h)      # raises
+    return l, h
+
+
+def _scale(l, h, t):
+    """Interval * float on a float pair: padded bounds of [l, h] * t."""
+    l, h = (l * t, h * t) if t >= 0 else (h * t, l * t)
+    if not l <= h and t == t:
+        # a 0 * inf product counts as 0, as in Interval * float
+        l, h = (0.0 if q != q else q for q in (l, h))
+    return _pad(l, h)
+
+
 class Interval:
     """Closed interval [lo, hi] with outward-rounded arithmetic."""
 
@@ -227,9 +246,25 @@ def interval_atan2(y: Interval, x: Interval) -> Interval:
 # -- flat interval partials -------------------------------------------------
 # An interval-valued Dual keeps partial k as the float pair (lo[k], hi[k]).
 # These loops do per pair what the Interval operators do per object: the same
-# products and sums, padded like _iv and in the same order. A pair that fails
-# the one `not l <= h` test (a NaN) is redone with Interval objects, which
-# either give the Interval operators' result or raise their error.
+# products and sums, padded like _iv and in the same order, one pass per Dual
+# operator. A pair that fails the one `not l <= h` test (a NaN) is redone with
+# Interval objects, which either give the Interval operators' result or raise
+# their error. |x| is written `x if x >= 0.0 else -x`, which pads -0.0 and
+# NaN to the same bits as abs(x).
+#
+# A constant operand acts as a Dual with zero partials. Such a partial times
+# a finite value pads to _ZERO = [-_TINY, _TINY], so the constant paths add
+# that pair instead of forming the products.
+
+_ZERO = _interval(-_TINY, _TINY)
+
+
+def _finite(v) -> bool:
+    """v, a number or an Interval, has finite endpoints."""
+    if isinstance(v, Interval):
+        return math.isfinite(v.lo) and math.isfinite(v.hi)
+    return math.isfinite(v)
+
 
 def _neg(lo, hi):
     return [-h for h in hi], [-l for l in lo]
@@ -241,8 +276,8 @@ def _sum(alo, ahi, blo, bhi):
     for a, b, c, d in zip(alo, ahi, blo, bhi):
         lo = a + c
         hi = b + d
-        lo -= abs(lo) * _PAD + _TINY
-        hi += abs(hi) * _PAD + _TINY
+        lo -= (lo if lo >= 0.0 else -lo) * _PAD + _TINY
+        hi += (hi if hi >= 0.0 else -hi) * _PAD + _TINY
         if not lo <= hi:
             x = _interval(a, b) + _interval(c, d)
             lo, hi = x.lo, x.hi
@@ -251,21 +286,41 @@ def _sum(alo, ahi, blo, bhi):
     return out_lo, out_hi
 
 
-def _scaled(lo, hi, f, plus=None):
-    """Padded products of interval partials with one factor f, a float or an
-    Interval; with `plus`, a pair of partial lists, each product is then
-    added to the matching partial of `plus` and padded again.
-
-    These are _product's sign cases with f's case picked once. A float f
-    acts as [f, f], whose products are the ones Interval * float takes."""
-    if isinstance(f, Interval):
-        fl, fh = f.lo, f.hi
-    else:
-        fl = fh = f
-    case = 0 if fl >= 0.0 else 1 if fh <= 0.0 else 2
-    add_lo, add_hi = plus if plus is not None else (lo, hi)    # unread without plus
+def _padded(lo, hi, negate=False):
+    """Padded interval partials, negated with `negate`: the partials of a
+    Dual plus or minus a constant (or of the constant minus the Dual), whose
+    zero partials change no bit that the padding keeps (a + 0.0 differs from
+    a only at -0.0, and padding rounds symmetrically)."""
     out_lo, out_hi = [], []
-    for a, b, c, d in zip(lo, hi, add_lo, add_hi):
+    for a, b in zip(lo, hi):
+        l = a - ((a if a >= 0.0 else -a) * _PAD + _TINY)
+        h = b + ((b if b >= 0.0 else -b) * _PAD + _TINY)
+        if not l <= h:
+            x = _iv(a, b)
+            l, h = x.lo, x.hi
+        if negate:
+            l, h = -h, -l
+        out_lo.append(l)
+        out_hi.append(h)
+    return out_lo, out_hi
+
+
+def _cases(f):
+    """f's endpoints and _product's sign case for it: 0 if f >= 0, 1 if
+    f <= 0, 2 if it straddles zero. A float f acts as [f, f], whose products
+    are the ones Interval * float takes."""
+    fl, fh = (f.lo, f.hi) if isinstance(f, Interval) else (f, f)
+    return fl, fh, 0 if fl >= 0.0 else 1 if fh <= 0.0 else 2
+
+
+def _scaled(lo, hi, f, lifted=False):
+    """Padded products of interval partials with one factor f, a float or an
+    Interval: _product's sign cases with f's case picked once. With `lifted`
+    each product then gets _ZERO added and is padded again: the partials of
+    a Dual with a finite value times the constant f."""
+    fl, fh, case = _cases(f)
+    out_lo, out_hi = [], []
+    for a, b in zip(lo, hi):
         if case == 0:
             l = a * fl if a >= 0.0 else a * fh
             h = b * fh if b >= 0.0 else b * fl
@@ -281,17 +336,105 @@ def _scaled(lo, hi, f, plus=None):
             p = b * fh
             if p > h:
                 h = p
-        l -= abs(l) * _PAD + _TINY
-        h += abs(h) * _PAD + _TINY
-        if plus is not None:
-            l += c
-            h += d
-            l -= abs(l) * _PAD + _TINY
-            h += abs(h) * _PAD + _TINY
+        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+        h += (h if h >= 0.0 else -h) * _PAD + _TINY
+        if lifted:
+            l -= _TINY
+            h += _TINY
+            l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+            h += (h if h >= 0.0 else -h) * _PAD + _TINY
         if not l <= h:
             x = _interval(a, b) * f
-            if plus is not None:
-                x = x + _interval(c, d)
+            if lifted:
+                x = x + _ZERO
+            l, h = x.lo, x.hi
+        out_lo.append(l)
+        out_hi.append(h)
+    return out_lo, out_hi
+
+
+def _scaled_sum(alo, ahi, f, blo, bhi, g):
+    """Padded sums of the padded products a * f and b * g of two lists of
+    interval partials (f and g floats or Intervals): the partials of a Dual
+    product, in one pass."""
+    fl, fh, fcase = _cases(f)
+    gl, gh, gcase = _cases(g)
+    out_lo, out_hi = [], []
+    for a, b, c, d in zip(alo, ahi, blo, bhi):
+        if fcase == 0:
+            l1 = a * fl if a >= 0.0 else a * fh
+            h1 = b * fh if b >= 0.0 else b * fl
+        elif fcase == 1:
+            l1 = b * fl if b >= 0.0 else b * fh
+            h1 = a * fh if a >= 0.0 else a * fl
+        else:
+            l1 = a * fh
+            p = b * fl
+            if p < l1:
+                l1 = p
+            h1 = a * fl
+            p = b * fh
+            if p > h1:
+                h1 = p
+        if gcase == 0:
+            l = c * gl if c >= 0.0 else c * gh
+            h = d * gh if d >= 0.0 else d * gl
+        elif gcase == 1:
+            l = d * gl if d >= 0.0 else d * gh
+            h = c * gh if c >= 0.0 else c * gl
+        else:
+            l = c * gh
+            p = d * gl
+            if p < l:
+                l = p
+            h = c * gl
+            p = d * gh
+            if p > h:
+                h = p
+        l1 -= (l1 if l1 >= 0.0 else -l1) * _PAD + _TINY
+        h1 += (h1 if h1 >= 0.0 else -h1) * _PAD + _TINY
+        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+        h += (h if h >= 0.0 else -h) * _PAD + _TINY
+        l += l1
+        h += h1
+        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+        h += (h if h >= 0.0 else -h) * _PAD + _TINY
+        if not l <= h:
+            x = _interval(c, d) * g + _interval(a, b) * f
+            l, h = x.lo, x.hi
+        out_lo.append(l)
+        out_hi.append(h)
+    return out_lo, out_hi
+
+
+def _quotient(lo, hi, inv):
+    """Padded partials of a Dual with a finite value over a constant, in one
+    pass: each partial minus _ZERO, padded, then times inv, the constant's
+    reciprocal, padded. The difference is checked before the product, whose
+    straddling case would drop a NaN factor."""
+    il, ih, icase = _cases(inv)
+    out_lo, out_hi = [], []
+    for a, b in zip(lo, hi):
+        s, t = _pad(a - _TINY, b + _TINY)
+        if icase == 0:
+            l = s * il if s >= 0.0 else s * ih
+            h = t * ih if t >= 0.0 else t * il
+        elif icase == 1:
+            l = t * il if t >= 0.0 else t * ih
+            h = s * ih if s >= 0.0 else s * il
+        else:
+            l = s * ih
+            p = t * il
+            if p < l:
+                l = p
+            h = s * il
+            p = t * ih
+            if p > h:
+                h = p
+        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+        h += (h if h >= 0.0 else -h) * _PAD + _TINY
+        if not l <= h:
+            x = (_interval(a, b) + _ZERO) * inv
             l, h = x.lo, x.hi
         out_lo.append(l)
         out_hi.append(h)
@@ -363,54 +506,81 @@ class Dual:
         return _dual(-self.val, *_neg(self.lo, self.hi))
 
     def __add__(self, other):
-        o = _operand(other, self)
-        if o is None:
-            return NotImplemented
-        val = self.val + o.val
-        if self.hi is None and o.hi is None:
-            return _dual(val, [a + b for a, b in zip(self.lo, o.lo)])
-        return _dual(val, *_sum(*_ends(self), *_ends(o)))
+        if isinstance(other, Dual):
+            val = self.val + other.val
+            if self.hi is None and other.hi is None:
+                return _dual(val, [a + b for a, b in zip(self.lo, other.lo)])
+            return _dual(val, *_sum(*_ends(self), *_ends(other)))
+        if isinstance(other, (int, float)) and self.hi is None:
+            return _dual(self.val + other, [a + 0.0 for a in self.lo])
+        if isinstance(other, (int, float, Interval)):
+            return _dual(self.val + other, *_padded(*_ends(self)))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _operand(other, self)
-        if o is None:
-            return NotImplemented
-        val = self.val - o.val
-        if self.hi is None and o.hi is None:
-            return _dual(val, [a - b for a, b in zip(self.lo, o.lo)])
-        return _dual(val, *_sum(*_ends(self), *_neg(*_ends(o))))
+        if isinstance(other, Dual):
+            val = self.val - other.val
+            if self.hi is None and other.hi is None:
+                return _dual(val, [a - b for a, b in zip(self.lo, other.lo)])
+            return _dual(val, *_sum(*_ends(self), *_neg(*_ends(other))))
+        if isinstance(other, (int, float)) and self.hi is None:
+            return _dual(self.val - other, [a - 0.0 for a in self.lo])
+        if isinstance(other, (int, float, Interval)):
+            return _dual(self.val - other, *_padded(*_ends(self)))
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = _operand(other, self)
-        return NotImplemented if o is None else o.__sub__(self)
+        if isinstance(other, (int, float)) and self.hi is None:
+            return _dual(other - self.val, [0.0 - a for a in self.lo])
+        if isinstance(other, (int, float, Interval)):
+            return _dual(other - self.val, *_padded(*_ends(self), negate=True))
+        return NotImplemented
 
     def __mul__(self, other):
-        if self.hi is None and isinstance(other, (int, float)):
+        if isinstance(other, Dual):
+            v, w = self.val, other.val
+            val = v * w
+            if self.hi is None and other.hi is None:
+                return _dual(val, [a * w + v * b for a, b in zip(self.lo, other.lo)])
+            return _dual(val, *_scaled_sum(*_ends(self), w, *_ends(other), v))
+        if isinstance(other, (int, float)) and self.hi is None:
             # the lifted constant's zero partials, folded: v * 0.0 each
             vz = self.val * 0.0
             return _dual(self.val * other, [a * other + vz for a in self.lo])
-        o = _operand(other, self)
-        if o is None:
-            return NotImplemented
-        v, w = self.val, o.val
-        val = v * w
-        if self.hi is None and o.hi is None:
-            return _dual(val, [a * w + v * b for a, b in zip(self.lo, o.lo)])
-        return _dual(val, *_scaled(*_ends(o), v, _scaled(*_ends(self), w)))
+        if isinstance(other, (int, float, Interval)):
+            v = self.val
+            val = v * other
+            if _finite(v):
+                return _dual(val, *_scaled(*_ends(self), other, lifted=True))
+            zeros = [0.0] * len(self.lo)
+            return _dual(val, *_scaled_sum(*_ends(self), other, zeros, zeros, v))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _operand(other, self)
-        if o is None:
+        if isinstance(other, Dual):
+            inv = 1.0 / other.val
+            q = self.val * inv
+            if self.hi is None and other.hi is None:
+                return _dual(q, [(a - q * b) * inv for a, b in zip(self.lo, other.lo)])
+            o_lo, o_hi = _ends(other)
+        elif isinstance(other, (int, float)) and self.hi is None:
+            inv = 1.0 / other
+            q = self.val * inv
+            qz = q * 0.0
+            return _dual(q, [(a - qz) * inv for a in self.lo])
+        elif isinstance(other, (int, float, Interval)):
+            inv = 1.0 / other
+            q = self.val * inv
+            if _finite(q):
+                return _dual(q, *_quotient(*_ends(self), inv))
+            o_lo = o_hi = [0.0] * len(self.lo)
+        else:
             return NotImplemented
-        inv = 1.0 / o.val
-        q = self.val * inv
-        if self.hi is None and o.hi is None:
-            return _dual(q, [(a - q * b) * inv for a, b in zip(self.lo, o.lo)])
-        return _dual(q, *_scaled(*_sum(*_ends(self), *_neg(*_scaled(*_ends(o), q))), inv))
+        return _dual(q, *_scaled(*_sum(*_ends(self), *_neg(*_scaled(o_lo, o_hi, q))), inv))
 
     def __rtruediv__(self, other):
         o = _operand(other, self)

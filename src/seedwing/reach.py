@@ -18,7 +18,7 @@ import numpy as np
 from . import intervals as iv
 from .aeromodel import DT, EX_MAX, EX_MIN, T_END, PlateParams, _derivative_core
 from .closedloop import DT_CONTROL, check_multiple
-from .intervals import Dual, Interval
+from .intervals import Dual, Interval, _pad, _product, _scale
 from .mlp import Network, propagate_bounds
 from .zono import Zonotope, zono_hull, zono_max_linear, zono_reduce
 
@@ -93,33 +93,56 @@ def interval_derivative(x_ivs, u_iv: Interval, p: PlateParams, core=None):
         raise ReachDomainError(str(exc)) from exc
 
 
+def _lanes(core):
+    """State entries the core declares it reads (its `reads` attribute), or
+    all six; only these and u are seeded as dual lanes."""
+    return tuple(getattr(core, "reads", range(6)))
+
+
+def _seeded(x, u, lanes, kind):
+    """x with the read entries replaced by Duals seeded over lanes + u, and
+    the seeded u."""
+    seeds = Dual.seed([x[j] for j in lanes] + [u], kind=kind)
+    x = list(x)
+    for j, s in zip(lanes, seeds):
+        x[j] = s
+    return x, seeds[-1]
+
+
 def point_jacobian(x, u: float, p: PlateParams, core=None):
-    """6x7 Jacobian d f / d(x1..x6, u) at a point, via dual numbers."""
+    """6x7 Jacobian d f / d(x1..x6, u) at a point, via dual numbers. Columns
+    of entries the core does not read are exact zeros."""
     f = core if core is not None else _derivative_core
-    seeds = Dual.seed([float(v) for v in x] + [float(u)], kind=float)
-    out = f(seeds[:6], seeds[6], p)
+    lanes = _lanes(f)
+    out = f(*_seeded([float(v) for v in x], float(u), lanes, float), p)
+    cols = list(lanes) + [6]
     J = np.zeros((6, 7))
     for i, d in enumerate(out):
         if isinstance(d, Dual):
-            J[i, :] = d.der
+            J[i, cols] = d.lo
     return J
 
 
 def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams, core=None):
     """6x7 matrix of Interval partials of f over the box x_ivs x u_iv.
+    Columns of entries the core does not read are exact zeros.
 
     Raises ReachDomainError when the set leaves the enclosure domain.
     """
     f = core if core is not None else _derivative_core
-    seeds = Dual.seed(list(x_ivs) + [u_iv], kind=Interval)
+    lanes = _lanes(f)
     try:
-        out = f(seeds[:6], seeds[6], p)
+        out = f(*_seeded(x_ivs, u_iv, lanes, Interval), p)
     except iv.IntervalDomainError as exc:
         raise ReachDomainError(str(exc)) from exc
-    J = [[Interval(0.0)] * 7 for _ in range(6)]
+    cols = lanes + (6,)
+    zero = Interval(0.0)
+    J = [[zero] * 7 for _ in range(6)]
     for i, d in enumerate(out):
         if isinstance(d, Dual):
-            J[i] = [iv.as_interval(v) for v in d.der]
+            row = J[i]
+            for k, v in zip(cols, d.der):
+                row[k] = v
         # constant rows (no Dual) keep zero partials
     return J
 
@@ -151,6 +174,43 @@ def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig,
     raise BranchFailure("a-priori step enclosure did not converge")
 
 
+def _remainder(lo, hi, c, J_int, J_c, u_set: Interval, fB, dt):
+    """Bounds (lo, hi lists) of the step remainder per state row: the
+    linearization error (J_int - J_c)·dx over the hull [lo, hi] about the
+    centre c, the held actuation J_u·du, and the Euler truncation
+    J_int·fB·dt²/2 over the a-priori box's derivative enclosure fB.
+
+    The arithmetic is that of Interval objects on float endpoint pairs:
+    _product's sign cases, _iv's padding and the same summation order, so
+    the bounds are the Interval expression's bit for bit.
+    """
+    u_c = u_set.mid
+    du_lo, du_hi = _pad(u_set.lo - u_c, u_set.hi - u_c)
+    # the hull about the linearization point, shared by every row
+    dx = [(l - m, h - m) for l, h, m in zip(lo, hi, c)]
+    fB = [(f.lo, f.hi) for f in fB]
+    half_dt2 = 0.5 * dt * dt
+    rem_lo, rem_hi = [], []
+    for J_row, Jc_row in zip(J_int, J_c):
+        al = ah = 0.0           # (J_int - J_c)·dx
+        tl = th = 0.0           # J_int·fB
+        for J, jc, (xl, xh), (fl, fh) in zip(J_row, Jc_row, dx, fB):
+            dl, dh = _pad(J.lo - jc, J.hi - jc)
+            pl, ph = _pad(*_product(dl, dh, xl, xh))
+            al, ah = _pad(al + pl, ah + ph)
+            pl, ph = _pad(*_product(J.lo, J.hi, fl, fh))
+            tl, th = _pad(tl + pl, th + ph)
+        al, ah = _scale(al, ah, dt)
+        J = J_row[6]
+        pl, ph = _scale(*_pad(*_product(J.lo, J.hi, du_lo, du_hi)), dt)
+        al, ah = _pad(al + pl, ah + ph)
+        pl, ph = _scale(tl, th, half_dt2)
+        al, ah = _pad(al + pl, ah + ph)
+        rem_lo.append(al)
+        rem_hi.append(ah)
+    return rem_lo, rem_hi
+
+
 def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
                cfg: ReachConfig = ReachConfig(), core=None,
                return_info: bool = False):
@@ -174,25 +234,9 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     center = Z.c + dt * f_c
     G_lin = A @ Z.G
 
-    du = u_set - u_c
-    # the hull about the linearization point, shared by every row
-    dx = [Interval(lo[j] - c[j], hi[j] - c[j]) for j in range(6)]
-    J_c_rows = J_c.tolist()
-    rem = []
-    for i in range(6):
-        acc = Interval(0.0)
-        for j in range(6):
-            dJ = J_int[i][j] - J_c_rows[i][j]
-            acc = acc + dJ * dx[j]
-        acc = acc * dt
-        acc = acc + (J_int[i][6] * du) * dt
-        trunc = Interval(0.0)
-        for j in range(6):
-            trunc = trunc + J_int[i][j] * fB[j]
-        acc = acc + trunc * (0.5 * dt * dt)
-        rem.append(acc)
-    rem_mid = np.array([r.mid for r in rem])
-    rem_rad = np.array([r.rad for r in rem])
+    rem_lo, rem_hi = _remainder(lo, hi, c, J_int, J_c.tolist(), u_set, fB, dt)
+    rem_mid = 0.5 * (np.array(rem_lo) + np.array(rem_hi))
+    rem_rad = 0.5 * (np.array(rem_hi) - np.array(rem_lo))
     Z_next = Zonotope(center + rem_mid, np.hstack([G_lin, np.diag(rem_rad)]))
     Z_next = zono_reduce(Z_next, cfg.max_order)
     lo_next, hi_next = zono_hull(Z_next)
@@ -200,6 +244,7 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     if w > cfg.blowup_width:
         raise BranchFailure(f"set blow-up: hull width {w:.3g}")
     if return_info:
+        rem = [Interval(a, b) for a, b in zip(rem_lo, rem_hi)]
         return Z_next, {"remainder": rem, "apriori": B, "J_int": J_int,
                         "J_c": J_c, "f_c": f_c}
     return Z_next
@@ -260,7 +305,15 @@ class ReachResult:
         return [b for b in self.branches if not b.failed]
 
 
+def _check_x6(x6_lo, x6_hi):
+    """ValueError naming both ends unless x6_lo <= x6_hi (equal ends, a
+    point, are allowed)."""
+    if not x6_lo <= x6_hi:
+        raise ValueError(f"x6 interval [{x6_lo}, {x6_hi}] needs lo <= hi")
+
+
 def initial_zonotope(x6_lo: float, x6_hi: float, base_state=None) -> Zonotope:
+    _check_x6(x6_lo, x6_hi)
     if base_state is None:
         c = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.5 * (x6_lo + x6_hi)])
     else:
@@ -276,6 +329,7 @@ def initial_zonotope(x6_lo: float, x6_hi: float, base_state=None) -> Zonotope:
 
 def x6_cells(x6_interval, n_splits: int) -> list:
     """The initial x6 interval split into n_splits equal cells."""
+    _check_x6(*x6_interval)
     edges = np.linspace(float(x6_interval[0]), float(x6_interval[1]), n_splits + 1)
     return [(float(edges[i]), float(edges[i + 1])) for i in range(n_splits)]
 

@@ -5,7 +5,10 @@ transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
 feasibility decision, a vertex-enumeration LP optimizer, a row-by-row
 simplex pivot, an exhaustive activation-pattern verification oracle,
 plain interval bound propagation, per-row pre-activations, the doubled-network form of the robustness query,
-and a forward-mode Dual that keeps one Interval object per partial.
+a forward-mode Dual that keeps one Interval object per partial, the
+two-pass Dual[Interval] operators (a constant lifted to a zero-partial
+Dual, a product as two passes of padded products), and the reach step's
+remainder with one Interval object per operation.
 """
 
 import itertools
@@ -486,3 +489,180 @@ def ref_atan2(y, x):
         return RefDual(v, [ref_div(ref_mul(x.val, dy) - ref_mul(y.val, dx), denom)
                            for dy, dx in zip(y.der, x.der)])
     return iv.atan2(y, x)
+
+
+# ---------------------------------------------------------------------------
+# two-pass Dual[Interval] operators (the references for the one-pass kernels)
+
+def two_pass_sum(alo, ahi, blo, bhi):
+    """Padded sums of two lists of interval partials."""
+    out_lo, out_hi = [], []
+    for a, b, c, d in zip(alo, ahi, blo, bhi):
+        lo = a + c
+        hi = b + d
+        lo -= abs(lo) * _PAD + _TINY
+        hi += abs(hi) * _PAD + _TINY
+        if not lo <= hi:
+            x = Interval(a, b) + Interval(c, d)
+            lo, hi = x.lo, x.hi
+        out_lo.append(lo)
+        out_hi.append(hi)
+    return out_lo, out_hi
+
+
+def two_pass_scaled(lo, hi, f, plus=None):
+    """Padded products of interval partials with one factor f, a float or an
+    Interval; with `plus`, a pair of partial lists, each product is then
+    added to the matching partial of `plus` and padded again."""
+    if isinstance(f, Interval):
+        fl, fh = f.lo, f.hi
+    else:
+        fl = fh = f
+    case = 0 if fl >= 0.0 else 1 if fh <= 0.0 else 2
+    add_lo, add_hi = plus if plus is not None else (lo, hi)
+    out_lo, out_hi = [], []
+    for a, b, c, d in zip(lo, hi, add_lo, add_hi):
+        if case == 0:
+            l = a * fl if a >= 0.0 else a * fh
+            h = b * fh if b >= 0.0 else b * fl
+        elif case == 1:
+            l = b * fl if b >= 0.0 else b * fh
+            h = a * fh if a >= 0.0 else a * fl
+        else:
+            l = a * fh
+            p = b * fl
+            if p < l:
+                l = p
+            h = a * fl
+            p = b * fh
+            if p > h:
+                h = p
+        l -= abs(l) * _PAD + _TINY
+        h += abs(h) * _PAD + _TINY
+        if plus is not None:
+            l += c
+            h += d
+            l -= abs(l) * _PAD + _TINY
+            h += abs(h) * _PAD + _TINY
+        if not l <= h:
+            x = Interval(a, b) * f
+            if plus is not None:
+                x = x + Interval(c, d)
+            l, h = x.lo, x.hi
+        out_lo.append(l)
+        out_hi.append(h)
+    return out_lo, out_hi
+
+
+def _two_pass_neg(lo, hi):
+    return [-h for h in hi], [-l for l in lo]
+
+
+def _two_pass_ends(x):
+    return x.lo, x.lo if x.hi is None else x.hi
+
+
+def _two_pass_operand(other, like):
+    """other as a Dual: itself, or a constant lifted to zero partials of
+    like's kind (interval if either is); None for other types."""
+    if isinstance(other, iv.Dual):
+        return other
+    if isinstance(other, (int, float, Interval)):
+        zeros = [0.0] * len(like.lo)
+        interval = like.hi is not None or isinstance(other, Interval)
+        return iv._dual(other, zeros, zeros if interval else None)
+    return None
+
+
+def two_pass_add(self, other):
+    o = _two_pass_operand(other, self)
+    if o is None:
+        return NotImplemented
+    val = self.val + o.val
+    if self.hi is None and o.hi is None:
+        return iv._dual(val, [a + b for a, b in zip(self.lo, o.lo)])
+    return iv._dual(val, *two_pass_sum(*_two_pass_ends(self), *_two_pass_ends(o)))
+
+
+def two_pass_sub(self, other):
+    o = _two_pass_operand(other, self)
+    if o is None:
+        return NotImplemented
+    val = self.val - o.val
+    if self.hi is None and o.hi is None:
+        return iv._dual(val, [a - b for a, b in zip(self.lo, o.lo)])
+    return iv._dual(val, *two_pass_sum(*_two_pass_ends(self),
+                                       *_two_pass_neg(*_two_pass_ends(o))))
+
+
+def two_pass_rsub(self, other):
+    o = _two_pass_operand(other, self)
+    return NotImplemented if o is None else two_pass_sub(o, self)
+
+
+def two_pass_mul(self, other):
+    if self.hi is None and isinstance(other, (int, float)):
+        vz = self.val * 0.0
+        return iv._dual(self.val * other, [a * other + vz for a in self.lo])
+    o = _two_pass_operand(other, self)
+    if o is None:
+        return NotImplemented
+    v, w = self.val, o.val
+    val = v * w
+    if self.hi is None and o.hi is None:
+        return iv._dual(val, [a * w + v * b for a, b in zip(self.lo, o.lo)])
+    return iv._dual(val, *two_pass_scaled(*_two_pass_ends(o), v,
+                                          two_pass_scaled(*_two_pass_ends(self), w)))
+
+
+def two_pass_truediv(self, other):
+    o = _two_pass_operand(other, self)
+    if o is None:
+        return NotImplemented
+    inv = 1.0 / o.val
+    q = self.val * inv
+    if self.hi is None and o.hi is None:
+        return iv._dual(q, [(a - q * b) * inv for a, b in zip(self.lo, o.lo)])
+    scaled = two_pass_scaled(*_two_pass_ends(o), q)
+    diff = two_pass_sum(*_two_pass_ends(self), *_two_pass_neg(*scaled))
+    return iv._dual(q, *two_pass_scaled(*diff, inv))
+
+
+def two_pass_rtruediv(self, other):
+    o = _two_pass_operand(other, self)
+    return NotImplemented if o is None else two_pass_truediv(o, self)
+
+
+# Dual's operators as the two-pass forms; patch them in with the kernels
+# (iv._sum, iv._scaled) to run the whole engine on the reference arithmetic
+TWO_PASS_OPERATORS = {
+    "__add__": two_pass_add, "__radd__": two_pass_add,
+    "__sub__": two_pass_sub, "__rsub__": two_pass_rsub,
+    "__mul__": two_pass_mul, "__rmul__": two_pass_mul,
+    "__truediv__": two_pass_truediv, "__rtruediv__": two_pass_rtruediv,
+}
+TWO_PASS_KERNELS = {"_sum": two_pass_sum, "_scaled": two_pass_scaled}
+
+
+# ---------------------------------------------------------------------------
+# the reach step's remainder with one Interval object per operation
+
+def remainder_intervals(lo, hi, c, J_int, J_c, u_set, fB, dt):
+    """Remainder bounds per row as (lo, hi) lists, from Interval operators:
+    (J_int - J_c)·dx over the hull about c, J_u·du, and J_int·fB·dt²/2."""
+    du = u_set - u_set.mid
+    dx = [Interval(lo[j] - c[j], hi[j] - c[j]) for j in range(6)]
+    rem = []
+    for i in range(6):
+        acc = Interval(0.0)
+        for j in range(6):
+            dJ = J_int[i][j] - J_c[i][j]
+            acc = acc + dJ * dx[j]
+        acc = acc * dt
+        acc = acc + (J_int[i][6] * du) * dt
+        trunc = Interval(0.0)
+        for j in range(6):
+            trunc = trunc + J_int[i][j] * fB[j]
+        acc = acc + trunc * (0.5 * dt * dt)
+        rem.append(acc)
+    return [r.lo for r in rem], [r.hi for r in rem]

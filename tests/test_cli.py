@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from seedwing import mlp
-from seedwing.cli import _apply_config, build_parser, main
+from seedwing.cli import (_apply_config, build_parser, finite_float, float_list, main,
+                          positive_float_list)
 from seedwing.verifier import LinConstraint, PropertySpec
 
 
@@ -266,7 +267,7 @@ def _sample(dest, action):
         return _SAMPLES[dest]
     if action.choices:
         return str(list(action.choices)[-1])
-    return {int: "2", float: "0.25"}.get(action.type, "x")
+    return {int: "2", finite_float: "0.25"}.get(action.type, "x")
 
 
 @pytest.mark.parametrize("command", sorted(build_parser().commands))
@@ -366,6 +367,7 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
     (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace('"rhs": 1', '"rhs": NaN')),
     (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace("[0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0]")),
     (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace('"out": [1]', '"out": [1, 0]')),
+    (["reach", "--net", "NET", "--x6-lo", "3", "--x6-hi", "2"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -376,7 +378,7 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
         "sweep-zero-points", "sweep-zero-eps", "sim-strict-alpha-open",
         "sim-strict-alpha-closed", "config-bad-choice", "config-bad-int",
         "config-strict-alpha-closed", "config-bad-mode", "spec-reversed-box",
-        "spec-nan-rhs", "spec-short-in", "spec-long-out"])
+        "spec-nan-rhs", "spec-short-in", "spec-long-out", "reach-reversed-x6"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -386,3 +388,36 @@ def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# every number flag of every command, each given a non-finite value; the
+# first four once ended in a traceback past the parser
+NUMBER_FLAGS = [(name, action.option_strings[-1])
+                for name, sp in build_parser().commands.items()
+                for action in sp.options.values()
+                if action.type in (finite_float, float_list, positive_float_list)]
+NON_FINITE = [
+    (["simulate", "--x6-start", "nan"], ""),
+    (["verify", "--net", "NET", "--property", "1", "--ystar", "nan"], ""),
+    (["reach", "--net", "NET", "--x6-lo", "nan"], ""),
+    (["reach", "--net", "NET", "--max-order", "nan"], ""),
+    (["reach", "--net", "NET", "--x6-hi", "inf"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--eps-list", "0.1,nan"], ""),
+    (["simulate", "--config", "BAD"], '{"simulate": {"x6_start": NaN}}'),
+    (["reach", "--net", "NET", "--config", "BAD"], '{"reach": {"max_order": Infinity}}'),
+] + [([name, f"{flag}={value}"], "") for name, flag in NUMBER_FLAGS
+     for value in ("nan", "-inf")]
+
+
+@pytest.mark.parametrize("argv, text", NON_FINITE,
+                         ids=[" ".join(a) for a, _ in NON_FINITE])
+def test_non_finite_number_one_line_error(argv, text, workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = {"BAD": str(bad), "NET": str(workdir / "net.json"),
+             "DATA": str(workdir / "data.csv")}
+    code = main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "finite number" in err

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from seedwing import intervals as iv
 from seedwing.intervals import Dual, Interval, IntervalDomainError
 
-from oracles import (RefDual, ref_absval, ref_atan2, ref_cos, ref_iv, ref_mul,
-                     ref_sin, ref_sqrt, ref_tanh)
+from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, RefDual, ref_absval,
+                     ref_atan2, ref_cos, ref_iv, ref_mul, ref_sin, ref_sqrt,
+                     ref_tanh, two_pass_add, two_pass_mul, two_pass_rsub,
+                     two_pass_rtruediv, two_pass_sub, two_pass_truediv)
 
 
 def rand_interval(rng, lo=-3.0, hi=3.0):
@@ -316,6 +319,96 @@ def test_interval_partials_enclose_float_partials(data, name):
         ref = f(*Dual.seed(point, kind=float))
         for d, r in zip(out.der, ref.der):
             assert d.contains(r, tol=1e-12 * (1.0 + abs(r)))
+
+
+# -- one-pass operators against the two-pass kernels ---------------------------
+# Values and partial endpoints include signed zeros, infinities and the
+# largest floats, so products hit 0 * inf (the NaN fallback), overflow, and
+# factors that straddle zero.
+
+EDGE_FLOATS = SMALL | st.sampled_from([math.inf, -math.inf, 1e308, -1e308, 5e-324])
+
+
+@st.composite
+def edge_duals(draw, n, kind):
+    if kind == "float":
+        return Dual(draw(EDGE_FLOATS), [draw(EDGE_FLOATS) for _ in range(n)])
+    val = draw(intervals(EDGE_FLOATS) | EDGE_FLOATS)
+    return Dual(val, [draw(intervals(EDGE_FLOATS)) for _ in range(n)])
+
+
+EDGE_CONSTANTS = st.one_of(EDGE_FLOATS, st.integers(-3, 3), intervals(EDGE_FLOATS))
+ONE_PASS = {   # operator: (one-pass form, two-pass reference)
+    "add": (lambda a, b: a + b, two_pass_add),
+    "sub": (lambda a, b: a - b, two_pass_sub),
+    "mul": (lambda a, b: a * b, two_pass_mul),
+    "div": (lambda a, b: a / b, two_pass_truediv),
+}
+REVERSED = {   # constant op Dual: (one-pass form, two-pass reference on (Dual, constant))
+    "radd": (lambda x, c: c + x, two_pass_add),
+    "rsub": (lambda x, c: c - x, two_pass_rsub),
+    "rmul": (lambda x, c: c * x, two_pass_mul),
+    "rdiv": (lambda x, c: c / x, two_pass_rtruediv),
+}
+
+
+@PROPS
+@given(st.data(), st.integers(1, 4), st.sampled_from(sorted(ONE_PASS)))
+def test_one_pass_dual_dual_ops_equal_two_pass(data, n, op):
+    x = data.draw(edge_duals(n, data.draw(st.sampled_from(["interval", "float"]))))
+    y = data.draw(edge_duals(n, data.draw(st.sampled_from(["interval", "float"]))))
+    new, ref = ONE_PASS[op]
+    assert _outcome(new, x, y) == _outcome(ref, x, y)
+
+
+@PROPS
+@given(st.data(), st.integers(1, 4), st.sampled_from(["interval", "float"]),
+       st.sampled_from(sorted(ONE_PASS) + sorted(REVERSED)))
+def test_one_pass_constant_ops_equal_two_pass(data, n, kind, op):
+    x = data.draw(edge_duals(n, kind))
+    c = data.draw(EDGE_CONSTANTS)
+    new, ref = ONE_PASS.get(op) or REVERSED[op]
+    assert _outcome(new, x, c) == _outcome(ref, x, c)
+
+
+def _with_two_pass(fn, *args):
+    with mock.patch.multiple(Dual, **TWO_PASS_OPERATORS), \
+            mock.patch.multiple(iv, **TWO_PASS_KERNELS):
+        return _outcome(fn, *args)
+
+
+@PROPS
+@given(st.data(), st.integers(1, 4), st.sampled_from(["interval", "float"]),
+       st.sampled_from(sorted(EXPRESSIONS)))
+def test_expressions_equal_two_pass(data, n, kind, name):
+    """Whole expressions (chain rule, |.|, atan2, powers, mixed constants)
+    give the same bytes as with the two-pass operators and kernels."""
+    x = data.draw(edge_duals(n, kind))
+    y = data.draw(edge_duals(n, data.draw(st.sampled_from(["interval", "float"]))))
+    f = EXPRESSIONS[name]
+    assert _outcome(f, x, y) == _with_two_pass(f, x, y)
+
+
+def test_one_pass_edge_examples():
+    """Signed zeros, a zero-straddling factor and 0 * inf, by hand."""
+    z = Dual(Interval(-0.0, 0.0), [Interval(-0.0, -0.0), Interval(0.0, math.inf)])
+    s = Dual(Interval(-2.0, 3.0), [Interval(-1.0, 2.0), Interval(-0.0, 0.0)])
+    inf_val = Dual(math.inf, [Interval(-1.0, 1.0), Interval(0.0, 0.0)])
+    # an infinite partial over a divisor whose reciprocal straddles zero: the
+    # padded difference is NaN before the product, which would drop it
+    inf_part = Dual(0.0, [-math.inf])
+    cases = [(z, 0.0), (z, -0.0), (z, math.inf), (s, -0.0), (s, Interval(-1.0, 2.0)),
+             (inf_val, 2.0), (inf_val, 0.0), (z, s), (s, z), (inf_val, s),
+             (inf_part, Interval(-math.inf, -1.0))]
+    for x, y in cases:
+        for op, (new, ref) in ONE_PASS.items():
+            assert _outcome(new, x, y) == _outcome(ref, x, y), (op, x, y)
+        if not isinstance(y, Dual):
+            for op, (new, ref) in REVERSED.items():
+                assert _outcome(new, x, y) == _outcome(ref, x, y), (op, x, y)
+    # the 0 * inf fallback: [0, inf] * 0.0 takes the Interval path and keeps no NaN
+    out = z * 0.0
+    assert not any(math.isnan(e) for e in out.lo + out.hi)
 
 
 # -- sign-split products ------------------------------------------------------

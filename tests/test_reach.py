@@ -1,14 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from oracles import interval_propagation
+from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, interval_propagation,
+                     remainder_intervals)
+from seedwing import intervals as iv
+from seedwing import reach
 from seedwing.aeromodel import State, rk4_step, _deriv_raw
-from seedwing.intervals import Interval
+from seedwing.intervals import Dual, Interval
 from seedwing.mlp import Layer, Network, embed_normalization, forward
 from seedwing.reach import (BranchFailure, ReachConfig, ReachDomainError,
-                            goal_check, initial_zonotope, interval_jacobian,
-                            nn_output_set, point_jacobian, reach_control_cycle,
-                            reach_full, reach_step, reach_to_csv)
+                            goal_check, initial_zonotope, interval_derivative,
+                            interval_jacobian, nn_output_set, point_jacobian,
+                            reach_control_cycle, reach_full, reach_step,
+                            reach_to_csv, x6_cells)
 from seedwing.zono import Zonotope, zono_hull, zono_max_linear, zono_sample
 
 
@@ -105,6 +111,87 @@ class TestJacobians:
                Interval(0.0), Interval(0.0), Interval(0.0)]
         with pytest.raises(ReachDomainError):
             interval_jacobian(box, Interval(0.187), params)
+
+
+def plate_all_lanes(x, u, p):
+    """The plate core without its `reads` declaration: every entry seeded."""
+    return _deriv_raw(x, u, p)
+
+
+def _bits(x):
+    return (x.lo.hex(), x.hi.hex()) if isinstance(x, Interval) else float(x).hex()
+
+
+class TestJacobianLanes:
+    BOX = [Interval(0.7, 0.9), Interval(-0.2, -0.05), Interval(0.1, 0.4),
+           Interval(-0.6, -0.4), Interval(0.0, 0.2), Interval(1.5, 2.5)]
+    U = Interval(0.183, 0.19)
+
+    def test_plate_position_columns_are_exact_zeros(self, params):
+        Jint = interval_jacobian(self.BOX, self.U, params)
+        Jp = point_jacobian([b.mid for b in self.BOX], self.U.mid, params)
+        for i in range(6):
+            for j in (4, 5):
+                assert _bits(Jint[i][j]) == _bits(Interval(0.0))
+                assert _bits(Jp[i, j]) == _bits(0.0)
+
+    def test_read_columns_equal_all_lanes_bit_for_bit(self, params):
+        Jint = interval_jacobian(self.BOX, self.U, params)
+        ref = interval_jacobian(self.BOX, self.U, params, core=plate_all_lanes)
+        x = [b.mid for b in self.BOX]
+        Jp = point_jacobian(x, self.U.mid, params)
+        Jp_ref = point_jacobian(x, self.U.mid, params, core=plate_all_lanes)
+        for i in range(6):
+            for j in (0, 1, 2, 3, 6):
+                assert _bits(Jint[i][j]) == _bits(ref[i][j])
+                assert _bits(Jp[i, j]) == _bits(Jp_ref[i, j])
+
+    def test_undeclared_core_keeps_position_column(self, params):
+        A = np.zeros((6, 6))
+        A[0][4] = 0.75
+        A[1][5] = -2.0
+        core = linear_core(A, np.zeros(6))
+        Jint = interval_jacobian(self.BOX, self.U, params, core=core)
+        Jp = point_jacobian([b.mid for b in self.BOX], self.U.mid, params, core=core)
+        assert Jint[0][4].contains(0.75) and Jint[0][4].width < 1e-12
+        assert Jint[1][5].contains(-2.0) and Jint[1][5].width < 1e-12
+        assert Jp[0, 4] == 0.75 and Jp[1, 5] == -2.0
+
+    def test_remainder_equals_interval_reference(self, params, heavy_params,
+                                                 heavy_settled):
+        G = np.zeros((6, 2))
+        G[5, 0] = 0.05
+        G[1, 1] = 0.002
+        cases = [(Zonotope(heavy_settled, G), Interval(0.186, 0.188), heavy_params,
+                  ReachConfig(dt=1e-3)),
+                 (initial_zonotope(1.43, 1.60875), Interval(0.19027, 0.19113), params,
+                  ReachConfig(dt=1e-4))]
+        for Z, u, p, cfg in cases:
+            _, info = reach_step(Z, u, p, cfg, return_info=True)
+            lo, hi = (h.tolist() for h in zono_hull(Z))
+            fB = [iv.as_interval(v) for v in interval_derivative(info["apriori"], u, p)]
+            want = remainder_intervals(lo, hi, Z.c.tolist(), info["J_int"],
+                                       info["J_c"].tolist(), u, fB, cfg.dt)
+            assert [_bits(r) for r in info["remainder"]] == \
+                [_bits(Interval(a, b)) for a, b in zip(*want)]
+
+
+class TestStepWithReferenceArithmetic:
+    def test_300_steps_same_bytes(self, params):
+        """The reach-paper start: 300 steps at dt 1e-4 give the same zonotope
+        bytes with the two-pass Dual operators, the Interval-object remainder
+        and all seven Jacobian lanes patched in."""
+        cfg = ReachConfig(dt=1e-4)
+        u = Interval(0.19027, 0.19113)
+        Z = Z_ref = initial_zonotope(1.43, 1.60875)
+        for _ in range(300):
+            Z = reach_step(Z, u, params, cfg)
+            with mock.patch.multiple(Dual, **TWO_PASS_OPERATORS), \
+                    mock.patch.multiple(iv, **TWO_PASS_KERNELS), \
+                    mock.patch.object(reach, "_remainder", remainder_intervals):
+                Z_ref = reach_step(Z_ref, u, params, cfg, core=plate_all_lanes)
+            assert Z.c.tobytes() == Z_ref.c.tobytes()
+            assert Z.G.tobytes() == Z_ref.G.tobytes()
 
 
 @pytest.mark.parametrize("field", ["dt", "dt_control", "t_end"])
@@ -398,6 +485,21 @@ class TestReachFull:
         lines = path.read_text().splitlines()
         assert lines[0] == "branch,t,dim,lo,hi"
         assert len(lines) == 1 + 2 * 2 * 6   # branches x checkpoints x dims
+
+
+class TestInitialSet:
+    @pytest.mark.parametrize("lo, hi", [(3.0, 2.0), (2.0, 1.9999999999), (-1.0, -2.5)])
+    def test_reversed_x6_interval_rejected(self, lo, hi):
+        text = rf"x6 interval \[{lo}, {hi}\] needs lo <= hi"
+        with pytest.raises(ValueError, match=text):
+            x6_cells((lo, hi), 16)
+        with pytest.raises(ValueError, match=text):
+            initial_zonotope(lo, hi)
+
+    def test_point_x6_interval_allowed(self):
+        assert x6_cells((2.0, 2.0), 4) == [(2.0, 2.0)] * 4
+        Z = initial_zonotope(2.0, 2.0)
+        assert Z.n_gen == 0 and Z.c[5] == 2.0
 
 
 class TestGoalCheck:
