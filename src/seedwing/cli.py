@@ -235,14 +235,15 @@ def _train_common(args, adversarial: bool):
     X, Y = rows_to_arrays(rows, spec)
     net0 = mlp.init_network(norm=spec, **_given(args, "seed"))
     settings = _given(args, "epochs", "lr", "seed", "batch_size")
-    if adversarial:
-        rcfg = robust.RobustTrainConfig(
-            attack=robust.AttackConfig(**_given(args, "epsilon", "restarts",
-                                                steps="pgd_steps")),
-            **_given(args, "lambda_lip"), **settings)
-        net = robust.train_adversarial(net0, X, Y, rcfg)
-    else:
-        net = mlp.train(net0, X, Y, **settings)
+    with _rejected_settings():
+        if adversarial:
+            rcfg = robust.RobustTrainConfig(
+                attack=robust.AttackConfig(**_given(args, "epsilon", "restarts",
+                                                    steps="pgd_steps")),
+                **_given(args, "lambda_lip"), **settings)
+            net = robust.train_adversarial(net0, X, Y, rcfg)
+        else:
+            net = mlp.train(net0, X, Y, **settings)
     net = mlp.Network(net.layers, norm=spec, meta=net.meta)
     out = _d(args, "out", "net-adv.json" if adversarial else "net.json")
     mlp.save(net, out)
@@ -483,9 +484,9 @@ def build_parser() -> _Parser:
         sp.add_argument("--data")
         sp.add_argument("--out")
         sp.add_argument("--embedded-out", dest="embedded_out")
-        sp.add_argument("--epochs", type=int)
+        sp.add_argument("--epochs", type=positive_int)
         sp.add_argument("--lr", type=finite_float)
-        sp.add_argument("--batch-size", dest="batch_size", type=int)
+        sp.add_argument("--batch-size", dest="batch_size", type=positive_int)
         sp.add_argument("--seed", type=int)
         if name == "train-adv":
             sp.add_argument("--epsilon", type=finite_float)

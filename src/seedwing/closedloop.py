@@ -9,6 +9,7 @@ min-max normalization maps it into the unit box for training.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,16 @@ def _evenly_spaced(lo: float, hi: float, n: int) -> tuple:
     return tuple(lo + i * step for i in range(n))
 
 
+def check_times(cfg, *names):
+    """ValueError naming the field and its value unless each cfg.<name> is
+    a finite time > 0."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{type(cfg).__name__}.{name} must be > 0 and finite, "
+                             f"got {value}")
+
+
 def check_multiple(cfg, big: str, small: str):
     """ValueError naming both times unless cfg.<big> is a whole multiple of
     cfg.<small>."""
@@ -71,9 +82,7 @@ class SimConfig:
     record_skip: int = 16
 
     def __post_init__(self):
-        for name in ("t_end", "dt_model", "dt_control"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"SimConfig.{name} must be > 0, got {getattr(self, name)}")
+        check_times(self, "t_end", "dt_model", "dt_control")
         check_multiple(self, "dt_control", "dt_model")
         check_multiple(self, "t_end", "dt_control")
         n_ctrl = round(self.t_end / self.dt_control)

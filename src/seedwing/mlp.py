@@ -1,7 +1,9 @@
 """Minimal feed-forward ReLU regression network with exact backprop.
 
 Default architecture 6-6-4-1-1: three ReLU hidden layers and an identity
-output. Networks are immutable once built; training returns a new network.
+output. Networks are treated as immutable once built. Training steps a
+private flat copy of the parameters in place, on a working network whose
+layers are views of it, and returns a new network on a copy of that vector.
 The JSON file format stores every float with 17 significant digits, which
 round-trips 64-bit values exactly.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +87,11 @@ class Network:
     @property
     def n_relu(self) -> int:
         return sum(l.w.shape[0] for l in self.layers if l.act == "relu")
+
+    @cached_property
+    def _param_layout(self) -> tuple:
+        """The layout of a flat parameter vector: w then b of each layer."""
+        return _layout([s for l in self.layers for s in (l.w.shape, l.b.shape)])
 
 
 def init_network(widths=DEFAULT_WIDTHS, seed: int = 0, norm: NormSpec | None = None) -> Network:
@@ -214,36 +222,67 @@ def _forward_trace(net: Network, X: np.ndarray):
     return acts, pres
 
 
-@dataclass
+def _layout(shapes) -> tuple:
+    """(start, stop, shape) of each array of `shapes`, laid end to end in
+    one flat vector."""
+    out, k = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append((k, k + size, shape))
+        k += size
+    return tuple(out)
+
+
+def _views(flat: np.ndarray, layout) -> list:
+    return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+
+
 class Gradient:
-    dw: list
-    db: list
+    """Parameter gradient. dw[i] and db[i] are views of one flat vector,
+    `flat`, in the layout of the training buffer (w then b of each layer),
+    so a descent step, a scaling and a sum are one vector operation each."""
+
+    def __init__(self, dw, db):
+        """Copies the per-layer arrays into a fresh flat vector."""
+        arrays = [np.asarray(a, dtype=float) for pair in zip(dw, db) for a in pair]
+        self._bind(np.concatenate([a.ravel() for a in arrays]),
+                   _layout([a.shape for a in arrays]))
+
+    def _bind(self, flat: np.ndarray, layout):
+        self.flat, self.layout = flat, layout
+        views = _views(flat, layout)
+        self.dw, self.db = views[0::2], views[1::2]
+
+    @classmethod
+    def _of(cls, flat: np.ndarray, layout) -> "Gradient":
+        g = cls.__new__(cls)
+        g._bind(flat, layout)
+        return g
 
     def scaled(self, f: float) -> "Gradient":
-        return Gradient([w * f for w in self.dw], [b * f for b in self.db])
+        return Gradient._of(self.flat * f, self.layout)
 
     def add_(self, other: "Gradient", f: float = 1.0):
-        for i in range(len(self.dw)):
-            self.dw[i] += f * other.dw[i]
-            self.db[i] += f * other.db[i]
+        self.flat += f * other.flat
         return self
 
 
 def _backprop_from_output(net: Network, acts, pres, dL_dy: np.ndarray) -> Gradient:
-    """Parameter gradient given dL/d(output) of shape (n, n_out)."""
-    n = dL_dy.shape[0]
-    dw = [None] * len(net.layers)
-    db = [None] * len(net.layers)
+    """Parameter gradient given dL/d(output) of shape (n, n_out): each
+    layer's sums written into its views, then one division by n."""
+    layout = net._param_layout
+    g = Gradient._of(np.empty(layout[-1][1]), layout)
     delta = dL_dy
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.act == "relu":
             delta = delta * (pres[i] > 0.0)
-        dw[i] = delta.T @ acts[i] / n
-        db[i] = delta.sum(axis=0) / n
+        np.matmul(delta.T, acts[i], out=g.dw[i])
+        delta.sum(axis=0, out=g.db[i])
         if i > 0:
             delta = delta @ layer.w
-    return Gradient(dw, db)
+    g.flat /= dL_dy.shape[0]
+    return g
 
 
 def mse(net: Network, X: np.ndarray, Y: np.ndarray) -> float:
@@ -283,24 +322,27 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> Gradient:
     return _backprop_from_output(net, acts, pres, (2.0 * resid)[:, None])
 
 
-def input_gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """d/dx of the per-sample squared error (f(x)-y)^2, shape (n, d)."""
+def input_gradient(net: Network, X: np.ndarray, Y: np.ndarray):
+    """d/dx of the per-sample squared error (f(x)-y)^2, shape (n, d), and
+    the outputs f(x), shape (n,), of the forward trace it walks back."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
     acts, pres = _forward_trace(net, X)
-    delta = 2.0 * (acts[-1][:, 0] - Y)[:, None]
+    out = acts[-1][:, 0]
+    delta = 2.0 * (out - Y)[:, None]
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.act == "relu":
             delta = delta * (pres[i] > 0.0)
         delta = delta @ layer.w
-    return delta
+    return delta, out
 
 
-def apply_gradient(net: Network, g: Gradient, lr: float) -> Network:
-    layers = tuple(Layer(l.w - lr * gw, l.b - lr * gb, l.act)
-                   for l, gw, gb in zip(net.layers, g.dw, g.db))
-    return Network(layers, norm=net.norm, meta=dict(net.meta))
+def apply_gradient(params: np.ndarray, g: Gradient, lr: float) -> bool:
+    """One descent step on the flat parameter vector `params`, in place;
+    False when the step leaves a parameter that is not finite."""
+    params -= lr * g.flat
+    return bool(np.isfinite(params).all())
 
 
 def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = EPOCHS,
@@ -317,26 +359,46 @@ def train(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int = EPOCHS,
     return _descend(net, X, Y, gradient, epochs, lr, seed, batch_size, meta)
 
 
+def _on_params(net: Network, flat: np.ndarray, meta=None) -> Network:
+    """A network like `net` whose weights and biases are views of the flat
+    parameter vector `flat`."""
+    views = _views(flat, net._param_layout)
+    layers = tuple(Layer(w, b, l.act)
+                   for l, w, b in zip(net.layers, views[0::2], views[1::2]))
+    return Network(layers, norm=net.norm, meta=meta or {})
+
+
 def _descend(net: Network, X: np.ndarray, Y: np.ndarray, batch_gradient,
              epochs: int, lr: float, seed: int, batch_size: int, meta: dict) -> Network:
     """The training loop of every objective: seeded mini-batch descent on
-    batch_gradient(net, X_batch, Y_batch), a divergence check per epoch, and
-    the settings in `meta` plus the final train RMSE added to the result's."""
+    batch_gradient(work, X_batch, Y_batch). `work` is a private network on
+    one flat parameter vector, which each step updates in place. Raises
+    TrainingDivergedError(epoch) at a step that leaves a non-finite
+    parameter or an epoch that ends on a non-finite loss. The settings in
+    `meta` plus the final train RMSE are added to the result's."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    params = np.concatenate([a.ravel() for l in net.layers for a in (l.w, l.b)])
+    work = _on_params(net, params)
     rng = np.random.default_rng(seed)
-    cur = net
     n = X.shape[0]
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            cur = apply_gradient(cur, batch_gradient(cur, X[idx], Y[idx]), lr)
-        if not math.isfinite(mse(cur, X[:1], Y[:1])):
+            if not apply_gradient(params, batch_gradient(work, X[idx], Y[idx]), lr):
+                raise TrainingDivergedError(epoch)
+        if not math.isfinite(mse(work, X[:1], Y[:1])):
             raise TrainingDivergedError(epoch)
-    final = final_rmse(cur, X, Y, epochs)
-    out = dict(cur.meta)
+    final = final_rmse(work, X, Y, epochs)
+    out = dict(net.meta)
     out.update(meta)
     out["train_rmse"] = final
-    return Network(cur.layers, norm=cur.norm, meta=out)
+    return _on_params(net, params.copy(), out)
 
 
 # ---------------------------------------------------------------------------

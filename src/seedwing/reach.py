@@ -17,7 +17,7 @@ import numpy as np
 
 from . import intervals as iv
 from .aeromodel import DT, EX_MAX, EX_MIN, T_END, PlateParams, _derivative_core
-from .closedloop import DT_CONTROL, check_multiple
+from .closedloop import DT_CONTROL, check_multiple, check_times
 from .intervals import Dual, Interval, _pad, _product, _scale
 from .mlp import Network, propagate_bounds
 from .zono import Zonotope, zono_hull, zono_max_linear, zono_reduce
@@ -56,9 +56,7 @@ class ReachConfig:
             raise ValueError("ReachConfig.exact_alpha=False: the simplified "
                              "angle of attack was removed; reach encloses the "
                              "exact flow only")
-        for name in ("dt", "dt_control", "t_end"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"ReachConfig.{name} must be > 0")
+        check_times(self, "dt", "dt_control", "t_end")
         check_multiple(self, "dt_control", "dt")
         check_multiple(self, "t_end", "dt_control")
         if self.relu_mode != "zonotope":

@@ -7,8 +7,10 @@ simplex pivot, an exhaustive activation-pattern verification oracle,
 plain interval bound propagation, per-row pre-activations, the doubled-network form of the robustness query,
 a forward-mode Dual that keeps one Interval object per partial, the
 two-pass Dual[Interval] operators (a constant lifted to a zero-partial
-Dual, a product as two passes of padded products), and the reach step's
-remainder with one Interval object per operation.
+Dual, a product as two passes of padded products), the reach step's
+remainder with one Interval object per operation, and the training kernel
+with per-layer gradient lists, a rebuilt network per descent step and two
+forward passes per PGD iterate.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from seedwing import intervals as iv
-from seedwing import mlp
+from seedwing import mlp, robust
 from seedwing.intervals import Interval, IntervalDomainError
 from seedwing.mlp import Layer, Network
 from seedwing.verifier import (LP_MARGIN, REPLAY_TOL, LinConstraint,
@@ -666,3 +668,139 @@ def remainder_intervals(lo, hi, c, J_int, J_c, u_set, fB, dt):
         acc = acc + trunc * (0.5 * dt * dt)
         rem.append(acc)
     return [r.lo for r in rem], [r.hi for r in rem]
+
+
+# ---------------------------------------------------------------------------
+# the training kernel with per-layer gradient lists, a rebuilt network per
+# descent step and a loss pass apart from each PGD input-gradient pass
+
+class ListGradient:
+    """Per-layer gradient arrays, each its own allocation."""
+
+    def __init__(self, dw, db):
+        self.dw, self.db = dw, db
+
+    def scaled(self, f):
+        return ListGradient([w * f for w in self.dw], [b * f for b in self.db])
+
+    def add_(self, other, f=1.0):
+        for i in range(len(self.dw)):
+            self.dw[i] += f * other.dw[i]
+            self.db[i] += f * other.db[i]
+        return self
+
+
+def backprop_lists(net, acts, pres, dL_dy):
+    n = dL_dy.shape[0]
+    dw = [None] * len(net.layers)
+    db = [None] * len(net.layers)
+    delta = dL_dy
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        if layer.act == "relu":
+            delta = delta * (pres[i] > 0.0)
+        dw[i] = delta.T @ acts[i] / n
+        db[i] = delta.sum(axis=0) / n
+        if i > 0:
+            delta = delta @ layer.w
+    return ListGradient(dw, db)
+
+
+def gradient_lists(net, X, Y):
+    acts, pres = mlp._forward_trace(net, X)
+    return backprop_lists(net, acts, pres, (2.0 * (acts[-1][:, 0] - Y))[:, None])
+
+
+def input_gradient_only(net, X, Y):
+    acts, pres = mlp._forward_trace(net, X)
+    delta = 2.0 * (acts[-1][:, 0] - Y)[:, None]
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        if layer.act == "relu":
+            delta = delta * (pres[i] > 0.0)
+        delta = delta @ layer.w
+    return delta
+
+
+def apply_gradient_per_layer(net, g, lr):
+    """A new network per step: every layer rebuilt (and checked finite)."""
+    layers = tuple(Layer(l.w - lr * gw, l.b - lr * gb, l.act)
+                   for l, gw, gb in zip(net.layers, g.dw, g.db))
+    return Network(layers, norm=net.norm, meta=dict(net.meta))
+
+
+def pgd_two_pass(net, X, Y, cfg, box, rng):
+    """Best-iterate PGD with a forward pass for each iterate's loss apart
+    from the one its input gradient walks back."""
+    box_lo = np.asarray(box[0], dtype=float)
+    box_hi = np.asarray(box[1], dtype=float)
+    best_X = X.copy()
+    best_loss = (mlp.forward_batch(net, X) - Y) ** 2
+    for restart in range(cfg.restarts):
+        if restart == 0:
+            cur = X.copy()
+        else:
+            cur = robust._project(X + rng.uniform(-cfg.epsilon, cfg.epsilon, size=X.shape),
+                                  X, cfg.epsilon, box_lo, box_hi)
+        for _ in range(cfg.steps):
+            g = input_gradient_only(net, cur, Y)
+            cur = robust._project(cur + cfg.step * np.sign(g), X, cfg.epsilon,
+                                  box_lo, box_hi)
+            loss = (mlp.forward_batch(net, cur) - Y) ** 2
+            better = loss > best_loss
+            best_X[better] = cur[better]
+            best_loss[better] = loss[better]
+    return best_X
+
+
+def descend_per_layer(net, X, Y, batch_gradient, epochs, lr, seed, batch_size, meta):
+    rng = np.random.default_rng(seed)
+    cur = net
+    n = X.shape[0]
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            cur = apply_gradient_per_layer(cur, batch_gradient(cur, X[idx], Y[idx]), lr)
+        if not math.isfinite(mlp.mse(cur, X[:1], Y[:1])):
+            raise mlp.TrainingDivergedError(epoch)
+    out = dict(cur.meta)
+    out.update(meta)
+    out["train_rmse"] = mlp.final_rmse(cur, X, Y, epochs)
+    return Network(cur.layers, norm=cur.norm, meta=out)
+
+
+def train_per_layer(net, X, Y, epochs, lr, seed, batch_size):
+    meta = {"kind": net.meta.get("kind", "naive"), "epochs": epochs, "lr": lr,
+            "seed": seed, "batch_size": batch_size}
+    return descend_per_layer(net, X, Y, gradient_lists, epochs, lr, seed, batch_size, meta)
+
+
+def train_adversarial_two_pass(net0, X, Y, cfg, box):
+    attack_rng = np.random.default_rng(cfg.seed + 1)
+
+    def lipschitz_term(cur, x, x_adv):
+        d = float(np.max(np.abs(x - x_adv)))
+        acts_a, pres_a = mlp._forward_trace(cur, x[None, :])
+        acts_b, pres_b = mlp._forward_trace(cur, x_adv[None, :])
+        sign = 1.0 if acts_a[-1][0, 0] >= acts_b[-1][0, 0] else -1.0
+        one = np.ones((1, 1))
+        ga = backprop_lists(cur, acts_a, pres_a, one * (sign / d))
+        return ga.add_(backprop_lists(cur, acts_b, pres_b, one * (-sign / d)))
+
+    def batch_gradient(cur, Xb, Yb):
+        Xa = pgd_two_pass(cur, Xb, Yb, cfg.attack, box, attack_rng)
+        g = gradient_lists(cur, Xb, Yb).scaled(0.5)
+        g.add_(gradient_lists(cur, Xa, Yb), f=0.5)
+        if cfg.lambda_lip > 0:
+            k = robust.max_lipschitz_quotient(cur, Xb, Xa)[1]
+            if k is not None:
+                g.add_(lipschitz_term(cur, Xb[k], Xa[k]), f=cfg.lambda_lip)
+        return g
+
+    meta = {"kind": "adversarial", "epochs": cfg.epochs, "lr": cfg.lr,
+            "seed": cfg.seed, "batch_size": cfg.batch_size,
+            "epsilon": cfg.attack.epsilon, "pgd_steps": cfg.attack.steps,
+            "restarts": cfg.attack.restarts, "lambda_lip": cfg.lambda_lip}
+    return descend_per_layer(net0, X, Y, batch_gradient, cfg.epochs, cfg.lr, cfg.seed,
+                             cfg.batch_size, meta)

@@ -6,7 +6,7 @@ import pytest
 
 from seedwing import mlp
 from seedwing.cli import (_apply_config, build_parser, finite_float, float_list, main,
-                          positive_float_list)
+                          positive_float_list, positive_int)
 from seedwing.verifier import LinConstraint, PropertySpec
 
 
@@ -259,7 +259,7 @@ class TestJobs:
 
 # a value each custom-typed setting accepts; other settings take a sample of
 # their type or their last choice
-_SAMPLES = {"properties": "1,2", "eps_list": "0.1,0.2", "lstar_list": "0.1", "points": "2"}
+_SAMPLES = {"properties": "1,2", "eps_list": "0.1,0.2", "lstar_list": "0.1"}
 
 
 def _sample(dest, action):
@@ -267,7 +267,7 @@ def _sample(dest, action):
         return _SAMPLES[dest]
     if action.choices:
         return str(list(action.choices)[-1])
-    return {int: "2", finite_float: "0.25"}.get(action.type, "x")
+    return {int: "2", positive_int: "2", finite_float: "0.25"}.get(action.type, "x")
 
 
 @pytest.mark.parametrize("command", sorted(build_parser().commands))
@@ -368,6 +368,15 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
     (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace("[0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0]")),
     (["verify", "--net", "NET", "--spec", "BAD"], SPEC6.replace('"out": [1]', '"out": [1, 0]')),
     (["reach", "--net", "NET", "--x6-lo", "3", "--x6-hi", "2"], ""),
+    (["train", "--data", "DATA", "--lr", "1e300", "--epochs", "3"], ""),
+    (["train", "--data", "DATA", "--batch-size", "0"], ""),
+    (["train-adv", "--data", "DATA", "--batch-size", "0"], ""),
+    (["train", "--data", "DATA", "--batch-size", "-4"], ""),
+    (["train", "--data", "DATA", "--epochs", "0"], ""),
+    (["train", "--data", "DATA", "--epochs", "-3"], ""),
+    (["train", "--data", "DATA", "--lr", "-0.5", "--epochs", "3"], ""),
+    (["train-adv", "--data", "DATA", "--pgd-steps", "0", "--epochs", "3"], ""),
+    (["train-adv", "--data", "DATA", "--epsilon", "0", "--epochs", "3"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -378,8 +387,11 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
         "sweep-zero-points", "sweep-zero-eps", "sim-strict-alpha-open",
         "sim-strict-alpha-closed", "config-bad-choice", "config-bad-int",
         "config-strict-alpha-closed", "config-bad-mode", "spec-reversed-box",
-        "spec-nan-rhs", "spec-short-in", "spec-long-out", "reach-reversed-x6"])
-def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
+        "spec-nan-rhs", "spec-short-in", "spec-long-out", "reach-reversed-x6",
+        "train-lr-overflow", "train-zero-batch", "train-adv-zero-batch",
+        "train-negative-batch", "train-zero-epochs", "train-negative-epochs",
+        "train-negative-lr", "train-adv-zero-steps", "train-adv-zero-epsilon"])
+def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     paths = {"BAD": str(bad), "NET": str(workdir / "net.json"),
@@ -388,6 +400,20 @@ def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert BAD_INPUT_NAMES.get(request.node.callspec.id, "") in err
+
+
+# what the one line of some bad-input cases must say: the value at fault,
+# or the epoch a run diverged in
+BAD_INPUT_NAMES = {
+    "train-lr-overflow": "diverged at epoch 0",
+    "train-zero-batch": "--batch-size: must be >= 1, got 0",
+    "train-adv-zero-batch": "--batch-size: must be >= 1, got 0",
+    "train-negative-batch": "--batch-size: must be >= 1, got -4",
+    "train-zero-epochs": "--epochs: must be >= 1, got 0",
+    "train-negative-epochs": "--epochs: must be >= 1, got -3",
+    "train-negative-lr": "lr must be finite and > 0, got -0.5",
+}
 
 
 # every number flag of every command, each given a non-finite value; the

@@ -102,6 +102,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"SimConfig.{field} must be > 0"):
             SimConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["t_end", "dt_model", "dt_control"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_times_name_the_field_and_value(self, field, value):
+        with pytest.raises(ValueError,
+                           match=rf"SimConfig\.{field} must be > 0 and finite, got {value}"):
+            SimConfig(**{field: value})
+
+    def test_infinite_control_period_and_horizon_rejected(self):
+        # both infinite once reached the multiple check, which overflowed
+        with pytest.raises(ValueError, match="SimConfig.t_end must be > 0 and finite"):
+            SimConfig(dt_control=math.inf, t_end=math.inf)
+
 
 class TestClosedLoop:
     def test_constant_network_equals_open_loop(self, params):

@@ -1,11 +1,13 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import double_network, forward_preacts
+from oracles import double_network, forward_preacts, train_per_layer
 from seedwing import mlp
 from seedwing.closedloop import NormSpec, denormalize_out, normalize
 from seedwing.mlp import (Layer, Network, NetworkFormatError,
@@ -159,7 +161,7 @@ class TestGradient:
         rng = np.random.default_rng(6)
         X = rng.uniform(0.1, 0.9, size=(5, 6))
         Y = rng.uniform(0, 1, size=5)
-        g = input_gradient(net, X, Y)
+        g = input_gradient(net, X, Y)[0]
         h = 1e-6
         for k in range(5):
             for d in range(6):
@@ -194,6 +196,27 @@ class TestTrain:
             train(net, X, Y, epochs=50, lr=1e12, seed=0)
         assert exc.value.epoch >= 0
 
+    def test_overflowing_step_names_its_epoch(self):
+        X = np.random.default_rng(0).uniform(size=(40, 6))
+        with pytest.raises(TrainingDivergedError) as exc:
+            train(init_network(seed=0), X, X[:, 0], epochs=3, lr=1e300, seed=0)
+        assert exc.value.epoch == 0
+
+    @pytest.mark.parametrize("setting, text", [
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"epochs": -3}, "epochs must be >= 1, got -3"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"batch_size": -4}, "batch_size must be >= 1, got -4"),
+        ({"lr": -0.5}, "lr must be finite and > 0, got -0.5"),
+        ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+        ({"lr": math.inf}, "lr must be finite and > 0, got inf"),
+        ({"lr": math.nan}, "lr must be finite and > 0, got nan"),
+    ])
+    def test_bad_settings_name_the_value(self, setting, text):
+        X = np.random.default_rng(0).uniform(size=(8, 6))
+        with pytest.raises(ValueError, match=re.escape(text)):
+            train(init_network(seed=0), X, X[:, 0], **setting)
+
     def test_constant_network_rejected(self):
         net = init_network(seed=2)
         first = net.layers[0]
@@ -205,6 +228,81 @@ class TestTrain:
 
     def test_session_net_quality(self, naive_net):
         assert naive_net.meta["train_rmse"] <= 0.05
+
+
+def small_problem(draw):
+    """A random small net and dataset from one hypothesis draw."""
+    widths = (draw(st.integers(1, 4)),) + tuple(
+        draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))) + (1,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(1, 12))
+    X = rng.uniform(0.0, 1.0, size=(n, widths[0]))
+    return init_network(widths, seed=draw(st.integers(0, 2 ** 16))), X, rng.uniform(size=n)
+
+
+def outcome(run):
+    """The network a run returns, or the type and text of what it raised."""
+    try:
+        return run()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_net(a, b):
+    assert len(a.layers) == len(b.layers)
+    for la, lb in zip(a.layers, b.layers):
+        assert la.w.tobytes() == lb.w.tobytes() and la.b.tobytes() == lb.b.tobytes()
+    assert a.meta == b.meta and a.norm == b.norm
+
+
+def assert_same_outcome(got, ref):
+    """Two outcomes: the same network bit for bit, or the same error."""
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert_same_net(got, ref)
+
+
+class TestTrainingKernel:
+    """The flat-buffer kernel against the per-layer one, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), epochs=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+           batch_size=st.integers(1, 8), lr=st.sampled_from([0.01, 0.05, 0.2]))
+    def test_train_matches_per_layer_oracle(self, data, epochs, seed, batch_size, lr):
+        net, X, Y = small_problem(data.draw)
+        ref = outcome(lambda: train_per_layer(net, X, Y, epochs, lr, seed, batch_size))
+        # the per-layer kernel meets a non-finite step as a layer format error
+        assume(not (isinstance(ref, tuple) and ref[0] == "NetworkFormatError"))
+        assert_same_outcome(outcome(lambda: train(net, X, Y, epochs=epochs, lr=lr, seed=seed,
+                                                  batch_size=batch_size)), ref)
+
+    def test_partial_last_batch_matches_per_layer_oracle(self, data_arrays):
+        X, Y = data_arrays
+        assert X[:45].shape[0] % 16
+        net = init_network(seed=3)
+        assert_same_net(train(net, X[:45], Y[:45], epochs=20, seed=5, batch_size=16),
+                        train_per_layer(net, X[:45], Y[:45], 20, mlp.LR, 5, 16))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 16), f=st.floats(-10.0, 10.0),
+           f2=st.floats(-10.0, 10.0))
+    def test_scaled_and_add_match_per_array_arithmetic(self, shapes, seed, f, f2):
+        rng = np.random.default_rng(seed)
+        dw = [rng.normal(size=s) for s in shapes]
+        db = [rng.normal(size=s[0]) for s in shapes]
+        dw2 = [rng.normal(size=s) for s in shapes]
+        db2 = [rng.normal(size=s[0]) for s in shapes]
+        g = mlp.Gradient(dw, db)
+        assert all(np.shares_memory(a, g.flat) for a in g.dw + g.db)
+        scaled = g.scaled(f)
+        for got, a in zip(scaled.dw + scaled.db, dw + db):
+            assert got.tobytes() == (a * f).tobytes()
+        assert g.add_(mlp.Gradient(dw2, db2), f2) is g
+        for got, a, b in zip(g.dw + g.db, dw + db, dw2 + db2):
+            assert got.tobytes() == (a + f2 * b).tobytes()
 
 
 class TestPiecewiseLinearity:

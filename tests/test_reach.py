@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -198,6 +199,15 @@ class TestStepWithReferenceArithmetic:
 @pytest.mark.parametrize("value", [0.0, -0.01])
 def test_config_rejects_nonpositive_times(field, value):
     with pytest.raises(ValueError, match=f"ReachConfig.{field} must be > 0"):
+        ReachConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["dt", "dt_control", "t_end"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_times(field, value):
+    # dt=inf once passed with steps_per_cycle 0
+    with pytest.raises(ValueError,
+                       match=rf"ReachConfig\.{field} must be > 0 and finite, got {value}"):
         ReachConfig(**{field: value})
 
 

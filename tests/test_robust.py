@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import pgd_two_pass, train_adversarial_two_pass
+from test_mlp import assert_same_net, assert_same_outcome, outcome, small_problem
 from seedwing import mlp
 from seedwing.mlp import Layer, Network, forward, forward_batch, init_network, train
 from seedwing.robust import (AttackConfig, RobustTrainConfig,
@@ -8,6 +12,19 @@ from seedwing.robust import (AttackConfig, RobustTrainConfig,
                              pgd_attack_batch, train_adversarial)
 
 UNIT6 = (np.zeros(6), np.ones(6))
+
+
+def attack_problem(draw):
+    """small_problem plus an attack box: the data's own or the unit box."""
+    net, X, Y = small_problem(draw)
+    box = (X.min(axis=0), X.max(axis=0)) if draw(st.booleans()) else \
+        (np.zeros(X.shape[1]), np.ones(X.shape[1]))
+    return net, X, Y, box
+
+
+attacks = st.builds(AttackConfig, epsilon=st.sampled_from([0.01, 0.1, 0.3]),
+                    steps=st.integers(1, 4), restarts=st.integers(1, 3),
+                    step_size=st.sampled_from([None, 0.05, 0.5]))
 
 
 def pgd_one(net, x, y, cfg, box, seed=0):
@@ -56,6 +73,19 @@ class TestPgdAttack:
         attacked = (forward_batch(naive_net, adv) - Y[:80]) ** 2
         assert np.all(attacked >= clean - 1e-15)
 
+    def test_random_start_is_not_a_candidate(self):
+        # f(x) = -|x - 0.5| against y = -1: the loss peaks at 0.5, and steps
+        # of 0.5 jump from any start onto the ball's ends 0.4 and 0.8, where
+        # the loss is at most the clean point's. Only a random start nearer
+        # the peak than 0.6 beats it.
+        net = Network((Layer(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5]), "relu"),
+                       Layer(np.array([[-1.0, -1.0]]), np.array([0.0]), "id")))
+        X = np.full((20, 1), 0.6)
+        cfg = AttackConfig(epsilon=0.2, steps=3, step_size=0.5, restarts=3)
+        adv = pgd_attack_batch(net, X, np.full(20, -1.0), cfg, ((0.0,), (1.0,)),
+                               np.random.default_rng(0))
+        assert np.array_equal(adv, X)
+
     def test_beats_grid_search_oracle(self):
         rng = np.random.default_rng(2)
         for seed in range(5):
@@ -73,6 +103,43 @@ class TestPgdAttack:
             pts = np.clip(x + np.stack([gx.ravel(), gy.ravel()], axis=1), 0.0, 1.0)
             grid_loss = ((forward_batch(net, pts) - y) ** 2).max()
             assert pgd_loss >= 0.95 * grid_loss
+
+
+class TestOneTracePerIterate:
+    """PGD and adversarial training against their two-pass forms, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), cfg=attacks, seed=st.integers(0, 2 ** 16))
+    def test_pgd_matches_two_pass_oracle(self, data, cfg, seed):
+        net, X, Y, box = attack_problem(data.draw)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = pgd_attack_batch(net, X, Y, cfg, box, rng)
+        assert got.tobytes() == pgd_two_pass(net, X, Y, cfg, box, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), attack=attacks, seed=st.integers(0, 2 ** 16),
+           epochs=st.integers(1, 3), batch_size=st.integers(1, 8),
+           lambda_lip=st.sampled_from([0.0, 0.01, 0.5]))
+    def test_training_matches_two_pass_oracle(self, data, attack, seed, epochs,
+                                              batch_size, lambda_lip):
+        net, X, Y, box = attack_problem(data.draw)
+        cfg = RobustTrainConfig(attack=attack, lambda_lip=lambda_lip, epochs=epochs,
+                                seed=seed, batch_size=batch_size)
+        assert_same_outcome(outcome(lambda: train_adversarial(net, X, Y, cfg, box=box)),
+                            outcome(lambda: train_adversarial_two_pass(net, X, Y, cfg, box)))
+
+    def test_training_with_penalty_partial_batch_matches_oracle(self, data_arrays):
+        X, Y = data_arrays[0][:45], data_arrays[1][:45]
+        cfg = RobustTrainConfig(epochs=3, seed=4, batch_size=16, lambda_lip=0.5)
+        assert_same_net(train_adversarial(init_network(seed=1), X, Y, cfg, box=UNIT6),
+                        train_adversarial_two_pass(init_network(seed=1), X, Y, cfg, UNIT6))
+
+    def test_bad_settings_name_the_value(self):
+        X = np.random.default_rng(0).uniform(size=(8, 6))
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            train_adversarial(init_network(seed=0), X, X[:, 0],
+                              RobustTrainConfig(batch_size=0), box=UNIT6)
 
 
 class TestLipschitzPenalty:
