@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Digests of branch-and-bound verdicts, to show a change to the verifier leaves them bit-identical.
 
-Prints two sha256 per group of queries, in query order: the first over
+Prints three sha256 per group of queries, in query order: the first over
 each query's status, vacuous flag, witness bytes, node count and LP count;
 the second over its status and vacuous flag only, so that a change which
-moves node counts or witnesses can show that its verdicts did not move:
+moves node counts or witnesses can show that its verdicts did not move;
+the third over all of the first but the LP count, so that a change which
+moves LP counts only can show that:
 
 - random: seeded random ReLU nets (1-3 inputs, at most 8 ReLUs) with
   premises and conclusions of all three relations (`<=`, `>=`, `=`),
@@ -30,7 +32,8 @@ import numpy as np
 
 from seedwing import mlp
 from seedwing.mlp import Layer, Network
-from seedwing.verifier import Budget, LinConstraint, PropertySpec, bab_verify, encode_property
+from seedwing.verifier import (Budget, LinConstraint, PropertySpec, bab_verify,
+                               encode_property, input_rows, tighten_box)
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 BUDGET = Budget(max_nodes=200000, max_seconds=1e9)
@@ -133,26 +136,31 @@ def deep_group():
 def digest(queries):
     h = hashlib.sha256()
     h_verdict = hashlib.sha256()
+    h_no_lp = hashlib.sha256()
     counts = {"verified": 0, "falsified": 0, "timeout": 0, "vacuous": 0, "emptied": 0}
     for net, spec in queries:
         v = bab_verify(net, spec, BUDGET)
         h.update(f"{v.status},{int(v.vacuous)},{v.nodes},{v.lp_calls};".encode())
         h_verdict.update(f"{v.status},{int(v.vacuous)};".encode())
+        h_no_lp.update(f"{v.status},{int(v.vacuous)},{v.nodes};".encode())
         if v.witness is not None:
-            h.update(np.asarray(v.witness, dtype=float).tobytes())
+            witness = np.asarray(v.witness, dtype=float).tobytes()
+            h.update(witness)
+            h_no_lp.update(witness)
         counts[v.status] += 1
         counts["vacuous"] += v.vacuous
-        # a box emptied by the contraction closes its root without a node LP
-        counts["emptied"] += v.verified and not v.vacuous and v.lp_calls == 1 \
-            and v.nodes == 1
-    return counts, h.hexdigest(), h_verdict.hexdigest()
+        # a premise the vacuity LP accepts but the box contraction empties
+        _, _, empty = tighten_box(spec.input_box, *input_rows(spec.premise, spec.n_in))
+        counts["emptied"] += bool(v.verified and not v.vacuous and empty)
+    return counts, h.hexdigest(), h_verdict.hexdigest(), h_no_lp.hexdigest()
 
 
 if __name__ == "__main__":
     for name, group in (("random", random_group), ("edge", edge_group),
                         ("properties", property_group), ("deep", deep_group)):
-        counts, full, verdicts = digest(group())
+        counts, full, verdicts, no_lp = digest(group())
         summary = " ".join(f"{k}={v}" for k, v in counts.items())
         print(f"{name}: {sum(counts[k] for k in ('verified', 'falsified', 'timeout'))} "
               f"queries ({summary}) {full}", flush=True)
         print(f"{name} verdicts: {verdicts}", flush=True)
+        print(f"{name} without LP counts: {no_lp}", flush=True)

@@ -452,7 +452,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", help="JSON config file (flags win)")
 
     def jobs(sp):
-        sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
+        sp.add_argument("--jobs", type=positive_int, help="worker processes (default 1)")
 
     sp = sub.add_parser("simulate", help="open- or closed-loop trajectory")
     sp.add_argument("--mode", choices=("open", "closed"), help="default open")
@@ -491,7 +491,7 @@ def build_parser() -> _Parser:
         if name == "train-adv":
             sp.add_argument("--epsilon", type=finite_float)
             sp.add_argument("--pgd-steps", dest="pgd_steps", type=int)
-            sp.add_argument("--restarts", type=int)
+            sp.add_argument("--restarts", type=positive_int)
             sp.add_argument("--lambda-lip", dest="lambda_lip", type=finite_float)
         config(sp)
         sp.set_defaults(func=fn)

@@ -28,6 +28,8 @@ class AttackConfig:
             raise ValueError("epsilon must be > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
     @property
     def step(self) -> float:

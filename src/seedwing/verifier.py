@@ -3,8 +3,10 @@
 Branch and bound over unstable ReLU phases: the one bound propagator
 (mlp.propagate_bounds: the zonotope ReLU abstraction intersected with
 interval bounds, which reach also uses) fixes stable neurons and bounds the
-unstable ones, each negated conclusion becomes an LP over the inputs plus
-one variable per unstable neuron (triangle relaxation), and the LP optimum
+unstable ones. A conclusion row that the node's output zonotope bounds
+within the LP margin closes without an LP; each other negated conclusion
+becomes an LP over the inputs plus one variable per unstable neuron
+(triangle relaxation, which lies inside the zonotope), and the LP optimum
 is replayed through the concrete network. Genuine violations falsify;
 spurious optima split the widest unstable neuron. An exhausted tree verifies
 the property. Leaf LPs are exact (the network is affine on a fixed pattern),
@@ -399,6 +401,19 @@ def lp_feasible(A, b, box):
     return lpmod.solve_lp(A, ("<=",) * len(b), b, [l for l, _ in box], [h for _, h in box])
 
 
+def zonotope_violation(info, in_coef, out_coef, rhs):
+    """Exact max of in_coef.x + out_coef.y - rhs, one value per <= row, over
+    the node's joint input/output zonotope: the inputs are the box's centre
+    plus diag(radius) xi, the outputs info["out"], whose first n_in
+    generators are those of the inputs. The node LP's feasible set (exact
+    affine layers, triangle relaxation, premise rows) lies inside it."""
+    lo, hi = info["box"]
+    c_out, G_out = info["out"]
+    gens = out_coef @ G_out
+    gens[:, :lo.shape[0]] += in_coef * (0.5 * (hi - lo))
+    return in_coef @ (0.5 * (lo + hi)) + out_coef @ c_out + np.abs(gens).sum(axis=1) - rhs
+
+
 def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> Verdict:
     """Complete branch-and-bound verification of spec on net."""
     if net.n_relu > MAX_RELUS:
@@ -413,16 +428,21 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
     stats = {"nodes": 0, "lp": 0}
 
     # the premise as one <= system (A, b) per query; the conclusion as <= rows,
-    # each negated in a node LP of its own
+    # each closed by a node's output zonotope or negated in a node LP of its own
     premise = input_rows(spec.premise, spec.n_in)
     rows = [row for c in spec.conclusion for row in c.as_leq()]
+    row_in = np.array([ic for ic, _, _ in rows], dtype=float).reshape(len(rows), spec.n_in)
+    row_out = np.array([oc for _, oc, _ in rows], dtype=float).reshape(len(rows), net.widths[-1])
+    row_rhs = np.array([rhs for _, _, rhs in rows], dtype=float)
 
-    # vacuity: premise inconsistent with the box
-    feas = lp_feasible(*premise, spec.input_box)
-    stats["lp"] += 1
-    if not feas.feasible:
-        return Verdict("verified", vacuous=True, nodes=0, lp_calls=stats["lp"],
-                       seconds=time.perf_counter() - t0)
+    # vacuity: premise inconsistent with the box (an empty premise holds on
+    # the box, which the spec keeps non-empty)
+    if spec.premise:
+        feas = lp_feasible(*premise, spec.input_box)
+        stats["lp"] += 1
+        if not feas.feasible:
+            return Verdict("verified", vacuous=True, nodes=0, lp_calls=stats["lp"],
+                           seconds=time.perf_counter() - t0)
 
     # the premise contracts the box once per query; every node starts from
     # the contracted box. A premise the LP accepts within tolerance can still
@@ -444,6 +464,12 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
         stats["nodes"] += 1
         info = interval_bounds(net, box, phases)
         if info["empty"]:
+            continue
+        # a row the output zonotope bounds within the LP's margin holds on
+        # the node's LP feasible set too: it closes without an LP
+        zono_viol = zonotope_violation(info, row_in, row_out, row_rhs)
+        pending = [ci for ci in pending if zono_viol[ci] > LP_MARGIN]
+        if not pending:
             continue
         node = _NodeLp(net, info, phases, premise)
         still_open = []

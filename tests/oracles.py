@@ -4,6 +4,7 @@ Each lives apart from the implementation it checks: a clean-room scalar
 transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
 feasibility decision, a vertex-enumeration LP optimizer, a row-by-row
 simplex pivot, an exhaustive activation-pattern verification oracle,
+branch and bound with a node LP for every pending conclusion row,
 plain interval bound propagation, per-row pre-activations, the doubled-network form of the robustness query,
 a forward-mode Dual that keeps one Interval object per partial, the
 two-pass Dual[Interval] operators (a constant lifted to a zero-partial
@@ -15,12 +16,13 @@ forward passes per PGD iterate.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 
 from seedwing import intervals as iv
-from seedwing import mlp, robust
+from seedwing import mlp, robust, verifier
 from seedwing.intervals import Interval, IntervalDomainError
 from seedwing.mlp import Layer, Network
 from seedwing.verifier import (LP_MARGIN, REPLAY_TOL, LinConstraint,
@@ -242,6 +244,64 @@ def enumerate_verify(net, spec):
                 if worst > REPLAY_TOL:
                     return "falsified", x
     return "verified", None
+
+
+# ---------------------------------------------------------------------------
+# branch and bound with a node LP for every pending conclusion row
+
+def bab_verify_always_lp(net, spec, budget=verifier.Budget()):
+    """verifier.bab_verify's search without the zonotope close: a vacuity LP
+    on every query, premise rows or not, and one node LP per pending row.
+    Same DFS, splits and replay, so verdicts, witnesses and node counts must
+    match, and bab_verify's lp_calls never exceeds this one's."""
+    t0 = time.perf_counter()
+    stats = {"nodes": 0, "lp": 0}
+    premise = verifier.input_rows(spec.premise, spec.n_in)
+    rows = [row for c in spec.conclusion for row in c.as_leq()]
+
+    def verdict(status, **kw):
+        return verifier.Verdict(status, lp_calls=stats["lp"],
+                                seconds=time.perf_counter() - t0, **kw)
+
+    feas = verifier.lp_feasible(*premise, spec.input_box)
+    stats["lp"] += 1
+    if not feas.feasible:
+        return verdict("verified", vacuous=True, nodes=0)
+    lo, hi, empty = verifier.tighten_box(spec.input_box, *premise)
+    if empty:
+        return verdict("verified", nodes=1)
+    box = tuple(zip(lo, hi))
+
+    stack = [({}, list(range(len(rows))))]
+    while stack:
+        if stats["nodes"] >= budget.max_nodes or \
+           time.perf_counter() - t0 > budget.max_seconds:
+            return verdict("timeout", nodes=stats["nodes"])
+        phases, pending = stack.pop()
+        stats["nodes"] += 1
+        info = verifier.interval_bounds(net, box, phases)
+        if info["empty"]:
+            continue
+        node = verifier._NodeLp(net, info, phases, premise)
+        still_open = []
+        for ci in pending:
+            sol, viol, x = node.solve_negation(rows[ci])
+            stats["lp"] += 1
+            if sol is None or viol <= LP_MARGIN:
+                continue
+            y = mlp.forward_batch(net, x[None, :])[0]
+            if premise_holds(spec, x):
+                worst = max(constraint_violation(c, x, y) for c in spec.conclusion)
+                if worst > REPLAY_TOL:
+                    return verdict("falsified", witness=x, witness_outputs=np.atleast_1d(y),
+                                   nodes=stats["nodes"])
+            if node.unstable:
+                still_open.append(ci)
+        if still_open:
+            li, j = verifier._pick_split(info)
+            stack.append(({**phases, (li, j): 1}, still_open))
+            stack.append(({**phases, (li, j): 0}, still_open))
+    return verdict("verified", nodes=stats["nodes"])
 
 
 # ---------------------------------------------------------------------------

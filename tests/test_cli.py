@@ -377,6 +377,10 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
     (["train", "--data", "DATA", "--lr", "-0.5", "--epochs", "3"], ""),
     (["train-adv", "--data", "DATA", "--pgd-steps", "0", "--epochs", "3"], ""),
     (["train-adv", "--data", "DATA", "--epsilon", "0", "--epochs", "3"], ""),
+    (["train-adv", "--data", "DATA", "--restarts", "0", "--epochs", "3"], ""),
+    (["train-adv", "--data", "DATA", "--restarts", "-2", "--epochs", "3"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--points", "2", "--jobs", "0"], ""),
+    (["reach", "--net", "NET", "--jobs", "-3"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -390,7 +394,9 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
         "spec-nan-rhs", "spec-short-in", "spec-long-out", "reach-reversed-x6",
         "train-lr-overflow", "train-zero-batch", "train-adv-zero-batch",
         "train-negative-batch", "train-zero-epochs", "train-negative-epochs",
-        "train-negative-lr", "train-adv-zero-steps", "train-adv-zero-epsilon"])
+        "train-negative-lr", "train-adv-zero-steps", "train-adv-zero-epsilon",
+        "train-adv-zero-restarts", "train-adv-negative-restarts", "sweep-zero-jobs",
+        "reach-negative-jobs"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -413,6 +419,10 @@ BAD_INPUT_NAMES = {
     "train-zero-epochs": "--epochs: must be >= 1, got 0",
     "train-negative-epochs": "--epochs: must be >= 1, got -3",
     "train-negative-lr": "lr must be finite and > 0, got -0.5",
+    "train-adv-zero-restarts": "--restarts: must be >= 1, got 0",
+    "train-adv-negative-restarts": "--restarts: must be >= 1, got -2",
+    "sweep-zero-jobs": "--jobs: must be >= 1, got 0",
+    "reach-negative-jobs": "--jobs: must be >= 1, got -3",
 }
 
 

@@ -214,5 +214,8 @@ class TestTrainAdversarial:
             AttackConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             AttackConfig(steps=0)
+        for restarts in (0, -2):
+            with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+                AttackConfig(restarts=restarts)
         with pytest.raises(ValueError):
             RobustTrainConfig(lambda_lip=-1.0)

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (double_network, encode_robustness_doubled,
+from oracles import (bab_verify_always_lp, double_network, encode_robustness_doubled,
                      enumerate_verify, forward_preacts, interval_propagation)
 from seedwing import mlp
 from seedwing.mlp import Layer, Network, embed_normalization, \
     forward, forward_batch, init_network
-from seedwing.verifier import (Budget, LinConstraint,
+from seedwing.verifier import (LP_MARGIN, Budget, LinConstraint,
                                PropertySpec, PropertyThresholds, Verdict,
-                               bab_verify, constraint_violation,
+                               _NodeLp, bab_verify, constraint_violation,
                                encode_property, encode_robustness,
                                find_critical_ystar, input_rows,
                                interval_bounds, lp_feasible, premise_holds,
-                               results_to_csv, robustness_sweep, tighten_box)
+                               results_to_csv, robustness_sweep, tighten_box,
+                               zonotope_violation)
 
 RELU1 = Network((Layer(np.array([[1.0]]), np.array([0.0]), "relu"),
                  Layer(np.array([[1.0]]), np.array([0.0]), "id")))
@@ -419,6 +420,89 @@ class TestBabVerify:
                 break
         if verified_at is not None:
             assert bab_verify(emb, encode_property(1, verified_at + 1.0, box)).verified
+
+
+RELS = ("<=", ">=", "=")
+
+
+@st.composite
+def bab_queries(draw):
+    """A random small net (as rand_net builds them, up to 12 ReLUs), a box,
+    a premise of 0-2 rows and a conclusion of 1-2 rows, relations drawn from
+    all three. Each conclusion threshold sits at a sampled quantile of its
+    row's bounded side, shifted outward by -1% to 50% of the sampled spread:
+    the zonotope closes the loose ones, and those just past the sampled
+    extreme take splits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    net = rand_net(rng, max_relu=12)
+    n = net.n_in
+    box = tuple(tuple(sorted(rng.uniform(-1.5, 1.5, size=2))) for _ in range(n))
+    X = rng.uniform([lo for lo, _ in box], [hi for _, hi in box], size=(300, n))
+    premise = []
+    for _ in range(draw(st.integers(0, 2))):
+        a = rng.normal(size=n).round(2)
+        a[0] = a[0] or 1.0
+        premise.append(LinConstraint(tuple(a), (0.0,), draw(st.sampled_from(RELS)),
+                                     float(np.quantile(X @ a, draw(st.floats(0.1, 0.9))))))
+    Y = forward_batch(net, X)
+    conclusion = []
+    for _ in range(draw(st.integers(1, 2))):
+        ic = rng.normal(size=n).round(2) if draw(st.booleans()) else np.zeros(n)
+        vals = X @ ic + Y
+        rel = draw(st.sampled_from(RELS))
+        tail = draw(st.just(0.0) | st.floats(0.0, 0.5))
+        shift = draw(st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.5, -0.01])) * (np.ptp(vals) + 0.1)
+        rhs = np.quantile(vals, tail) - shift if rel == ">=" else \
+            np.quantile(vals, 1.0 - tail) + shift
+        conclusion.append(LinConstraint(tuple(ic), (1.0,), rel, float(rhs)))
+    return net, PropertySpec("rand", box, tuple(premise), tuple(conclusion))
+
+
+class TestZonotopeClose:
+    @settings(max_examples=200, deadline=None)
+    @given(bab_queries())
+    def test_matches_always_lp_oracle(self, query):
+        net, spec = query
+        v = bab_verify(net, spec, Budget(max_nodes=100000, max_seconds=30))
+        want = bab_verify_always_lp(net, spec, Budget(max_nodes=100000, max_seconds=30))
+        assert (v.status, v.vacuous, v.nodes) == (want.status, want.vacuous, want.nodes)
+        assert (v.witness is None) == (want.witness is None)
+        if v.witness is not None:
+            assert v.witness.tobytes() == want.witness.tobytes()
+        assert v.lp_calls <= want.lp_calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(bab_queries(), st.data())
+    def test_closed_rows_hold_on_the_node_lp(self, query, data):
+        # a node of the query's tree: the contracted box under forced phases
+        net, spec = query
+        premise = input_rows(spec.premise, spec.n_in)
+        lo, hi, empty = tighten_box(spec.input_box, *premise)
+        if empty:
+            return
+        phases = {(li, j): data.draw(st.sampled_from([None, None, 0, 1]))
+                  for li, layer in enumerate(net.layers) if layer.act == "relu"
+                  for j in range(layer.w.shape[0])}
+        phases = {k: p for k, p in phases.items() if p is not None}
+        info = interval_bounds(net, tuple(zip(lo, hi)), phases)
+        if info["empty"]:
+            return
+        rows = [row for c in spec.conclusion for row in c.as_leq()]
+        viol = zonotope_violation(info, np.array([ic for ic, _, _ in rows]),
+                                  np.array([oc for _, oc, _ in rows]),
+                                  np.array([rhs for _, _, rhs in rows]))
+        node = _NodeLp(net, info, phases, premise)
+        for row, zv in zip(rows, viol):
+            if zv <= LP_MARGIN:
+                sol, lp_viol, _ = node.solve_negation(row)
+                assert sol is None or lp_viol <= LP_MARGIN, (zv, lp_viol)
+
+    def test_robustness_query_without_premise_needs_no_lp(self, naive_net, data_arrays):
+        # a loose robustness bound closes at the root on the zonotope alone
+        X, _ = data_arrays
+        spec = encode_robustness(naive_net, X[0], 1e-3, 1e-2, tuple((0.0, 1.0) for _ in range(6)))
+        v = bab_verify(naive_net, spec)
+        assert v.verified and (v.nodes, v.lp_calls) == (1, 0)
 
 
 class TestPinnedVsDoubled:
