@@ -225,15 +225,6 @@ _deriv_raw = _derivative_core
 # ---------------------------------------------------------------------------
 # public float-path operations
 
-def _check_alpha_region(alpha: float, strict: bool):
-    if ALPHA_LO <= alpha <= ALPHA_HI:
-        return
-    if strict:
-        raise AlphaRegionError(f"alpha={alpha:.4f} outside [{ALPHA_LO:.4f}, {ALPHA_HI}]")
-    warnings.warn(f"angle of attack {alpha:.4f} outside assumed region "
-                  f"[-pi/2, 0]; aerodynamic fit extrapolating", stacklevel=3)
-
-
 def angle_of_attack(s: State, u, p: PlateParams) -> float:
     """atan2(x2 - x3*e_x*l, x1): the flow at the centre of mass.
 
@@ -246,17 +237,15 @@ def angle_of_attack(s: State, u, p: PlateParams) -> float:
     return math.atan2(vy, s.x1)
 
 
-def force_coefficients(alpha: float, p: PlateParams, strict: bool = False):
+def force_coefficients(alpha: float, p: PlateParams):
     """(c_lift, c_drag, l_cp[m]) at the given angle of attack."""
-    _check_alpha_region(alpha, strict)
     return _coeffs_abs(abs(alpha), p)[1:]
 
 
-def aero_breakdown(s: State, u, p: PlateParams, strict: bool = False) -> AeroBreakdown:
+def aero_breakdown(s: State, u, p: PlateParams) -> AeroBreakdown:
     """All intermediate aerodynamic quantities for one state."""
     e_x = float(u)
     alpha = angle_of_attack(s, u, p)
-    _check_alpha_region(alpha, strict)
     f, c_lift, c_drag, l_cp = _coeffs_abs(abs(alpha), p)
     terms = _aero_terms(s.x1, s.x2 - s.x3 * (e_x * p.ell), s.x3, e_x,
                         c_lift, c_drag, l_cp, p)

@@ -1,7 +1,8 @@
 """Dense two-phase simplex over box-bounded variables.
 
 Canonical problem: variables v with finite bounds lo <= v <= hi, linear rows
-a.v {<=,=,>=} b, optional linear objective to maximize. Phase 1 minimizes
+a.v <= b (the one row form, so each row's dual has one sign), optional
+linear objective to maximize. Phase 1 minimizes
 artificial variables under Bland's rule (no cycling); phase 2 optimizes the
 objective. All feasible regions here are bounded, so phase 2 cannot be
 unbounded.
@@ -80,7 +81,8 @@ def _run_simplex(T: np.ndarray, basis: list, c: np.ndarray):
 def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
     """Feasibility plus optional maximization of `objective` over the rows.
 
-    A: (m, n) row coefficients; rel: length-m sequence of "<=", "=", ">=";
+    A: (m, n) row coefficients; rel: length-m sequence of "<=" (the one row
+    form: write a >= row as its negation and an = row as two rows);
     b: (m,) right-hand sides; lo/hi: finite variable bounds.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float)) if len(b) else np.zeros((0, len(lo)))
@@ -95,58 +97,48 @@ def solve_lp(A, rel, b, lo, hi, objective=None) -> LpSolution:
     if not len(A) == len(rel) == len(b):
         raise ValueError("A, rel and b need one entry per row")
     for kind in rel:
-        if kind not in ("<=", ">=", "="):
-            raise ValueError(f"unknown relation {kind!r}")
+        if kind != "<=":
+            raise ValueError(f"relation {kind!r}: rows must be '<='")
 
-    # shift to w = v - lo in [0, hi - lo]; ">=" rows become "<=" rows, and
-    # the upper bounds follow as "<=" rows
+    # shift to w = v - lo in [0, hi - lo]; the upper bounds follow as rows
     k = len(b)
     m = k + n
-    ge = np.array([kind == ">=" for kind in rel], dtype=bool)
-    le = np.ones(m, dtype=bool)
-    le[:k] = [kind != "=" for kind in rel]
-    rhs = b - np.array([float(a @ lo) for a in A])
-    rv = np.concatenate([np.where(ge, -rhs, rhs), hi - lo])
+    rv = np.concatenate([b - np.array([float(a @ lo) for a in A]), hi - lo])
     flip = rv < 0
 
-    # tableau [rows | slacks | artificials | rhs]: one slack per "<=" row; a
-    # row with a negative rhs is negated, and it and every "=" row start on
-    # an artificial
-    slack_rows = le.nonzero()[0]
-    n_slack = slack_rows.size
-    art_rows = (flip | ~le).nonzero()[0]
+    # tableau [rows | slacks | artificials | rhs]: one slack per row; a row
+    # with a negative rhs is negated and starts on an artificial
+    art_rows = flip.nonzero()[0]
     n_art = art_rows.size
-    ncols = n + n_slack + n_art
+    ncols = n + m + n_art
     tab = np.zeros((m, ncols + 1))
-    tab[:k, :n] = np.where(ge[:, None], -A, A)
+    tab[:k, :n] = A
     tab[k:, :n] = np.eye(n)
     tab[:, -1] = rv
-    tab[slack_rows, n + np.arange(n_slack)] = 1.0
-    if flip.any():
-        tab[flip, :n + n_slack] *= -1.0
-        tab[flip, -1] *= -1.0
-    basis = np.empty(m, dtype=int)
-    basis[slack_rows] = n + np.arange(n_slack)
-    basis[art_rows] = n + n_slack + np.arange(n_art)
+    tab[:, n:n + m] = np.eye(m)
+    tab[flip, :n + m] *= -1.0
+    tab[flip, -1] *= -1.0
+    basis = n + np.arange(m)
+    basis[art_rows] = n + m + np.arange(n_art)
     tab[art_rows, basis[art_rows]] = 1.0
     basis = basis.tolist()
 
     if n_art:
         c1 = np.zeros(ncols)
-        c1[n + n_slack:] = 1.0
+        c1[n + m:] = 1.0
         _run_simplex(tab, basis, c1)
-        residual = [i for i in range(m) if basis[i] >= n + n_slack]
+        residual = [i for i in range(m) if basis[i] >= n + m]
         # Python's sum adds in row order; np.sum's pairwise order could
         # round differently at the FEAS_TOL decision
         if sum(tab[residual, -1].tolist()) > FEAS_TOL:
             return LpSolution(False)
         # pivot residual artificials out of the basis where possible
         for i in residual:
-            nz = (np.abs(tab[i, :n + n_slack]) > PIVOT_TOL).nonzero()[0]
+            nz = (np.abs(tab[i, :n + m]) > PIVOT_TOL).nonzero()[0]
             if nz.size:
                 _pivot(tab, basis, i, int(nz[0]))
         # block artificial columns from re-entering
-        tab[:, n + n_slack:ncols] = 0.0
+        tab[:, n + m:ncols] = 0.0
 
     if objective is not None:
         c2 = np.zeros(ncols)

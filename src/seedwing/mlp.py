@@ -237,51 +237,23 @@ def _views(flat: np.ndarray, layout) -> list:
     return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
 
 
-class Gradient:
-    """Parameter gradient. dw[i] and db[i] are views of one flat vector,
-    `flat`, in the layout of the training buffer (w then b of each layer),
-    so a descent step, a scaling and a sum are one vector operation each."""
-
-    def __init__(self, dw, db):
-        """Copies the per-layer arrays into a fresh flat vector."""
-        arrays = [np.asarray(a, dtype=float) for pair in zip(dw, db) for a in pair]
-        self._bind(np.concatenate([a.ravel() for a in arrays]),
-                   _layout([a.shape for a in arrays]))
-
-    def _bind(self, flat: np.ndarray, layout):
-        self.flat, self.layout = flat, layout
-        views = _views(flat, layout)
-        self.dw, self.db = views[0::2], views[1::2]
-
-    @classmethod
-    def _of(cls, flat: np.ndarray, layout) -> "Gradient":
-        g = cls.__new__(cls)
-        g._bind(flat, layout)
-        return g
-
-    def scaled(self, f: float) -> "Gradient":
-        return Gradient._of(self.flat * f, self.layout)
-
-    def add_(self, other: "Gradient", f: float = 1.0):
-        self.flat += f * other.flat
-        return self
-
-
-def _backprop_from_output(net: Network, acts, pres, dL_dy: np.ndarray) -> Gradient:
-    """Parameter gradient given dL/d(output) of shape (n, n_out): each
-    layer's sums written into its views, then one division by n."""
-    layout = net._param_layout
-    g = Gradient._of(np.empty(layout[-1][1]), layout)
+def _backprop_from_output(net: Network, acts, pres, dL_dy: np.ndarray) -> np.ndarray:
+    """Parameter gradient given dL/d(output) of shape (n, n_out), as one
+    flat vector in the layout of the training buffer (w then b of each
+    layer): each layer's sums written into its views, then one division
+    by n."""
+    g = np.empty(net._param_layout[-1][1])
+    views = _views(g, net._param_layout)
     delta = dL_dy
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.act == "relu":
             delta = delta * (pres[i] > 0.0)
-        np.matmul(delta.T, acts[i], out=g.dw[i])
-        delta.sum(axis=0, out=g.db[i])
+        np.matmul(delta.T, acts[i], out=views[2 * i])
+        delta.sum(axis=0, out=views[2 * i + 1])
         if i > 0:
             delta = delta @ layer.w
-    g.flat /= dL_dy.shape[0]
+    g /= dL_dy.shape[0]
     return g
 
 
@@ -309,9 +281,10 @@ def final_rmse(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int) -> float
     return final
 
 
-def gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> Gradient:
-    """Exact gradient of the batch mean squared error; ReLU subgradient 0
-    at kinks."""
+def gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Exact gradient of the batch mean squared error, as a flat vector in
+    the layout of the network's parameters (mlp._views splits it); ReLU
+    subgradient 0 at kinks."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if X.shape[0] == 0:
@@ -338,10 +311,11 @@ def input_gradient(net: Network, X: np.ndarray, Y: np.ndarray):
     return delta, out
 
 
-def apply_gradient(params: np.ndarray, g: Gradient, lr: float) -> bool:
-    """One descent step on the flat parameter vector `params`, in place;
-    False when the step leaves a parameter that is not finite."""
-    params -= lr * g.flat
+def apply_gradient(params: np.ndarray, g: np.ndarray, lr: float) -> bool:
+    """One descent step on the flat parameter vector `params` along the flat
+    gradient `g`, in place; False when the step leaves a parameter that is
+    not finite."""
+    params -= lr * g
     return bool(np.isfinite(params).all())
 
 
@@ -374,8 +348,9 @@ def _descend(net: Network, X: np.ndarray, Y: np.ndarray, batch_gradient,
     batch_gradient(work, X_batch, Y_batch). `work` is a private network on
     one flat parameter vector, which each step updates in place. Raises
     TrainingDivergedError(epoch) at a step that leaves a non-finite
-    parameter or an epoch that ends on a non-finite loss. The settings in
-    `meta` plus the final train RMSE are added to the result's."""
+    parameter: a forward pass that overflows makes the gradient of the next
+    batch holding its rows non-finite. final_rmse checks the last step. The
+    settings in `meta` plus the final train RMSE are added to the result's."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
@@ -392,8 +367,6 @@ def _descend(net: Network, X: np.ndarray, Y: np.ndarray, batch_gradient,
             idx = order[start:start + batch_size]
             if not apply_gradient(params, batch_gradient(work, X[idx], Y[idx]), lr):
                 raise TrainingDivergedError(epoch)
-        if not math.isfinite(mse(work, X[:1], Y[:1])):
-            raise TrainingDivergedError(epoch)
     final = final_rmse(work, X, Y, epochs)
     out = dict(net.meta)
     out.update(meta)

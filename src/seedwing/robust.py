@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mlp
-from .mlp import Gradient, Network
+from .mlp import Network
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,9 @@ def empirical_lipschitz(net: Network, X: np.ndarray, cfg: AttackConfig, box,
     return max_lipschitz_quotient(net, X, pgd_attack_batch(net, X, Y, cfg, box, rng))[0]
 
 
-def _lipschitz_term_gradient(net: Network, x, x_adv) -> Gradient:
-    """Parameter gradient of |f(x) - f(x*)| / ||x - x*||_inf for one pair."""
+def _lipschitz_term_gradient(net: Network, x, x_adv) -> np.ndarray:
+    """Flat parameter gradient of |f(x) - f(x*)| / ||x - x*||_inf for one
+    pair."""
     d = float(np.max(np.abs(x - x_adv)))
     acts_a, pres_a = mlp._forward_trace(net, x[None, :])
     acts_b, pres_b = mlp._forward_trace(net, x_adv[None, :])
@@ -116,7 +117,7 @@ def _lipschitz_term_gradient(net: Network, x, x_adv) -> Gradient:
     one = np.ones((1, 1))
     ga = mlp._backprop_from_output(net, acts_a, pres_a, one * (sign / d))
     gb = mlp._backprop_from_output(net, acts_b, pres_b, one * (-sign / d))
-    return ga.add_(gb)
+    return ga + gb
 
 
 def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
@@ -134,12 +135,12 @@ def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
         Xa = pgd_attack_batch(cur, Xb, Yb, cfg.attack, box, attack_rng)
         # equal-weight average of clean and adversarial terms, so the
         # epsilon->0 limit reproduces plain training exactly
-        g = mlp.gradient(cur, Xb, Yb).scaled(0.5)
-        g.add_(mlp.gradient(cur, Xa, Yb), f=0.5)
+        g = mlp.gradient(cur, Xb, Yb) * 0.5
+        g += 0.5 * mlp.gradient(cur, Xa, Yb)
         if cfg.lambda_lip > 0:
             k = max_lipschitz_quotient(cur, Xb, Xa)[1]
             if k is not None:
-                g.add_(_lipschitz_term_gradient(cur, Xb[k], Xa[k]), f=cfg.lambda_lip)
+                g += cfg.lambda_lip * _lipschitz_term_gradient(cur, Xb[k], Xa[k])
         return g
 
     meta = {"kind": "adversarial", "epochs": cfg.epochs, "lr": cfg.lr,

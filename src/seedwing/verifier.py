@@ -437,21 +437,21 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
 
     # vacuity: premise inconsistent with the box (an empty premise holds on
     # the box, which the spec keeps non-empty)
+    box = spec.input_box
     if spec.premise:
-        feas = lp_feasible(*premise, spec.input_box)
+        feas = lp_feasible(*premise, box)
         stats["lp"] += 1
         if not feas.feasible:
             return Verdict("verified", vacuous=True, nodes=0, lp_calls=stats["lp"],
                            seconds=time.perf_counter() - t0)
-
-    # the premise contracts the box once per query; every node starts from
-    # the contracted box. A premise the LP accepts within tolerance can still
-    # empty it: the root node then closes without an LP.
-    lo, hi, empty = tighten_box(spec.input_box, *premise)
-    if empty:
-        return Verdict("verified", nodes=1, lp_calls=stats["lp"],
-                       seconds=time.perf_counter() - t0)
-    box = tuple(zip(lo, hi))
+        # the premise contracts the box once per query; every node starts
+        # from the contracted box. A premise the LP accepts within tolerance
+        # can still empty it: the root node then closes without an LP.
+        lo, hi, empty = tighten_box(box, *premise)
+        if empty:
+            return Verdict("verified", nodes=1, lp_calls=stats["lp"],
+                           seconds=time.perf_counter() - t0)
+        box = tuple(zip(lo, hi))
 
     # DFS over phase assignments; each entry carries the conclusion rows still open
     stack = [({}, list(range(len(rows))))]
@@ -587,12 +587,12 @@ def find_critical_ystar(net: Network, kind: int, box,
         res.vacuous = hi_vac
         return res
 
-    # kind 3
+    # kind 3: resolution first, then the grid past it
     v = probe(resolution)
     if not v.verified or v.vacuous:
         return res
     lo = resolution
-    y = max(1.0, resolution)
+    y = 1.0 if resolution < 1.0 else 2.0 * resolution
     while y <= search_max + 1e-12:
         v = probe(y)
         if v.verified and not v.vacuous:

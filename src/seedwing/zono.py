@@ -75,11 +75,13 @@ def zono_sample(Z: Zonotope, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def zono_contains_point(Z: Zonotope, x, tol: float = 1e-9) -> bool:
-    """Membership via LP feasibility of G xi = x - c, xi in [-1, 1]^g."""
+    """Membership via LP feasibility of G xi = x - c, xi in [-1, 1]^g, as the
+    two <= blocks G xi <= x - c and -G xi <= c - x."""
     x = np.asarray(x, dtype=float)
     if Z.n_gen == 0:
         return bool(np.max(np.abs(x - Z.c)) <= tol)
     g = Z.n_gen
-    sol = lpmod.solve_lp(Z.G, ["="] * Z.dim, x - Z.c,
+    sol = lpmod.solve_lp(np.vstack([Z.G, -Z.G]), ["<="] * (2 * Z.dim),
+                         np.concatenate([x - Z.c, Z.c - x]),
                          lo=-np.ones(g) - tol, hi=np.ones(g) + tol)
     return sol.feasible

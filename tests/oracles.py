@@ -163,13 +163,13 @@ def pivot_rows(T, basis, row, col):
 # exhaustive activation-pattern verification oracle
 
 def _pattern_rows(net, pattern, nv):
-    """LP rows fixing every ReLU to the given on/off pattern; returns
-    (rows_a, rows_rel, rows_b, out_coefs, out_consts)."""
+    """<= rows fixing every ReLU to the given on/off pattern; returns
+    (rows_a, rows_b, out_coefs, out_consts)."""
     coefs = np.zeros((net.n_in, nv))
     consts = np.zeros(net.n_in)
     for i in range(net.n_in):
         coefs[i, i] = 1.0
-    rows_a, rows_rel, rows_b = [], [], []
+    rows_a, rows_b = [], []
     k = 0
     for layer in net.layers:
         p_coefs = layer.w @ coefs
@@ -181,14 +181,21 @@ def _pattern_rows(net, pattern, nv):
         n_consts = np.zeros(p_consts.shape[0])
         for j in range(p_consts.shape[0]):
             if pattern[k]:
-                rows_a.append(p_coefs[j]); rows_rel.append(">="); rows_b.append(-p_consts[j])
+                # on: pre-activation >= 0, written as its negation
+                rows_a.append(-p_coefs[j]); rows_b.append(p_consts[j])
                 n_coefs[j] = p_coefs[j]
                 n_consts[j] = p_consts[j]
             else:
-                rows_a.append(p_coefs[j]); rows_rel.append("<="); rows_b.append(-p_consts[j])
+                rows_a.append(p_coefs[j]); rows_b.append(-p_consts[j])
             k += 1
         coefs, consts = n_coefs, n_consts
-    return rows_a, rows_rel, rows_b, coefs, consts
+    return rows_a, rows_b, coefs, consts
+
+
+def _solve_leq(rows_a, rows_b, n, lo, hi, objective=None):
+    A = np.array(rows_a, dtype=float).reshape(len(rows_a), n)
+    return lpmod.solve_lp(A, ["<="] * len(rows_b), np.array(rows_b, dtype=float),
+                          lo, hi, objective=objective)
 
 
 def enumerate_verify(net, spec):
@@ -198,13 +205,11 @@ def enumerate_verify(net, spec):
     lo = np.array([b[0] for b in spec.input_box])
     hi = np.array([b[1] for b in spec.input_box])
 
-    feas_rows_a, feas_rows_rel, feas_rows_b = [], [], []
+    prem_a, prem_b = [], []
     for c in spec.premise:
         for ic, _, rhs in c.as_leq():
-            feas_rows_a.append(np.asarray(ic)); feas_rows_rel.append("<="); feas_rows_b.append(rhs)
-    sol = lpmod.solve_lp(np.array(feas_rows_a) if feas_rows_a else np.zeros((0, n_in)),
-                         feas_rows_rel, np.array(feas_rows_b), lo, hi)
-    if not sol.feasible:
+            prem_a.append(np.asarray(ic, dtype=float)); prem_b.append(rhs)
+    if not _solve_leq(prem_a, prem_b, n_in, lo, hi).feasible:
         return "verified", None
 
     conclusions = []
@@ -217,24 +222,22 @@ def enumerate_verify(net, spec):
 
     n_relu = net.n_relu
     for bits in itertools.product((0, 1), repeat=n_relu):
-        rows_a, rows_rel, rows_b, out_c, out_k = _pattern_rows(net, bits, n_in)
-        rows_a = list(rows_a); rows_rel = list(rows_rel); rows_b = list(rows_b)
-        for c in spec.premise:
-            for ic, _, rhs in c.as_leq():
-                rows_a.append(np.asarray(ic, dtype=float)); rows_rel.append("<="); rows_b.append(rhs)
+        rows_a, rows_b, out_c, out_k = _pattern_rows(net, bits, n_in)
+        rows_a = rows_a + prem_a
+        rows_b = rows_b + prem_b
         for c in conclusions:
             vec = np.zeros(n_in)
             vec += np.asarray(c.in_coef)
             vec = vec + np.asarray(c.out_coef) @ out_c
             const = float(np.asarray(c.out_coef) @ out_k)
-            ra = list(rows_a); rr = list(rows_rel); rb = list(rows_b)
+            # the negated conclusion row, in <= form
             if c.rel == "<=":
-                ra.append(vec); rr.append(">="); rb.append(c.rhs - const)
+                neg_a, neg_b = -vec, const - c.rhs
                 obj, off = vec, const - c.rhs
             else:
-                ra.append(vec); rr.append("<="); rb.append(c.rhs - const)
+                neg_a, neg_b = vec, c.rhs - const
                 obj, off = -vec, c.rhs - const
-            sol = lpmod.solve_lp(np.array(ra), rr, np.array(rb), lo, hi, objective=obj)
+            sol = _solve_leq(rows_a + [neg_a], rows_b + [neg_b], n_in, lo, hi, objective=obj)
             if not sol.feasible or sol.objective + off <= LP_MARGIN:
                 continue
             x = sol.x
@@ -817,13 +820,11 @@ def descend_per_layer(net, X, Y, batch_gradient, epochs, lr, seed, batch_size, m
     rng = np.random.default_rng(seed)
     cur = net
     n = X.shape[0]
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             cur = apply_gradient_per_layer(cur, batch_gradient(cur, X[idx], Y[idx]), lr)
-        if not math.isfinite(mlp.mse(cur, X[:1], Y[:1])):
-            raise mlp.TrainingDivergedError(epoch)
     out = dict(cur.meta)
     out.update(meta)
     out["train_rmse"] = mlp.final_rmse(cur, X, Y, epochs)

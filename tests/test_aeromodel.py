@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -121,14 +120,6 @@ class TestCoefficients:
         f = selection_fraction(math.pi / 2, params)
         expect = params.ell * f * (params.ccp0 - params.ccp1 * (math.pi / 2) ** 2)
         assert lcp == pytest.approx(expect, abs=1e-15)
-
-    def test_strict_mode_region_assertion(self, params):
-        with pytest.raises(AlphaRegionError):
-            force_coefficients(0.4, params, strict=True)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            force_coefficients(0.4, params)
-        assert rec
 
 
 class TestForcesAndTorques:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (bab_verify_always_lp, double_network, encode_robustness_doubled,
                      enumerate_verify, forward_preacts, interval_propagation)
-from seedwing import mlp
+from seedwing import mlp, verifier
 from seedwing.mlp import Layer, Network, embed_normalization, \
     forward, forward_batch, init_network
 from seedwing.verifier import (LP_MARGIN, Budget, LinConstraint,
@@ -574,6 +574,30 @@ class TestCriticalYstar:
         res = find_critical_ystar(net, 3, box, resolution=1.0, search_max=5.0,
                                   thresholds=thr)
         assert res.failed
+
+    @pytest.mark.parametrize("resolution, probed", [
+        (0.5, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        (1.0, [1.0, 2.0, 3.0, 4.0, 5.0]),
+        (2.0, [2.0, 4.0]),
+    ])
+    def test_kind3_probes_each_ystar_once(self, resolution, probed, monkeypatch):
+        # output pinned at 0.187 inside the band: every ystar verifies, so
+        # the grid runs to search_max and no bisection follows
+        net = Network((Layer(np.zeros((1, 6)), np.array([0.187]), "relu"),
+                       Layer(np.array([[1.0]]), np.array([0.0]), "id")))
+        box = tuple((-5.0, 5.0) for _ in range(6))
+        thr = PropertyThresholds(pitch_lo=-1.0, pitch_hi=1.0)
+        seen = []
+        real = verifier.encode_property
+
+        def counted(kind, y, *rest):
+            seen.append(y)
+            return real(kind, y, *rest)
+        monkeypatch.setattr(verifier, "encode_property", counted)
+        res = find_critical_ystar(net, 3, box, resolution=resolution, search_max=5.0,
+                                  thresholds=thr)
+        assert seen == probed
+        assert res.value == probed[-1]
 
 
 class TestRobustnessSweep:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seedwing.zono import (Zonotope, zono_contains_point, zono_hull,
                            zono_max_linear, zono_reduce, zono_sample)
@@ -73,3 +75,67 @@ class TestMembershipAndSplit:
         assert not zono_contains_point(Z, [1.1, 2.0])
         lo, hi = zono_hull(Z)
         assert np.array_equal(lo, hi)
+
+
+XI = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def zono_points(draw):
+    """A zonotope, a point and whether it is known to lie inside: c + G xi
+    (inside), the same scaled by s >= 1 about c, or the hull's upper corner
+    moved out by d in one coordinate."""
+    n = draw(st.integers(1, 3))
+    g = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    Z = Zonotope(rng.normal(size=n), rng.normal(scale=0.5, size=(n, g)))
+    xi = np.array([draw(XI) for _ in range(g)])
+    kind = draw(st.sampled_from(["inside", "scaled", "beyond"]))
+    if kind == "inside":
+        x = Z.c + Z.G @ xi
+    elif kind == "scaled":
+        x = Z.c + draw(st.floats(1.0, 3.0)) * (Z.G @ xi)
+    else:
+        x = zono_hull(Z)[1].copy()
+        x[draw(st.integers(0, n - 1))] += draw(st.floats(1e-3, 2.0))
+    return Z, x, kind == "inside"
+
+
+def highs_membership(Z, x, tol):
+    """linprog (HiGHS, test-only) on the equality form G xi = x - c,
+    xi in [-1 - tol, 1 + tol]^g; also the least inf-norm of such xi (None
+    when G xi = x - c has no solution)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    g = Z.n_gen
+    member = linprog(np.zeros(g), A_eq=Z.G, b_eq=x - Z.c,
+                     bounds=[(-1.0 - tol, 1.0 + tol)] * g, method="highs")
+    assert member.status in (0, 2), member.message
+    # min t subject to G xi = x - c and -t <= xi_i <= t
+    c = np.zeros(g + 1)
+    c[-1] = 1.0
+    eye = np.eye(g)
+    ones = np.ones((g, 1))
+    norm = linprog(c, A_ub=np.block([[eye, -ones], [-eye, -ones]]), b_ub=np.zeros(2 * g),
+                   A_eq=np.hstack([Z.G, np.zeros((Z.dim, 1))]), b_eq=x - Z.c,
+                   bounds=[(None, None)] * g + [(0.0, None)], method="highs")
+    return member.status == 0, (norm.fun if norm.status == 0 else None)
+
+
+class TestMembershipOracle:
+    """zono_contains_point (two <= blocks) against HiGHS's equality-form
+    membership LP. Points not known to lie inside whose least inf-norm xi
+    lies between the two solvers' tolerances of the bound 1 + tol have no
+    single answer and are left out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zono_points())
+    def test_agrees_with_highs(self, case):
+        Z, x, inside = case
+        tol = 1e-9
+        member, least = highs_membership(Z, x, tol)
+        if inside:
+            assert member
+        else:
+            assume(least is None or not 1.0 - 1e-6 < least < 1.0 + 1e-6)
+        assert zono_contains_point(Z, x, tol) == member
