@@ -44,7 +44,7 @@ def _product(al, ah, bl, bh):
     """Unpadded bounds of [al, ah] * [bl, bh], picked by sign case: two
     multiplies when b's sign is known, four when b straddles zero. The
     picked products are the min and max of all four; a NaN from 0 * inf
-    counts that product as 0."""
+    counts that product as 0, and a NaN operand gives NaN bounds."""
     if bl >= 0.0:
         lo = al * bl if al >= 0.0 else al * bh
         hi = ah * bh if ah >= 0.0 else ah * bl
@@ -61,6 +61,8 @@ def _product(al, ah, bl, bh):
         if p > hi:
             hi = p
     if not lo <= hi:
+        if al != al or ah != ah or bl != bl or bh != bh:
+            return math.nan, math.nan
         p = [0.0 if q != q else q for q in (al * bl, al * bh, ah * bl, ah * bh)]
         return min(p), max(p)
     return lo, hi
@@ -77,10 +79,11 @@ def _pad(l, h):
 
 
 def _scale(l, h, t):
-    """Interval * float on a float pair: padded bounds of [l, h] * t."""
+    """Interval * number on a float pair: padded bounds of [l, h] * t, the
+    endpoint products ordered by t's sign. A 0 * inf product counts as 0,
+    as in _product; a NaN t raises."""
     l, h = (l * t, h * t) if t >= 0 else (h * t, l * t)
     if not l <= h and t == t:
-        # a 0 * inf product counts as 0, as in Interval * float
         l, h = (0.0 if q != q else q for q in (l, h))
     return _pad(l, h)
 
@@ -148,14 +151,7 @@ class Interval:
         if isinstance(other, Interval):
             return _iv(*_product(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, (int, float)):
-            if other >= 0:
-                lo, hi = self.lo * other, self.hi * other
-            else:
-                lo, hi = self.hi * other, self.lo * other
-            if not lo <= hi and other == other:
-                # a 0 * inf product is NaN; count it as 0, as _product does
-                lo, hi = (0.0 if q != q else q for q in (lo, hi))
-            return _iv(lo, hi)
+            return _interval(*_scale(self.lo, self.hi, other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -245,12 +241,14 @@ def interval_atan2(y: Interval, x: Interval) -> Interval:
 
 # -- flat interval partials -------------------------------------------------
 # An interval-valued Dual keeps partial k as the float pair (lo[k], hi[k]).
-# These loops do per pair what the Interval operators do per object: the same
-# products and sums, padded like _iv and in the same order, one pass per Dual
-# operator. A pair that fails the one `not l <= h` test (a NaN) is redone with
-# Interval objects, which either give the Interval operators' result or raise
-# their error. |x| is written `x if x >= 0.0 else -x`, which pads -0.0 and
-# NaN to the same bits as abs(x).
+# These loops do per pair what the Interval operators do per object, one
+# pass per Dual operator: the same sums, the same products (_product is the
+# one sign-case kernel, a float factor t acting as [t, t]) and the same
+# padding, written inline, in the same order. Every pair lo <= hi stays
+# ordered under these steps, so a pair that fails the one `not l <= h` test
+# holds a NaN (from a NaN operand, inf - inf, or a lower bound of +inf
+# padded) and raises the Interval error, as the Interval operators would. |x| is
+# written `x if x >= 0.0 else -x`, which pads -0.0 to the same bits as abs(x).
 #
 # A constant operand acts as a Dual with zero partials. Such a partial times
 # a finite value pads to _ZERO = [-_TINY, _TINY], so the constant paths add
@@ -266,6 +264,11 @@ def _finite(v) -> bool:
     return math.isfinite(v)
 
 
+def _bounds(f):
+    """Endpoints of f, an Interval or a float (the point [f, f])."""
+    return (f.lo, f.hi) if isinstance(f, Interval) else (f, f)
+
+
 def _neg(lo, hi):
     return [-h for h in hi], [-l for l in lo]
 
@@ -279,8 +282,7 @@ def _sum(alo, ahi, blo, bhi):
         lo -= (lo if lo >= 0.0 else -lo) * _PAD + _TINY
         hi += (hi if hi >= 0.0 else -hi) * _PAD + _TINY
         if not lo <= hi:
-            x = _interval(a, b) + _interval(c, d)
-            lo, hi = x.lo, x.hi
+            Interval(lo, hi)    # raises
         out_lo.append(lo)
         out_hi.append(hi)
     return out_lo, out_hi
@@ -296,8 +298,7 @@ def _padded(lo, hi, negate=False):
         l = a - ((a if a >= 0.0 else -a) * _PAD + _TINY)
         h = b + ((b if b >= 0.0 else -b) * _PAD + _TINY)
         if not l <= h:
-            x = _iv(a, b)
-            l, h = x.lo, x.hi
+            Interval(l, h)      # raises
         if negate:
             l, h = -h, -l
         out_lo.append(l)
@@ -305,37 +306,14 @@ def _padded(lo, hi, negate=False):
     return out_lo, out_hi
 
 
-def _cases(f):
-    """f's endpoints and _product's sign case for it: 0 if f >= 0, 1 if
-    f <= 0, 2 if it straddles zero. A float f acts as [f, f], whose products
-    are the ones Interval * float takes."""
-    fl, fh = (f.lo, f.hi) if isinstance(f, Interval) else (f, f)
-    return fl, fh, 0 if fl >= 0.0 else 1 if fh <= 0.0 else 2
-
-
 def _scaled(lo, hi, f, lifted=False):
     """Padded products of interval partials with one factor f, a float or an
-    Interval: _product's sign cases with f's case picked once. With `lifted`
-    each product then gets _ZERO added and is padded again: the partials of
-    a Dual with a finite value times the constant f."""
-    fl, fh, case = _cases(f)
+    Interval. With `lifted` each product then gets _ZERO added and is padded
+    again: the partials of a Dual with a finite value times the constant f."""
+    fl, fh = _bounds(f)
     out_lo, out_hi = [], []
     for a, b in zip(lo, hi):
-        if case == 0:
-            l = a * fl if a >= 0.0 else a * fh
-            h = b * fh if b >= 0.0 else b * fl
-        elif case == 1:
-            l = b * fl if b >= 0.0 else b * fh
-            h = a * fh if a >= 0.0 else a * fl
-        else:
-            l = a * fh
-            p = b * fl
-            if p < l:
-                l = p
-            h = a * fl
-            p = b * fh
-            if p > h:
-                h = p
+        l, h = _product(a, b, fl, fh)
         l -= (l if l >= 0.0 else -l) * _PAD + _TINY
         h += (h if h >= 0.0 else -h) * _PAD + _TINY
         if lifted:
@@ -344,10 +322,7 @@ def _scaled(lo, hi, f, lifted=False):
             l -= (l if l >= 0.0 else -l) * _PAD + _TINY
             h += (h if h >= 0.0 else -h) * _PAD + _TINY
         if not l <= h:
-            x = _interval(a, b) * f
-            if lifted:
-                x = x + _ZERO
-            l, h = x.lo, x.hi
+            Interval(l, h)      # raises
         out_lo.append(l)
         out_hi.append(h)
     return out_lo, out_hi
@@ -357,40 +332,12 @@ def _scaled_sum(alo, ahi, f, blo, bhi, g):
     """Padded sums of the padded products a * f and b * g of two lists of
     interval partials (f and g floats or Intervals): the partials of a Dual
     product, in one pass."""
-    fl, fh, fcase = _cases(f)
-    gl, gh, gcase = _cases(g)
+    fl, fh = _bounds(f)
+    gl, gh = _bounds(g)
     out_lo, out_hi = [], []
     for a, b, c, d in zip(alo, ahi, blo, bhi):
-        if fcase == 0:
-            l1 = a * fl if a >= 0.0 else a * fh
-            h1 = b * fh if b >= 0.0 else b * fl
-        elif fcase == 1:
-            l1 = b * fl if b >= 0.0 else b * fh
-            h1 = a * fh if a >= 0.0 else a * fl
-        else:
-            l1 = a * fh
-            p = b * fl
-            if p < l1:
-                l1 = p
-            h1 = a * fl
-            p = b * fh
-            if p > h1:
-                h1 = p
-        if gcase == 0:
-            l = c * gl if c >= 0.0 else c * gh
-            h = d * gh if d >= 0.0 else d * gl
-        elif gcase == 1:
-            l = d * gl if d >= 0.0 else d * gh
-            h = c * gh if c >= 0.0 else c * gl
-        else:
-            l = c * gh
-            p = d * gl
-            if p < l:
-                l = p
-            h = c * gl
-            p = d * gh
-            if p > h:
-                h = p
+        l1, h1 = _product(a, b, fl, fh)
+        l, h = _product(c, d, gl, gh)
         l1 -= (l1 if l1 >= 0.0 else -l1) * _PAD + _TINY
         h1 += (h1 if h1 >= 0.0 else -h1) * _PAD + _TINY
         l -= (l if l >= 0.0 else -l) * _PAD + _TINY
@@ -400,8 +347,7 @@ def _scaled_sum(alo, ahi, f, blo, bhi, g):
         l -= (l if l >= 0.0 else -l) * _PAD + _TINY
         h += (h if h >= 0.0 else -h) * _PAD + _TINY
         if not l <= h:
-            x = _interval(c, d) * g + _interval(a, b) * f
-            l, h = x.lo, x.hi
+            Interval(l, h)      # raises
         out_lo.append(l)
         out_hi.append(h)
     return out_lo, out_hi
@@ -410,32 +356,15 @@ def _scaled_sum(alo, ahi, f, blo, bhi, g):
 def _quotient(lo, hi, inv):
     """Padded partials of a Dual with a finite value over a constant, in one
     pass: each partial minus _ZERO, padded, then times inv, the constant's
-    reciprocal, padded. The difference is checked before the product, whose
-    straddling case would drop a NaN factor."""
-    il, ih, icase = _cases(inv)
+    reciprocal, padded."""
+    il, ih = _bounds(inv)
     out_lo, out_hi = [], []
     for a, b in zip(lo, hi):
-        s, t = _pad(a - _TINY, b + _TINY)
-        if icase == 0:
-            l = s * il if s >= 0.0 else s * ih
-            h = t * ih if t >= 0.0 else t * il
-        elif icase == 1:
-            l = t * il if t >= 0.0 else t * ih
-            h = s * ih if s >= 0.0 else s * il
-        else:
-            l = s * ih
-            p = t * il
-            if p < l:
-                l = p
-            h = s * il
-            p = t * ih
-            if p > h:
-                h = p
+        l, h = _product(*_pad(a - _TINY, b + _TINY), il, ih)
         l -= (l if l >= 0.0 else -l) * _PAD + _TINY
         h += (h if h >= 0.0 else -h) * _PAD + _TINY
         if not l <= h:
-            x = (_interval(a, b) + _ZERO) * inv
-            l, h = x.lo, x.hi
+            Interval(l, h)      # raises
         out_lo.append(l)
         out_hi.append(h)
     return out_lo, out_hi

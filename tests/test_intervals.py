@@ -399,9 +399,12 @@ def test_one_pass_edge_examples():
     # an infinite partial over a divisor whose reciprocal straddles zero: the
     # padded difference is NaN before the product, which would drop it
     inf_part = Dual(0.0, [-math.inf])
+    # inf / inf: the quotient q is NaN, and the partials' factor q must raise
+    # rather than count as 0 like a 0 * inf product
+    nan_q = Dual(math.inf, [Interval(1.0, 2.0)])
     cases = [(z, 0.0), (z, -0.0), (z, math.inf), (s, -0.0), (s, Interval(-1.0, 2.0)),
              (inf_val, 2.0), (inf_val, 0.0), (z, s), (s, z), (inf_val, s),
-             (inf_part, Interval(-math.inf, -1.0))]
+             (inf_part, Interval(-math.inf, -1.0)), (nan_q, nan_q)]
     for x, y in cases:
         for op, (new, ref) in ONE_PASS.items():
             assert _outcome(new, x, y) == _outcome(ref, x, y), (op, x, y)
