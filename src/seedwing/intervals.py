@@ -187,22 +187,29 @@ class Interval:
         return _iv(0.0, max(self.lo ** n, self.hi ** n))
 
 
-def interval_sin(x: Interval) -> Interval:
+def _wave(x: Interval, fn, peak: float) -> Interval:
+    """Enclosure of fn, math.sin or math.cos, over x: the hull of its values
+    at x's endpoints, raised to 1 if x holds a maximum peak + 2k*pi and
+    lowered to -1 if it holds a minimum peak - pi + 2k*pi."""
     if x.width >= 2.0 * math.pi:
         return Interval(-1.0, 1.0)
-    slo, shi = math.sin(x.lo), math.sin(x.hi)
-    lo, hi = min(slo, shi), max(slo, shi)
-    # peak pi/2 + 2k*pi inside [lo, hi]?
-    if math.floor((x.hi - math.pi / 2) / (2 * math.pi)) >= math.ceil((x.lo - math.pi / 2) / (2 * math.pi)):
+    a, b = fn(x.lo), fn(x.hi)
+    lo, hi = min(a, b), max(a, b)
+    if math.floor((x.hi - peak) / (2 * math.pi)) >= math.ceil((x.lo - peak) / (2 * math.pi)):
         hi = 1.0
-    if math.floor((x.hi + math.pi / 2) / (2 * math.pi)) >= math.ceil((x.lo + math.pi / 2) / (2 * math.pi)):
+    trough = peak - math.pi
+    if math.floor((x.hi - trough) / (2 * math.pi)) >= math.ceil((x.lo - trough) / (2 * math.pi)):
         lo = -1.0
     iv = _iv(lo, hi)
     return Interval(max(iv.lo, -1.0), min(iv.hi, 1.0))
 
 
+def interval_sin(x: Interval) -> Interval:
+    return _wave(x, math.sin, math.pi / 2)
+
+
 def interval_cos(x: Interval) -> Interval:
-    return interval_sin(x + math.pi / 2)
+    return _wave(x, math.cos, 0.0)
 
 
 def interval_tanh(x: Interval) -> Interval:
