@@ -240,10 +240,15 @@ def interval_atan2(y: Interval, x: Interval) -> Interval:
     """
     if x.lo <= 0.0 and y.lo < 0.0:
         raise IntervalDomainError("atan2 enclosure undefined: angle arc may wrap")
-    corners = (math.atan2(y.lo, x.lo), math.atan2(y.lo, x.hi),
-               math.atan2(y.hi, x.lo), math.atan2(y.hi, x.hi))
+    # corners at signed zeros are taken at 0.0 (x + 0.0 turns -0.0 into 0.0):
+    # math.atan2(-0.0, -1.0) is -pi, across the seam from atan2(0, -1) = pi
+    ylo, yhi, xlo, xhi = y.lo + 0.0, y.hi + 0.0, x.lo + 0.0, x.hi + 0.0
+    corners = (math.atan2(ylo, xlo), math.atan2(ylo, xhi),
+               math.atan2(yhi, xlo), math.atan2(yhi, xhi))
     out = _iv(min(corners), max(corners))
-    return Interval(max(out.lo, -math.pi), min(out.hi, math.pi))
+    # the corners lie in [-pi/2, pi]; math.pi is the float below pi, so the
+    # cap is the float above it
+    return _interval(out.lo, min(out.hi, math.nextafter(math.pi, math.inf)))
 
 
 # -- flat interval partials -------------------------------------------------

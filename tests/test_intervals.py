@@ -1,6 +1,8 @@
 import math
+import operator
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -541,3 +543,116 @@ def test_scalar_product_on_infinite_endpoints_matches_point_interval():
                 assert _has_zero_times_inf(x, Interval(t)), (x, t)
                 reference_only += 1
     assert reference_only == 46
+
+
+# -- every Interval primitive against mpmath's 200-bit interval range ----------
+# mpmath.iv rounds outward at 200 bits, so its range is the real one to within
+# about 2**-200 relative: each primitive must contain it. Endpoints mix small
+# floats, signed zeros, subnormals and the floats nearest k*pi/2, and half the
+# boxes are thin, since thin boxes at k*pi/2 are where sin and cos turn.
+
+mpi = mpmath.iv
+mpi.prec = 200
+
+HALF_PI_MULTIPLES = st.integers(-12, 12).map(lambda k: k * math.pi / 2)
+ORACLE_FLOATS = st.floats(-1e6, 1e6) | st.floats(-8.0, 8.0) | ZEROS | HALF_PI_MULTIPLES
+ORACLE = settings(max_examples=500, deadline=None)
+
+
+@st.composite
+def oracle_boxes(draw, elems=ORACLE_FLOATS):
+    a = draw(elems)
+    b = a if draw(st.booleans()) else draw(elems)
+    return Interval(*sorted((a, b)))
+
+
+def _mp(x):
+    return mpi.mpf([x.lo, x.hi])
+
+
+def _contains(out, rng):
+    """The Interval out contains the mpmath interval rng."""
+    return mpi.mpf(out.lo) <= rng.a and rng.b <= mpi.mpf(out.hi)
+
+
+def _mp_tanh(x):
+    # mpmath.iv has no tanh; tanh is increasing, so its range is its values
+    # at the endpoints
+    with mpmath.workprec(200):
+        return mpi.mpf([mpmath.tanh(x.lo), mpmath.tanh(x.hi)])
+
+
+UNARY_ORACLES = {
+    "sin": (iv.interval_sin, lambda x: mpi.sin(_mp(x))),
+    "cos": (iv.interval_cos, lambda x: mpi.cos(_mp(x))),
+    "tanh": (iv.interval_tanh, _mp_tanh),
+    "abs": (iv.interval_abs, lambda x: abs(_mp(x))),
+    "sq": (lambda x: x ** 2, lambda x: _mp(x) ** 2),
+    "cube": (lambda x: x ** 3, lambda x: _mp(x) ** 3),
+    "pow0": (lambda x: x ** 0, lambda x: _mp(x) ** 0),
+    "pow4": (lambda x: x ** 4, lambda x: _mp(x) ** 4),
+    "neg": (operator.neg, lambda x: -_mp(x)),
+}
+BINARY_ORACLES = {"add": operator.add, "sub": operator.sub,
+                  "mul": operator.mul, "div": operator.truediv}
+
+
+@ORACLE
+@given(oracle_boxes(), st.sampled_from(sorted(UNARY_ORACLES)))
+def test_unary_primitives_contain_mpmath_range(x, name):
+    new, ref = UNARY_ORACLES[name]
+    assert _contains(new(x), ref(x)), (name, x)
+
+
+@ORACLE
+@given(oracle_boxes())
+def test_sqrt_contains_mpmath_range(x):
+    if x.hi < 0.0:
+        with pytest.raises(IntervalDomainError):
+            iv.interval_sqrt(x)
+        return
+    # sqrt is taken over the box's nonnegative part
+    assert _contains(iv.interval_sqrt(x), mpi.sqrt(mpi.mpf([max(x.lo, 0.0), x.hi])))
+
+
+@ORACLE
+@given(oracle_boxes(), st.one_of(oracle_boxes(), ORACLE_FLOATS),
+       st.sampled_from(sorted(BINARY_ORACLES)), st.booleans())
+def test_binary_operators_contain_mpmath_range(x, y, name, swap):
+    """Interval op Interval, Interval op float and float op Interval."""
+    op = BINARY_ORACLES[name]
+    a, b = (y, x) if swap else (x, y)
+    ma, mb = (_mp(v) if isinstance(v, Interval) else mpi.mpf(v) for v in (a, b))
+    if name == "div":
+        d = iv.as_interval(b)
+        if d.lo <= 0.0 <= d.hi:
+            with pytest.raises((IntervalDomainError, ZeroDivisionError)):
+                op(a, b)
+            return
+        # divisors this far from 0 keep every quotient below the largest float
+        assume(min(abs(d.lo), abs(d.hi)) >= 1e-290)
+    assert _contains(op(a, b), op(ma, mb)), (name, a, b)
+
+
+@ORACLE
+@given(st.data(), st.sampled_from(["right", "upper"]))
+def test_atan2_contains_mpmath_range(data, plane):
+    """atan2 over boxes in the right half-plane (x > 0) and the closed upper
+    half-plane (y >= 0), where the angle arc cannot wrap."""
+    if plane == "right":
+        x = data.draw(oracle_boxes(ORACLE_FLOATS.filter(lambda t: t > 0.0)))
+        y = data.draw(oracle_boxes())
+    else:
+        x = data.draw(oracle_boxes())
+        y = data.draw(oracle_boxes(ORACLE_FLOATS.filter(lambda t: t >= 0.0)))
+    assert _contains(iv.interval_atan2(y, x), mpi.atan2(_mp(y), _mp(x))), (y, x)
+
+
+def test_sin_cos_contain_mpmath_range_on_thin_boxes_at_half_pi_multiples():
+    for k in range(-12, 13):
+        t = k * math.pi / 2
+        for lo, hi in ((t, t), (math.nextafter(t, -math.inf), t),
+                       (t, math.nextafter(t, math.inf))):
+            x = Interval(lo, hi)
+            assert _contains(iv.interval_sin(x), mpi.sin(_mp(x))), (k, x)
+            assert _contains(iv.interval_cos(x), mpi.cos(_mp(x))), (k, x)
