@@ -259,14 +259,13 @@ def interval_atan2(y: Interval, x: Interval) -> Interval:
 # padding, written inline, in the same order. Every pair lo <= hi stays
 # ordered under these steps, so a pair that fails the one `not l <= h` test
 # holds a NaN (from a NaN operand, inf - inf, or a lower bound of +inf
-# padded) and raises the Interval error, as the Interval operators would. |x| is
-# written `x if x >= 0.0 else -x`, which pads -0.0 to the same bits as abs(x).
+# padded) and raises the Interval error, as the Interval operators would.
+# |x| is written `x if x >= 0.0 else -x`, which pads -0.0 to the same bits
+# as abs(x).
 #
 # A constant operand acts as a Dual with zero partials. Such a partial times
-# a finite value pads to _ZERO = [-_TINY, _TINY], so the constant paths add
-# that pair instead of forming the products.
-
-_ZERO = _interval(-_TINY, _TINY)
+# a finite value pads to [-_TINY, _TINY], so the constant paths add that
+# pair instead of forming the products.
 
 
 def _finite(v) -> bool:
@@ -320,8 +319,9 @@ def _padded(lo, hi, negate=False):
 
 def _scaled(lo, hi, f, lifted=False):
     """Padded products of interval partials with one factor f, a float or an
-    Interval. With `lifted` each product then gets _ZERO added and is padded
-    again: the partials of a Dual with a finite value times the constant f."""
+    Interval. With `lifted` each product then gets [-_TINY, _TINY] added and
+    is padded again: the partials of a Dual with a finite value times the
+    constant f."""
     fl, fh = _bounds(f)
     out_lo, out_hi = [], []
     for a, b in zip(lo, hi):
@@ -367,8 +367,8 @@ def _scaled_sum(alo, ahi, f, blo, bhi, g):
 
 def _quotient(lo, hi, inv):
     """Padded partials of a Dual with a finite value over a constant, in one
-    pass: each partial minus _ZERO, padded, then times inv, the constant's
-    reciprocal, padded."""
+    pass: each partial minus [-_TINY, _TINY], padded, then times inv, the
+    constant's reciprocal, padded."""
     il, ih = _bounds(inv)
     out_lo, out_hi = [], []
     for a, b in zip(lo, hi):
