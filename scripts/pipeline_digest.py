@@ -4,7 +4,8 @@
 Runs, in a temporary directory:
 
 - `gen-data` (dataset and normalization);
-- `train --epochs 200` and `train-adv --epochs 50` on that dataset;
+- `train --epochs 200`, `train-adv --epochs 50` and `train-adv --epochs 20
+  --restarts 3 --pgd-steps 4` (more than two PGD restarts) on that dataset;
 - `critical-ystar` and a short `robust-sweep` (8 cells x 25 points) on
   each checked-in clone (perfbench/inputs/naive.json and adv.json);
 - `verify` on the first perfbench deep query (28-ReLU net);
@@ -56,7 +57,10 @@ def pipeline(d):
              (["train", "--data", data, "--epochs", "200", "--out", str(d / "net.json")],
               ("net.json",)),
              (["train-adv", "--data", data, "--epochs", "50", "--out", str(d / "net-adv.json")],
-              ("net-adv.json",))]
+              ("net-adv.json",)),
+             (["train-adv", "--data", data, "--epochs", "20", "--restarts", "3",
+               "--pgd-steps", "4", "--out", str(d / "net-adv3.json")],
+              ("net-adv3.json",))]
     for clone in CLONES:
         net = str(INPUTS / f"{clone}.json")
         calls.append((["critical-ystar", "--net", net,

@@ -277,15 +277,17 @@ def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,
     f = deriv if deriv is not None else _deriv_raw
     e_x = float(u)
     x = s.as_tuple()
+    h = 0.5 * dt
     k1 = f(x, e_x, p)
-    k2 = f(tuple(x[i] + 0.5 * dt * k1[i] for i in range(6)), e_x, p)
-    k3 = f(tuple(x[i] + 0.5 * dt * k2[i] for i in range(6)), e_x, p)
-    k4 = f(tuple(x[i] + dt * k3[i] for i in range(6)), e_x, p)
-    nxt = tuple(x[i] + dt * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
-                for i in range(6))
-    if not all(math.isfinite(v) for v in nxt):
-        raise IntegrationDivergedError(t + dt)
-    return State(*nxt)
+    k2 = f(tuple(a + h * k for a, k in zip(x, k1)), e_x, p)
+    k3 = f(tuple(a + h * k for a, k in zip(x, k2)), e_x, p)
+    k4 = f(tuple(a + dt * k for a, k in zip(x, k3)), e_x, p)
+    try:
+        # State rejects a non-finite entry
+        return State(*(a + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+                       for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)))
+    except ValueError:
+        raise IntegrationDivergedError(t + dt) from None
 
 
 @dataclass

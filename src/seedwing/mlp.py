@@ -120,10 +120,6 @@ def init_network(widths=DEFAULT_WIDTHS, seed: int = 0, norm: NormSpec | None = N
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _apply_act(z: np.ndarray, act: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if act == "relu" else z
-
-
 def forward(net: Network, x, use_norm: bool = False):
     """Scalar output for a single input vector (vector if n_out > 1): the
     one-row case of forward_batch."""
@@ -132,7 +128,8 @@ def forward(net: Network, x, use_norm: bool = False):
 
 
 def forward_batch(net: Network, X: np.ndarray, use_norm: bool = False) -> np.ndarray:
-    """(n,) outputs for single-output nets, else (n, n_out).
+    """(..., n) outputs for single-output nets, else (..., n, n_out), of
+    (..., n, d) inputs.
 
     With use_norm the inputs are normalized and the outputs denormalized via
     the attached NormSpec.
@@ -143,7 +140,7 @@ def forward_batch(net: Network, X: np.ndarray, use_norm: bool = False) -> np.nda
     Y = _forward_trace(net, normalize(X, net.norm) if use_norm else X)[0][-1]
     if use_norm:
         Y = denormalize_out(Y, net.norm)
-    return Y[:, 0] if Y.shape[1] == 1 else Y
+    return Y[..., 0] if Y.shape[-1] == 1 else Y
 
 
 def interval_preact(layer: Layer, lo: np.ndarray, hi: np.ndarray):
@@ -210,15 +207,18 @@ def propagate_bounds(net: Network, Z: Zonotope, phases=None) -> dict:
 
 
 def _forward_trace(net: Network, X: np.ndarray):
-    """The one walk over the layers, on raw (n, d) inputs: returns the
-    activations per layer (inputs first, outputs last) and the
-    pre-activations, which backprop needs."""
-    acts = [np.atleast_2d(np.asarray(X, dtype=float))]
+    """The one walk over the layers, on a float array of raw (n, d) inputs
+    or a stack (..., n, d) of them: returns the activations per layer
+    (inputs first, outputs last) and the pre-activations, which backprop
+    needs. matmul runs the 2-D kernel on each (n, d) slice of a stack, so a
+    slice's values have the bits of its own 2-D trace; stacking as rows
+    would not (BLAS picks its kernel by the row count)."""
+    acts = [X]
     pres = []
     for layer in net.layers:
         z = acts[-1] @ layer.w.T + layer.b
         pres.append(z)
-        acts.append(_apply_act(z, layer.act))
+        acts.append(np.maximum(z, 0.0) if layer.act == "relu" else z)
     return acts, pres
 
 
@@ -234,26 +234,29 @@ def _layout(shapes) -> tuple:
 
 
 def _views(flat: np.ndarray, layout) -> list:
-    return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+    """Each array of `layout` as a view of the last axis of `flat`."""
+    lead = flat.shape[:-1]
+    return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in layout]
 
 
 def _backprop_from_output(net: Network, acts, pres, dL_dy: np.ndarray) -> np.ndarray:
-    """Parameter gradient given dL/d(output) of shape (n, n_out), as one
-    flat vector in the layout of the training buffer (w then b of each
-    layer): each layer's sums written into its views, then one division
-    by n."""
-    g = np.empty(net._param_layout[-1][1])
+    """Parameter gradient given dL/d(output) of shape (..., n, n_out), as one
+    flat vector per (n, n_out) slice in the layout of the training buffer
+    (w then b of each layer): each layer's sums written into its views, then
+    one division by n."""
+    lead = dL_dy.shape[:-2]
+    g = np.empty(lead + (net._param_layout[-1][1],))
     views = _views(g, net._param_layout)
     delta = dL_dy
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.act == "relu":
             delta = delta * (pres[i] > 0.0)
-        np.matmul(delta.T, acts[i], out=views[2 * i])
-        delta.sum(axis=0, out=views[2 * i + 1])
+        np.matmul(delta.swapaxes(-1, -2), acts[i], out=views[2 * i])
+        delta.sum(axis=-2, out=views[2 * i + 1])
         if i > 0:
             delta = delta @ layer.w
-    g /= dL_dy.shape[0]
+    g /= dL_dy.shape[-2]
     return g
 
 
@@ -284,25 +287,27 @@ def final_rmse(net: Network, X: np.ndarray, Y: np.ndarray, epochs: int) -> float
 def gradient(net: Network, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Exact gradient of the batch mean squared error, as a flat vector in
     the layout of the network's parameters (mlp._views splits it); ReLU
-    subgradient 0 at kinks."""
+    subgradient 0 at kinks. A stack X of shape (..., n, d) against the n
+    targets Y gives one flat vector per (n, d) slice."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
-    if X.shape[0] == 0:
+    if X.shape[-2] == 0:
         raise ValueError("empty batch")
     acts, pres = _forward_trace(net, X)
-    resid = acts[-1][:, 0] - Y
+    resid = acts[-1][..., 0] - Y
     # d(mean(r^2))/dy = 2 r / n, the 1/n lives in _backprop_from_output
-    return _backprop_from_output(net, acts, pres, (2.0 * resid)[:, None])
+    return _backprop_from_output(net, acts, pres, (2.0 * resid)[..., None])
 
 
 def input_gradient(net: Network, X: np.ndarray, Y: np.ndarray):
-    """d/dx of the per-sample squared error (f(x)-y)^2, shape (n, d), and
-    the outputs f(x), shape (n,), of the forward trace it walks back."""
+    """d/dx of the per-sample squared error (f(x)-y)^2, shape (..., n, d),
+    and the outputs f(x), shape (..., n), of the forward trace it walks
+    back; the n targets Y serve every (n, d) slice of a stack X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
     acts, pres = _forward_trace(net, X)
-    out = acts[-1][:, 0]
-    delta = 2.0 * (out - Y)[:, None]
+    out = acts[-1][..., 0]
+    delta = 2.0 * (out - Y)[..., None]
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.act == "relu":

@@ -58,32 +58,38 @@ def _project(X_adv, X0, eps, box_lo, box_hi):
 def pgd_attack_batch(net: Network, X: np.ndarray, Y: np.ndarray,
                      cfg: AttackConfig, box, rng: np.random.Generator) -> np.ndarray:
     """Best-iterate PGD per row; the unperturbed point is always a candidate,
-    a restart's random start is not. One forward trace per iterate gives its
-    loss and the input gradient of the step that leaves it."""
+    a restart's random start is not. The restarts advance in lock-step as
+    one (restarts, n, d) stack, so one forward trace per step gives every
+    restart's loss and the input gradient of its next step. Each restart
+    keeps its own best from the clean point on; a later restart takes a row
+    only with a strictly larger loss, so the result is the first iterate of
+    the largest loss in restart order."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
     box_lo = np.asarray(box[0], dtype=float)
     box_hi = np.asarray(box[1], dtype=float)
 
-    g, f = mlp.input_gradient(net, X, Y)
-    best_X = X.copy()
-    best_loss = (f - Y) ** 2
+    cur = np.empty((cfg.restarts,) + X.shape)
+    cur[0] = X
+    cur[1:] = _project(X + rng.uniform(-cfg.epsilon, cfg.epsilon, size=cur[1:].shape),
+                       X, cfg.epsilon, box_lo, box_hi)
+    g, f = mlp.input_gradient(net, cur, Y)
+    best_X = np.broadcast_to(X, cur.shape).copy()
+    best_loss = np.broadcast_to((f[0] - Y) ** 2, f.shape).copy()
+    for _ in range(cfg.steps):
+        cur = _project(cur + cfg.step * np.sign(g), X, cfg.epsilon, box_lo, box_hi)
+        g, f = mlp.input_gradient(net, cur, Y)
+        loss = (f - Y) ** 2
+        better = loss > best_loss
+        np.copyto(best_X, cur, where=better[..., None])
+        np.copyto(best_loss, loss, where=better)
 
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            cur = X
-        else:
-            cur = _project(X + rng.uniform(-cfg.epsilon, cfg.epsilon, size=X.shape),
-                           X, cfg.epsilon, box_lo, box_hi)
-            g = mlp.input_gradient(net, cur, Y)[0]
-        for _ in range(cfg.steps):
-            cur = _project(cur + cfg.step * np.sign(g), X, cfg.epsilon, box_lo, box_hi)
-            g, f = mlp.input_gradient(net, cur, Y)
-            loss = (f - Y) ** 2
-            better = loss > best_loss
-            best_X[better] = cur[better]
-            best_loss[better] = loss[better]
-    return best_X
+    out, out_loss = best_X[0], best_loss[0]
+    for X_r, loss_r in zip(best_X[1:], best_loss[1:]):
+        better = loss_r > out_loss
+        np.copyto(out, X_r, where=better[:, None])
+        np.copyto(out_loss, loss_r, where=better)
+    return out
 
 
 def max_lipschitz_quotient(net: Network, X: np.ndarray, X_adv: np.ndarray):
@@ -94,7 +100,8 @@ def max_lipschitz_quotient(net: Network, X: np.ndarray, X_adv: np.ndarray):
     live = np.flatnonzero(d > 0)
     if not live.size:
         return 0.0, None
-    q = np.abs(mlp.forward_batch(net, X[live]) - mlp.forward_batch(net, X_adv[live])) / d[live]
+    f = mlp.forward_batch(net, np.stack((X[live], X_adv[live])))
+    q = np.abs(f[0] - f[1]) / d[live]
     k = int(np.argmax(q))
     return float(q[k]), int(live[k])
 
@@ -109,15 +116,13 @@ def empirical_lipschitz(net: Network, X: np.ndarray, cfg: AttackConfig, box,
 
 def _lipschitz_term_gradient(net: Network, x, x_adv) -> np.ndarray:
     """Flat parameter gradient of |f(x) - f(x*)| / ||x - x*||_inf for one
-    pair."""
+    pair, from one trace of the two 1-row slices."""
     d = float(np.max(np.abs(x - x_adv)))
-    acts_a, pres_a = mlp._forward_trace(net, x[None, :])
-    acts_b, pres_b = mlp._forward_trace(net, x_adv[None, :])
-    sign = 1.0 if acts_a[-1][0, 0] >= acts_b[-1][0, 0] else -1.0
-    one = np.ones((1, 1))
-    ga = mlp._backprop_from_output(net, acts_a, pres_a, one * (sign / d))
-    gb = mlp._backprop_from_output(net, acts_b, pres_b, one * (-sign / d))
-    return ga + gb
+    acts, pres = mlp._forward_trace(net, np.stack((x, x_adv))[:, None, :])
+    sign = 1.0 if acts[-1][0, 0, 0] >= acts[-1][1, 0, 0] else -1.0
+    dL_dy = np.array([sign / d, -sign / d]).reshape(2, 1, 1)
+    g = mlp._backprop_from_output(net, acts, pres, dL_dy)
+    return g[0] + g[1]
 
 
 def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
@@ -135,8 +140,9 @@ def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
         Xa = pgd_attack_batch(cur, Xb, Yb, cfg.attack, box, attack_rng)
         # equal-weight average of clean and adversarial terms, so the
         # epsilon->0 limit reproduces plain training exactly
-        g = mlp.gradient(cur, Xb, Yb) * 0.5
-        g += 0.5 * mlp.gradient(cur, Xa, Yb)
+        g_clean, g_adv = mlp.gradient(cur, np.stack((Xb, Xa)), Yb)
+        g = g_clean * 0.5
+        g += 0.5 * g_adv
         if cfg.lambda_lip > 0:
             k = max_lipschitz_quotient(cur, Xb, Xa)[1]
             if k is not None:

@@ -226,8 +226,13 @@ def encode_robustness(net: Network, x0, epsilon: float, lstar: float,
     (the doubled-network formulation with one copy pinned).
     """
     x0 = np.asarray(x0, dtype=float)
+    return _robustness_spec(x0, mlp.forward(net, x0), epsilon, lstar, box)
+
+
+def _robustness_spec(x0: np.ndarray, f0: float, epsilon: float, lstar: float,
+                     box) -> PropertySpec:
+    """encode_robustness with f(x0) = f0 given."""
     n = x0.shape[0]
-    f0 = mlp.forward(net, x0)
     bound = lstar / epsilon
     ball = tuple((max(box[i][0], x0[i] - epsilon), min(box[i][1], x0[i] + epsilon))
                  for i in range(n))
@@ -638,6 +643,8 @@ def robustness_sweep(net: Network, X: np.ndarray,
     box = tuple((float(X[:, i].min()), float(X[:, i].max()))
                 for i in range(X.shape[1]))
     quota = min(n_points, X.shape[0])
+    # f(x0) of every point in one trace of 1-row slices: mlp.forward's bits
+    f0 = mlp.forward_batch(net, X[:quota, None, :])[:, 0].tolist()
     grid = {}
     for eps in eps_list:
         for lstar in lstar_list:
@@ -646,7 +653,7 @@ def robustness_sweep(net: Network, X: np.ndarray,
             for k in range(quota):
                 if time.perf_counter() - t0 > cell_budget_s:
                     break
-                spec = encode_robustness(net, X[k], eps, lstar, box)
+                spec = _robustness_spec(X[k], f0[k], eps, lstar, box)
                 v = bab_verify(net, spec, per_query_budget)
                 cell.n_done += 1
                 if v.verified:

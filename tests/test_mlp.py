@@ -119,6 +119,52 @@ class TestForward:
         assert one == forward_batch(net, x[None], use_norm=use_norm)[0]
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), m=st.integers(1, 40))
+    def test_one_row_slices_match_single_rows(self, seed, m):
+        # a 2-D batch may differ from forward in the last bit; (m, 1, d) may not
+        net = init_network(seed=seed)
+        X = np.random.default_rng(seed).uniform(-1.0, 2.0, size=(m, 6))
+        got = forward_batch(net, X[:, None, :])[:, 0]
+        assert got.tobytes() == np.array([forward(net, x) for x in X]).tobytes()
+
+
+def stacked_problem(draw):
+    """A random net, a stack X of R (n, d) slices, n targets and an output
+    gradient per slice, from one hypothesis draw."""
+    widths = (draw(st.integers(1, 12)),) + tuple(
+        draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))) + (1,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    R, n = draw(st.integers(1, 4)), draw(st.integers(1, 64))
+    X = rng.uniform(-1.0, 2.0, size=(R, n, widths[0]))
+    net = init_network(widths, seed=draw(st.integers(0, 2 ** 16)))
+    return net, X, rng.uniform(size=n), rng.normal(size=(R, n, 1))
+
+
+class TestStackedTrace:
+    """Every trace on an (R, n, d) stack against R separate 2-D calls, bit
+    for bit: lock-step PGD and the stacked training traces rest on it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stack_matches_per_slice_calls(self, data):
+        net, X, Y, dL_dy = stacked_problem(data.draw)
+        acts, pres = mlp._forward_trace(net, X)
+        g, f = input_gradient(net, X, Y)
+        back = mlp._backprop_from_output(net, acts, pres, dL_dy)
+        grad = gradient(net, X, Y)
+        assert back.shape == grad.shape == (X.shape[0], net._param_layout[-1][1])
+        for r, X_r in enumerate(X):
+            acts_r, pres_r = mlp._forward_trace(net, X_r)
+            for a, a_r in zip(acts + pres, acts_r + pres_r):
+                assert a[r].tobytes() == a_r.tobytes()
+            g_r, f_r = input_gradient(net, X_r, Y)
+            assert g[r].tobytes() == g_r.tobytes() and f[r].tobytes() == f_r.tobytes()
+            back_r = mlp._backprop_from_output(net, acts_r, pres_r, dL_dy[r])
+            assert back[r].tobytes() == back_r.tobytes()
+            assert grad[r].tobytes() == gradient(net, X_r, Y).tobytes()
+
+
 class TestGradient:
     def test_zero_at_perfect_fit(self):
         net = init_network(seed=6)

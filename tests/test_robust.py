@@ -23,7 +23,7 @@ def attack_problem(draw):
 
 
 attacks = st.builds(AttackConfig, epsilon=st.sampled_from([0.01, 0.1, 0.3]),
-                    steps=st.integers(1, 4), restarts=st.integers(1, 3),
+                    steps=st.integers(1, 4), restarts=st.integers(1, 4),
                     step_size=st.sampled_from([None, 0.05, 0.5]))
 
 
@@ -116,6 +116,18 @@ class TestOneTracePerIterate:
         got = pgd_attack_batch(net, X, Y, cfg, box, rng)
         assert got.tobytes() == pgd_two_pass(net, X, Y, cfg, box, ref_rng).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("rows", [32, 24])
+    def test_pgd_on_clone_shapes_matches_two_pass_oracle(self, naive_net, data_arrays,
+                                                          rows):
+        # a full and a partial training batch of the 6-6-4-1-1 clone
+        X, Y = data_arrays[0][:rows], data_arrays[1][:rows]
+        for net in (init_network(seed=0), naive_net):
+            rng, ref_rng = np.random.default_rng(rows), np.random.default_rng(rows)
+            got = pgd_attack_batch(net, X, Y, AttackConfig(), UNIT6, rng)
+            ref = pgd_two_pass(net, X, Y, AttackConfig(), UNIT6, ref_rng)
+            assert got.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), attack=attacks, seed=st.integers(0, 2 ** 16),
