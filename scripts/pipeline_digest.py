@@ -14,7 +14,10 @@ Runs, in a temporary directory:
 - `reach --splits 2 --t-end 1` on the naive clone (CSV and SVG).
 
 The last three run every setting they do not name at its default, so they
-show that moving a default leaves its value unchanged.
+show that moving a default leaves its value unchanged. At reach's default
+dt of 0.01 both branches fail before their first checkpoint, so the reach
+artifacts hold only the t = 0 sets and cannot show a change to the reach
+step; `scripts/reach_digest.py` is the digest that does.
 
 Prints one sha256 per artifact. CSVs are hashed without their `seconds`
 column, which holds wall-clock times. Run from the repository root:

@@ -263,16 +263,9 @@ def interval_atan2(y: Interval, x: Interval) -> Interval:
 # |x| is written `x if x >= 0.0 else -x`, which pads -0.0 to the same bits
 # as abs(x).
 #
-# A constant operand acts as a Dual with zero partials. Such a partial times
-# a finite value pads to [-_TINY, _TINY], so the constant paths add that
-# pair instead of forming the products.
-
-
-def _finite(v) -> bool:
-    """v, a number or an Interval, has finite endpoints."""
-    if isinstance(v, Interval):
-        return math.isfinite(v.lo) and math.isfinite(v.hi)
-    return math.isfinite(v)
+# A constant operand's partials are exact zeros and form no term: a constant
+# added or subtracted keeps the Dual's partials, a constant factor scales
+# them once, and only the Dual's own terms are padded.
 
 
 def _bounds(f):
@@ -299,40 +292,15 @@ def _sum(alo, ahi, blo, bhi):
     return out_lo, out_hi
 
 
-def _padded(lo, hi, negate=False):
-    """Padded interval partials, negated with `negate`: the partials of a
-    Dual plus or minus a constant (or of the constant minus the Dual), whose
-    zero partials change no bit that the padding keeps (a + 0.0 differs from
-    a only at -0.0, and padding rounds symmetrically)."""
-    out_lo, out_hi = [], []
-    for a, b in zip(lo, hi):
-        l = a - ((a if a >= 0.0 else -a) * _PAD + _TINY)
-        h = b + ((b if b >= 0.0 else -b) * _PAD + _TINY)
-        if not l <= h:
-            Interval(l, h)      # raises
-        if negate:
-            l, h = -h, -l
-        out_lo.append(l)
-        out_hi.append(h)
-    return out_lo, out_hi
-
-
-def _scaled(lo, hi, f, lifted=False):
+def _scaled(lo, hi, f):
     """Padded products of interval partials with one factor f, a float or an
-    Interval. With `lifted` each product then gets [-_TINY, _TINY] added and
-    is padded again: the partials of a Dual with a finite value times the
-    constant f."""
+    Interval."""
     fl, fh = _bounds(f)
     out_lo, out_hi = [], []
     for a, b in zip(lo, hi):
         l, h = _product(a, b, fl, fh)
         l -= (l if l >= 0.0 else -l) * _PAD + _TINY
         h += (h if h >= 0.0 else -h) * _PAD + _TINY
-        if lifted:
-            l -= _TINY
-            h += _TINY
-            l -= (l if l >= 0.0 else -l) * _PAD + _TINY
-            h += (h if h >= 0.0 else -h) * _PAD + _TINY
         if not l <= h:
             Interval(l, h)      # raises
         out_lo.append(l)
@@ -365,26 +333,15 @@ def _scaled_sum(alo, ahi, f, blo, bhi, g):
     return out_lo, out_hi
 
 
-def _quotient(lo, hi, inv):
-    """Padded partials of a Dual with a finite value over a constant, in one
-    pass: each partial minus [-_TINY, _TINY], padded, then times inv, the
-    constant's reciprocal, padded."""
-    il, ih = _bounds(inv)
-    out_lo, out_hi = [], []
-    for a, b in zip(lo, hi):
-        l, h = _product(*_pad(a - _TINY, b + _TINY), il, ih)
-        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
-        h += (h if h >= 0.0 else -h) * _PAD + _TINY
-        if not l <= h:
-            Interval(l, h)      # raises
-        out_lo.append(l)
-        out_hi.append(h)
-    return out_lo, out_hi
-
-
 def _ends(x: "Dual"):
     """(lo, hi) partial lists of x; float partials are the points [d, d]."""
     return x.lo, x.lo if x.hi is None else x.hi
+
+
+def _partials(x: "Dual", c):
+    """x's partial lists beside the constant c: the points [d, d] when c is
+    an Interval and x's partials are floats, else x's own."""
+    return _ends(x) if isinstance(c, Interval) else (x.lo, x.hi)
 
 
 def _dual(val, lo, hi=None) -> "Dual":
@@ -395,6 +352,15 @@ def _dual(val, lo, hi=None) -> "Dual":
     return out
 
 
+def _chain(x: "Dual", val, f) -> "Dual":
+    """The Dual of value val whose partials are x's times f, a float or an
+    Interval."""
+    lo, hi = _partials(x, f)
+    if hi is None:
+        return _dual(val, [f * d for d in lo])
+    return _dual(val, *_scaled(lo, hi, f))
+
+
 class Dual:
     """Forward-mode scalar: a value plus partial derivatives.
 
@@ -403,9 +369,9 @@ class Dual:
     lists `lo` and `hi`, partial k being [lo[k], hi[k]]. A Dual whose value
     or any partial is an Interval has interval partials, and float partials
     that meet interval ones or an Interval operand count as the points
-    [d, d]. A constant operand acts as a Dual with zero partials, as if
-    lifted, so each result equals the one computed with one Interval object
-    per partial.
+    [d, d]. A float or Interval operand is a constant: its partials are
+    exact zeros and form no term, so c + x keeps x's partials, c * x and
+    x / c scale them once, and c / x is -(q * x') / x with q = c / x.
     """
 
     __slots__ = ("val", "lo", "hi")
@@ -452,10 +418,8 @@ class Dual:
             if self.hi is None and other.hi is None:
                 return _dual(val, [a + b for a, b in zip(self.lo, other.lo)])
             return _dual(val, *_sum(*_ends(self), *_ends(other)))
-        if isinstance(other, (int, float)) and self.hi is None:
-            return _dual(self.val + other, [a + 0.0 for a in self.lo])
         if isinstance(other, (int, float, Interval)):
-            return _dual(self.val + other, *_padded(*_ends(self)))
+            return _dual(self.val + other, *_partials(self, other))
         return NotImplemented
 
     __radd__ = __add__
@@ -466,17 +430,13 @@ class Dual:
             if self.hi is None and other.hi is None:
                 return _dual(val, [a - b for a, b in zip(self.lo, other.lo)])
             return _dual(val, *_sum(*_ends(self), *_neg(*_ends(other))))
-        if isinstance(other, (int, float)) and self.hi is None:
-            return _dual(self.val - other, [a - 0.0 for a in self.lo])
         if isinstance(other, (int, float, Interval)):
-            return _dual(self.val - other, *_padded(*_ends(self)))
+            return _dual(self.val - other, *_partials(self, other))
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)) and self.hi is None:
-            return _dual(other - self.val, [0.0 - a for a in self.lo])
         if isinstance(other, (int, float, Interval)):
-            return _dual(other - self.val, *_padded(*_ends(self), negate=True))
+            return _dual(other - self.val, *_partials(-self, other))
         return NotImplemented
 
     def __mul__(self, other):
@@ -486,17 +446,8 @@ class Dual:
             if self.hi is None and other.hi is None:
                 return _dual(val, [a * w + v * b for a, b in zip(self.lo, other.lo)])
             return _dual(val, *_scaled_sum(*_ends(self), w, *_ends(other), v))
-        if isinstance(other, (int, float)) and self.hi is None:
-            # the lifted constant's zero partials, folded: v * 0.0 each
-            vz = self.val * 0.0
-            return _dual(self.val * other, [a * other + vz for a in self.lo])
         if isinstance(other, (int, float, Interval)):
-            v = self.val
-            val = v * other
-            if _finite(v):
-                return _dual(val, *_scaled(*_ends(self), other, lifted=True))
-            zeros = [0.0] * len(self.lo)
-            return _dual(val, *_scaled_sum(*_ends(self), other, zeros, zeros, v))
+            return _chain(self, self.val * other, other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -507,25 +458,19 @@ class Dual:
             q = self.val * inv
             if self.hi is None and other.hi is None:
                 return _dual(q, [(a - q * b) * inv for a, b in zip(self.lo, other.lo)])
-            o_lo, o_hi = _ends(other)
-        elif isinstance(other, (int, float)) and self.hi is None:
+            return _dual(q, *_scaled(*_sum(*_ends(self), *_neg(*_scaled(*_ends(other), q))),
+                                     inv))
+        if isinstance(other, (int, float, Interval)):
             inv = 1.0 / other
-            q = self.val * inv
-            qz = q * 0.0
-            return _dual(q, [(a - qz) * inv for a in self.lo])
-        elif isinstance(other, (int, float, Interval)):
-            inv = 1.0 / other
-            q = self.val * inv
-            if _finite(q):
-                return _dual(q, *_quotient(*_ends(self), inv))
-            o_lo = o_hi = [0.0] * len(self.lo)
-        else:
-            return NotImplemented
-        return _dual(q, *_scaled(*_sum(*_ends(self), *_neg(*_scaled(o_lo, o_hi, q))), inv))
+            return _chain(self, self.val * inv, inv)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = _operand(other, self)
-        return NotImplemented if o is None else o.__truediv__(self)
+        if isinstance(other, (int, float, Interval)):
+            inv = 1.0 / self.val
+            q = other * inv
+            return _chain(-_chain(self, q, q), q, inv)
+        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 1:
@@ -534,28 +479,6 @@ class Dual:
         for _ in range(n - 1):
             out = out * self
         return out
-
-
-def _lifted(c, like: Dual) -> Dual:
-    """The constant c as a Dual with zero partials of like's kind."""
-    zeros = [0.0] * len(like.lo)
-    interval = like.hi is not None or isinstance(c, Interval)
-    return _dual(c, zeros, zeros if interval else None)
-
-
-def _operand(other, like: Dual):
-    """other as a Dual: itself, a lifted constant, or None for other types."""
-    if isinstance(other, Dual):
-        return other
-    if isinstance(other, (int, float, Interval)):
-        return _lifted(other, like)
-    return None
-
-
-def _chain(x: Dual, val, dval) -> Dual:
-    if x.hi is None:
-        return _dual(val, [dval * d for d in x.lo])
-    return _dual(val, *_scaled(x.lo, x.hi, dval))
 
 
 # -- generic scalar functions ----------------------------------------------
@@ -627,19 +550,24 @@ def atan2(y, x):
     if isinstance(y, float) and isinstance(x, float):
         return math.atan2(y, x)
     if isinstance(y, Dual) or isinstance(x, Dual):
-        if not isinstance(y, Dual):
-            y = _lifted(y, x)
-        if not isinstance(x, Dual):
-            x = _lifted(x, y)
-        v = atan2(y.val, x.val)
-        denom = x.val * x.val + y.val * y.val
+        yv = y.val if isinstance(y, Dual) else y
+        xv = x.val if isinstance(x, Dual) else x
+        v = atan2(yv, xv)
+        denom = xv * xv + yv * yv
         if isinstance(denom, Interval) and denom.lo <= 0.0:
             raise IntervalDomainError(
                 "atan2 derivative unbounded: velocity box reaches the origin")
-        if x.hi is None and y.hi is None:
-            return _dual(v, [(x.val * dy - y.val * dx) / denom
-                             for dy, dx in zip(y.lo, x.lo)])
-        num = _sum(*_scaled(*_ends(y), x.val), *_neg(*_scaled(*_ends(x), y.val)))
+        # partials (x * dy - y * dx) / denom; a constant argument forms no term
+        if not isinstance(x, Dual):
+            num = _chain(y, v, xv)
+        elif not isinstance(y, Dual):
+            num = -_chain(x, v, yv)
+        elif x.hi is None and y.hi is None:
+            return _dual(v, [(xv * dy - yv * dx) / denom for dy, dx in zip(y.lo, x.lo)])
+        else:
+            num = _dual(v, *_sum(*_scaled(*_ends(y), xv), *_neg(*_scaled(*_ends(x), yv))))
+        if num.hi is None:
+            return _dual(v, [d / denom for d in num.lo])
         if isinstance(denom, Interval):
             # Interval / Interval multiplies by this padded reciprocal
             recip = _iv(1.0 / denom.hi, 1.0 / denom.lo)
@@ -647,7 +575,7 @@ def atan2(y, x):
             raise ZeroDivisionError("interval divided by zero scalar")
         else:
             recip = 1.0 / denom
-        return _dual(v, *_scaled(*num, recip))
+        return _chain(num, v, recip)
     if isinstance(y, Interval) or isinstance(x, Interval):
         if not isinstance(y, Interval):
             y = Interval(y)

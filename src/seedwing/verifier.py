@@ -558,6 +558,9 @@ def find_critical_ystar(net: Network, kind: int, box,
         raise ValueError(f"property kind must be 1..4, got {kind}")
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
+    if search_max < resolution:
+        raise ValueError(f"search_max must be >= resolution, got search_max="
+                         f"{search_max} and resolution={resolution}")
     res = CriticalResult(None)
 
     def probe(y):

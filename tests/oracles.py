@@ -7,8 +7,8 @@ simplex pivot, an exhaustive activation-pattern verification oracle,
 branch and bound with a node LP for every pending conclusion row,
 plain interval bound propagation, per-row pre-activations, the doubled-network form of the robustness query,
 a forward-mode Dual that keeps one Interval object per partial, the
-two-pass Dual[Interval] operators (a constant lifted to a zero-partial
-Dual, a product as two passes of padded products), the reach step's
+two-pass Dual[Interval] operators (a product as two passes of padded
+products; a constant's partials form no term in either), the reach step's
 remainder with one Interval object per operation, and the training kernel
 with per-layer gradient lists, a rebuilt network per descent step and two
 forward passes per PGD iterate.
@@ -438,7 +438,8 @@ def ref_div(x, y):
 
 
 class RefDual:
-    """Value plus a tuple of float or Interval partials, one object each."""
+    """Value plus a tuple of float or Interval partials, one object each. A
+    constant operand's partials are exact zeros and form no term."""
 
     __slots__ = ("val", "der")
 
@@ -446,48 +447,54 @@ class RefDual:
         self.val = val
         self.der = tuple(der)
 
-    def _lift(self, other):
-        if isinstance(other, RefDual):
-            return other
-        if isinstance(other, (int, float, Interval)):
-            zero = 0.0 if all(isinstance(d, float) for d in self.der) else Interval(0.0)
-            return RefDual(other, [zero] * len(self.der))
-        return None
+    def _beside(self, c):
+        """The partials beside the constant c: Interval points [d, d] when c
+        is an Interval and the partials are floats."""
+        if isinstance(c, Interval) and all(isinstance(d, float) for d in self.der):
+            return [Interval(d) for d in self.der]
+        return self.der
 
     def __neg__(self):
         return RefDual(-self.val, [-d for d in self.der])
 
     def __add__(self, other):
-        o = self._lift(other)
-        return RefDual(self.val + o.val, [a + b for a, b in zip(self.der, o.der)])
+        if isinstance(other, RefDual):
+            return RefDual(self.val + other.val, [a + b for a, b in zip(self.der, other.der)])
+        return RefDual(self.val + other, self._beside(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return RefDual(self.val - o.val, [a - b for a, b in zip(self.der, o.der)])
+        if isinstance(other, RefDual):
+            return RefDual(self.val - other.val, [a - b for a, b in zip(self.der, other.der)])
+        return RefDual(self.val - other, self._beside(other))
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return RefDual(o.val - self.val, [b - a for a, b in zip(self.der, o.der)])
+        return RefDual(other - self.val, [-d for d in self._beside(other)])
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return RefDual(ref_mul(self.val, o.val),
-                       [ref_mul(a, o.val) + ref_mul(self.val, b)
-                        for a, b in zip(self.der, o.der)])
+        if isinstance(other, RefDual):
+            return RefDual(ref_mul(self.val, other.val),
+                           [ref_mul(a, other.val) + ref_mul(self.val, b)
+                            for a, b in zip(self.der, other.der)])
+        return RefDual(ref_mul(self.val, other), [ref_mul(a, other) for a in self._beside(other)])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        inv = 1.0 / o.val
-        q = ref_mul(self.val, inv)
-        return RefDual(q, [ref_mul(a - ref_mul(q, b), inv)
-                           for a, b in zip(self.der, o.der)])
+        if isinstance(other, RefDual):
+            inv = 1.0 / other.val
+            q = ref_mul(self.val, inv)
+            return RefDual(q, [ref_mul(a - ref_mul(q, b), inv)
+                               for a, b in zip(self.der, other.der)])
+        inv = 1.0 / other
+        return RefDual(ref_mul(self.val, inv), [ref_mul(a, inv) for a in self._beside(inv)])
 
     def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
+        # d(c / x) = -(q * dx) / x with q = c / x
+        inv = 1.0 / self.val
+        q = ref_mul(other, inv)
+        return RefDual(q, [ref_mul(-ref_mul(q, b), inv) for b in self._beside(q)])
 
     def __pow__(self, n):
         out = self
@@ -542,17 +549,20 @@ def ref_absval(x):
 
 def ref_atan2(y, x):
     if isinstance(y, RefDual) or isinstance(x, RefDual):
-        if not isinstance(y, RefDual):
-            y = x._lift(y)
-        if not isinstance(x, RefDual):
-            x = y._lift(x)
-        v = ref_atan2(y.val, x.val)
-        denom = ref_mul(x.val, x.val) + ref_mul(y.val, y.val)
+        yv = y.val if isinstance(y, RefDual) else y
+        xv = x.val if isinstance(x, RefDual) else x
+        v = ref_atan2(yv, xv)
+        denom = ref_mul(xv, xv) + ref_mul(yv, yv)
         if isinstance(denom, Interval) and denom.lo <= 0.0:
             raise IntervalDomainError(
                 "atan2 derivative unbounded: velocity box reaches the origin")
-        return RefDual(v, [ref_div(ref_mul(x.val, dy) - ref_mul(y.val, dx), denom)
-                           for dy, dx in zip(y.der, x.der)])
+        if not isinstance(x, RefDual):
+            num = [ref_mul(xv, dy) for dy in y._beside(xv)]
+        elif not isinstance(y, RefDual):
+            num = [-ref_mul(yv, dx) for dx in x._beside(yv)]
+        else:
+            num = [ref_mul(xv, dy) - ref_mul(yv, dx) for dy, dx in zip(y.der, x.der)]
+        return RefDual(v, [ref_div(n, denom) for n in num])
     return iv.atan2(y, x)
 
 
@@ -627,75 +637,94 @@ def _two_pass_ends(x):
     return x.lo, x.lo if x.hi is None else x.hi
 
 
-def _two_pass_operand(other, like):
-    """other as a Dual: itself, or a constant lifted to zero partials of
-    like's kind (interval if either is); None for other types."""
-    if isinstance(other, iv.Dual):
-        return other
-    if isinstance(other, (int, float, Interval)):
-        zeros = [0.0] * len(like.lo)
-        interval = like.hi is not None or isinstance(other, Interval)
-        return iv._dual(other, zeros, zeros if interval else None)
-    return None
+def _two_pass_beside(x, c):
+    """x's partial lists beside the constant c, whose partials are exact
+    zeros and form no term: the points [d, d] when c is an Interval and x's
+    partials are floats."""
+    return _two_pass_ends(x) if isinstance(c, Interval) else (x.lo, x.hi)
+
+
+def _two_pass_times(x, val, f):
+    """A Dual of value val with x's partials times the constant f."""
+    lo, hi = _two_pass_beside(x, f)
+    if hi is None:
+        return iv._dual(val, [a * f for a in lo])
+    return iv._dual(val, *two_pass_scaled(lo, hi, f))
+
+
+CONSTANT = (int, float, Interval)
 
 
 def two_pass_add(self, other):
-    o = _two_pass_operand(other, self)
-    if o is None:
+    if isinstance(other, CONSTANT):
+        return iv._dual(self.val + other, *_two_pass_beside(self, other))
+    if not isinstance(other, iv.Dual):
         return NotImplemented
-    val = self.val + o.val
-    if self.hi is None and o.hi is None:
-        return iv._dual(val, [a + b for a, b in zip(self.lo, o.lo)])
-    return iv._dual(val, *two_pass_sum(*_two_pass_ends(self), *_two_pass_ends(o)))
+    val = self.val + other.val
+    if self.hi is None and other.hi is None:
+        return iv._dual(val, [a + b for a, b in zip(self.lo, other.lo)])
+    return iv._dual(val, *two_pass_sum(*_two_pass_ends(self), *_two_pass_ends(other)))
 
 
 def two_pass_sub(self, other):
-    o = _two_pass_operand(other, self)
-    if o is None:
+    if isinstance(other, CONSTANT):
+        return iv._dual(self.val - other, *_two_pass_beside(self, other))
+    if not isinstance(other, iv.Dual):
         return NotImplemented
-    val = self.val - o.val
-    if self.hi is None and o.hi is None:
-        return iv._dual(val, [a - b for a, b in zip(self.lo, o.lo)])
+    val = self.val - other.val
+    if self.hi is None and other.hi is None:
+        return iv._dual(val, [a - b for a, b in zip(self.lo, other.lo)])
     return iv._dual(val, *two_pass_sum(*_two_pass_ends(self),
-                                       *_two_pass_neg(*_two_pass_ends(o))))
+                                       *_two_pass_neg(*_two_pass_ends(other))))
 
 
 def two_pass_rsub(self, other):
-    o = _two_pass_operand(other, self)
-    return NotImplemented if o is None else two_pass_sub(o, self)
+    if not isinstance(other, CONSTANT):
+        return NotImplemented
+    lo, hi = _two_pass_beside(self, other)
+    if hi is None:
+        return iv._dual(other - self.val, [-a for a in lo])
+    return iv._dual(other - self.val, *_two_pass_neg(lo, hi))
 
 
 def two_pass_mul(self, other):
-    if self.hi is None and isinstance(other, (int, float)):
-        vz = self.val * 0.0
-        return iv._dual(self.val * other, [a * other + vz for a in self.lo])
-    o = _two_pass_operand(other, self)
-    if o is None:
+    if isinstance(other, CONSTANT):
+        return _two_pass_times(self, self.val * other, other)
+    if not isinstance(other, iv.Dual):
         return NotImplemented
-    v, w = self.val, o.val
+    v, w = self.val, other.val
     val = v * w
-    if self.hi is None and o.hi is None:
-        return iv._dual(val, [a * w + v * b for a, b in zip(self.lo, o.lo)])
-    return iv._dual(val, *two_pass_scaled(*_two_pass_ends(o), v,
+    if self.hi is None and other.hi is None:
+        return iv._dual(val, [a * w + v * b for a, b in zip(self.lo, other.lo)])
+    return iv._dual(val, *two_pass_scaled(*_two_pass_ends(other), v,
                                           two_pass_scaled(*_two_pass_ends(self), w)))
 
 
 def two_pass_truediv(self, other):
-    o = _two_pass_operand(other, self)
-    if o is None:
+    if isinstance(other, CONSTANT):
+        inv = 1.0 / other
+        return _two_pass_times(self, self.val * inv, inv)
+    if not isinstance(other, iv.Dual):
         return NotImplemented
-    inv = 1.0 / o.val
+    inv = 1.0 / other.val
     q = self.val * inv
-    if self.hi is None and o.hi is None:
-        return iv._dual(q, [(a - q * b) * inv for a, b in zip(self.lo, o.lo)])
-    scaled = two_pass_scaled(*_two_pass_ends(o), q)
+    if self.hi is None and other.hi is None:
+        return iv._dual(q, [(a - q * b) * inv for a, b in zip(self.lo, other.lo)])
+    scaled = two_pass_scaled(*_two_pass_ends(other), q)
     diff = two_pass_sum(*_two_pass_ends(self), *_two_pass_neg(*scaled))
     return iv._dual(q, *two_pass_scaled(*diff, inv))
 
 
 def two_pass_rtruediv(self, other):
-    o = _two_pass_operand(other, self)
-    return NotImplemented if o is None else two_pass_truediv(o, self)
+    """other / self for a constant other: partials -(q * dx) / x, q = other / x."""
+    if not isinstance(other, CONSTANT):
+        return NotImplemented
+    inv = 1.0 / self.val
+    q = other * inv
+    lo, hi = _two_pass_beside(self, q)
+    if hi is None:
+        return iv._dual(q, [-(q * a) * inv for a in lo])
+    return iv._dual(q, *two_pass_scaled(*_two_pass_neg(*two_pass_scaled(lo, hi, q)), inv))
 
 
 # Dual's operators as the two-pass forms; patch them in with the kernels

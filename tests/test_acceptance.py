@@ -397,12 +397,16 @@ def test_criterion_9_training_properties(naive_net, adv_net, data_arrays):
     finish(9, lines)
 
 
-def test_print_acceptance_report(pytestconfig):
+def test_print_acceptance_report(pytestconfig, tmp_path_factory):
     report = "\n".join(REPORT)
     print("\n================ acceptance report ================")
     print(report)
     print("===================================================")
-    # into pytest's cache directory, which is not part of the checkout
-    path = pytestconfig.cache.mkdir("acceptance") / "acceptance_report.txt"
+    # into pytest's cache directory, which is not part of the checkout, or a
+    # temporary directory when the cache plugin is off (-p no:cacheprovider)
+    cache = getattr(pytestconfig, "cache", None)
+    folder = cache.mkdir("acceptance") if cache is not None else \
+        tmp_path_factory.mktemp("acceptance")
+    path = folder / "acceptance_report.txt"
     path.write_text(report + "\n")
     print(f"acceptance report written to {path}")

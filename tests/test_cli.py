@@ -352,6 +352,8 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
      '[{"in": [0], "out": [1], "rel": "<=", "rhs": 1}]}'),
     (["critical-ystar", "--net", "NET", "--properties", "5"], ""),
     (["critical-ystar", "--net", "NET", "--resolution", "0"], ""),
+    (["critical-ystar", "--net", "NET", "--resolution", "0.25", "--search-max", "0.1",
+      "--properties", "1,3"], ""),
     (["train", "--data", "BAD", "--epochs", "3"], "a,b\n1,2\n"),
     (["robust-sweep", "--net", "NET", "--data", "DATA", "--eps-list", "abc"], ""),
     (["robust-sweep", "--net", "NET", "--data", "DATA", "--points", "0"], ""),
@@ -387,7 +389,8 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
         "sim-negative-t-end", "sim-zero-t-end", "sim-zero-dt", "negative-record-skip",
         "train-diverged", "train-adv-constant", "spec-not-json", "spec-missing-field",
         "spec-not-object", "spec-arity-mismatch", "critical-bad-kind",
-        "critical-zero-resolution", "data-bad-header", "eps-list-not-float",
+        "critical-zero-resolution", "critical-search-max-below-resolution",
+        "data-bad-header", "eps-list-not-float",
         "sweep-zero-points", "sweep-zero-eps", "sim-strict-alpha-open",
         "sim-strict-alpha-closed", "config-bad-choice", "config-bad-int",
         "config-strict-alpha-closed", "config-bad-mode", "spec-reversed-box",
@@ -412,6 +415,7 @@ def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request
 # what the one line of some bad-input cases must say: the value at fault,
 # or the epoch a run diverged in
 BAD_INPUT_NAMES = {
+    "critical-search-max-below-resolution": "search_max=0.1 and resolution=0.25",
     "train-lr-overflow": "diverged at epoch 0",
     "train-zero-batch": "--batch-size: must be >= 1, got 0",
     "train-adv-zero-batch": "--batch-size: must be >= 1, got 0",

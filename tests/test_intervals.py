@@ -650,3 +650,174 @@ def test_sin_cos_contain_mpmath_range_on_thin_boxes_at_half_pi_multiples():
             x = Interval(lo, hi)
             assert _contains(iv.interval_sin(x), mpi.sin(_mp(x))), (k, x)
             assert _contains(iv.interval_cos(x), mpi.cos(_mp(x))), (k, x)
+
+
+# -- Dual[Interval] against mpmath's 200-bit evaluation of the same formulas ---
+# MPDual evaluates each derivative formula of Dual in mpmath interval
+# arithmetic, a constant's partials forming no term: the value and every
+# partial of an interval-valued Dual must contain it. Divisors and sqrt
+# arguments stay at least 1e-3 from zero, and atan2 boxes in the quadrant
+# x > 0, y >= 0, so no formula meets a singularity.
+
+class MPDual:
+    """A value and partials as mpmath intervals."""
+
+    def __init__(self, val, der):
+        self.val, self.der = val, list(der)
+
+    def __add__(self, o):
+        if isinstance(o, MPDual):
+            return MPDual(self.val + o.val, [a + b for a, b in zip(self.der, o.der)])
+        return MPDual(self.val + o, self.der)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, MPDual):
+            return MPDual(self.val - o.val, [a - b for a, b in zip(self.der, o.der)])
+        return MPDual(self.val - o, self.der)
+
+    def __rsub__(self, c):
+        return MPDual(c - self.val, [-a for a in self.der])
+
+    def __mul__(self, o):
+        if isinstance(o, MPDual):
+            return MPDual(self.val * o.val,
+                          [a * o.val + self.val * b for a, b in zip(self.der, o.der)])
+        return MPDual(self.val * o, [a * o for a in self.der])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, MPDual):
+            inv = 1 / o.val
+            q = self.val * inv
+            return MPDual(q, [(a - q * b) * inv for a, b in zip(self.der, o.der)])
+        inv = 1 / o
+        return MPDual(self.val * inv, [a * inv for a in self.der])
+
+    def __rtruediv__(self, c):
+        inv = 1 / self.val
+        q = c * inv
+        return MPDual(q, [-(q * b) * inv for b in self.der])
+
+    def __pow__(self, n):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+
+def _mp_abs_slope(v):
+    if v.a >= 0:
+        return 1
+    if v.b <= 0:
+        return -1
+    return mpi.mpf([-1, 1])
+
+
+def _mp_tanh_slope(v):
+    t = _mp_tanh(Interval(float(v.a), float(v.b)))
+    return t, 1 - t * t
+
+
+def _mp_sqrt_slope(v):
+    r = mpi.sqrt(v)
+    return r, 0.5 / r
+
+
+MP_CHAIN = {   # name: (generic function, value and derivative factor in mpmath)
+    "sin": (iv.sin, lambda v: (mpi.sin(v), mpi.cos(v))),
+    "cos": (iv.cos, lambda v: (mpi.cos(v), -mpi.sin(v))),
+    "tanh": (iv.tanh, _mp_tanh_slope),
+    "sqrt": (iv.sqrt, _mp_sqrt_slope),
+    "abs": (iv.absval, lambda v: (abs(v), _mp_abs_slope(v))),
+}
+REFLECTED = {"add": "__radd__", "sub": "__rsub__", "mul": "__rmul__", "div": "__rtruediv__"}
+AWAY = st.floats(1e-3, 8.0)
+AWAY_FLOATS = AWAY | AWAY.map(operator.neg)
+
+
+@st.composite
+def away_boxes(draw):
+    """Boxes of one sign, at least 1e-3 from zero."""
+    box = draw(intervals(AWAY))
+    return -box if draw(st.booleans()) else box
+
+
+def _mp_of(a):
+    """a Dual, an Interval or a float as its MPDual or mpmath interval."""
+    if isinstance(a, Dual):
+        return MPDual(_mp(a.val), [_mp(d) for d in a.der])
+    return _mp(a) if isinstance(a, Interval) else mpi.mpf(a)
+
+
+def _encloses_mp(out, ref):
+    assert _contains(out.val, ref.val), ("value", out.val, ref.val)
+    for k, (d, r) in enumerate(zip(out.der, ref.der)):
+        assert _contains(d, r), ("partial", k, d, r)
+
+
+@st.composite
+def mp_duals(draw, n, values=intervals()):
+    return Dual(draw(values), [draw(intervals()) for _ in range(n)])
+
+
+@ORACLE
+@given(st.data(), st.integers(1, 3), st.sampled_from(sorted(BINARY)),
+       st.sampled_from([("dual", "dual"), ("dual", "float"), ("dual", "interval"),
+                        ("float", "dual"), ("interval", "dual")]))
+def test_dual_operators_contain_mpmath_formulas(data, n, op, kinds):
+    """+, -, * and / with a Dual, a float or an Interval on either side."""
+    operands = []
+    for side, kind in enumerate(kinds):
+        divisor = op == "div" and side == 1
+        boxes = away_boxes() if divisor else intervals()
+        if kind == "dual":
+            operands.append(data.draw(mp_duals(n, boxes)))
+        else:
+            operands.append(data.draw(boxes if kind == "interval" else
+                                      AWAY_FLOATS if divisor else SMALL))
+    ma, mb = map(_mp_of, operands)
+    # mpmath raises on an unknown right operand instead of deferring to it
+    ref = BINARY[op](ma, mb) if isinstance(ma, MPDual) else getattr(mb, REFLECTED[op])(ma)
+    _encloses_mp(BINARY[op](*operands), ref)
+
+
+@ORACLE
+@given(st.data(), st.integers(1, 3), st.sampled_from(sorted(MP_CHAIN) + ["pow"]))
+def test_dual_functions_contain_mpmath_formulas(data, n, name):
+    """Powers (repeated products) and the chain-rule functions."""
+    if name == "pow":
+        x = data.draw(mp_duals(n))
+        k = data.draw(st.integers(1, 4))
+        _encloses_mp(x ** k, _mp_of(x) ** k)
+        return
+    new, ref = MP_CHAIN[name]
+    x = data.draw(mp_duals(n, intervals(AWAY) if name == "sqrt" else intervals()))
+    mx = _mp_of(x)
+    val, slope = ref(mx.val)
+    _encloses_mp(new(x), MPDual(val, [slope * d for d in mx.der]))
+
+
+@ORACLE
+@given(st.data(), st.integers(1, 3), st.sampled_from(["y-const", "x-const"]),
+       st.booleans())
+def test_dual_atan2_with_a_constant_contains_mpmath_formula(data, n, shape, interval):
+    """atan2(y, x) with one constant argument, a float or an Interval: the
+    partials (x * dy - y * dx) / (x * x + y * y) without the constant's term."""
+    def operand(elems, dual):
+        if dual:
+            return data.draw(mp_duals(n, intervals(elems)))
+        return data.draw(intervals(elems) if interval else elems)
+
+    y = operand(st.floats(0.0, 8.0), shape == "x-const")
+    x = operand(AWAY, shape == "y-const")
+    my, mx = _mp_of(y), _mp_of(x)
+    yv, xv = (a.val if isinstance(a, MPDual) else a for a in (my, mx))
+    denom = xv * xv + yv * yv
+    if shape == "x-const":
+        der = [xv * dy / denom for dy in my.der]
+    else:
+        der = [-(yv * dx) / denom for dx in mx.der]
+    _encloses_mp(iv.atan2(y, x), MPDual(mpi.atan2(yv, xv), der))

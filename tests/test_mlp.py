@@ -285,12 +285,13 @@ class TestTrain:
         assert naive_net.meta["train_rmse"] <= 0.05
 
 
-def small_problem(draw):
-    """A random small net and dataset from one hypothesis draw."""
-    widths = (draw(st.integers(1, 4)),) + tuple(
-        draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))) + (1,)
+def small_problem(draw, inputs=4, width=5, rows=12):
+    """A random net and dataset from one hypothesis draw: at most `inputs`
+    inputs, hidden layers at most `width` wide, at most `rows` rows."""
+    widths = (draw(st.integers(1, inputs)),) + tuple(
+        draw(st.lists(st.integers(1, width), min_size=1, max_size=3))) + (1,)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, rows))
     X = rng.uniform(0.0, 1.0, size=(n, widths[0]))
     return init_network(widths, seed=draw(st.integers(0, 2 ** 16))), X, rng.uniform(size=n)
 

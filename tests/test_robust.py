@@ -14,9 +14,9 @@ from seedwing.robust import (AttackConfig, RobustTrainConfig,
 UNIT6 = (np.zeros(6), np.ones(6))
 
 
-def attack_problem(draw):
+def attack_problem(draw, **sizes):
     """small_problem plus an attack box: the data's own or the unit box."""
-    net, X, Y = small_problem(draw)
+    net, X, Y = small_problem(draw, **sizes)
     box = (X.min(axis=0), X.max(axis=0)) if draw(st.booleans()) else \
         (np.zeros(X.shape[1]), np.ones(X.shape[1]))
     return net, X, Y, box
@@ -111,7 +111,8 @@ class TestOneTracePerIterate:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), cfg=attacks, seed=st.integers(0, 2 ** 16))
     def test_pgd_matches_two_pass_oracle(self, data, cfg, seed):
-        net, X, Y, box = attack_problem(data.draw)
+        # drawn at stacked_problem's sizes (test_mlp), not small_problem's
+        net, X, Y, box = attack_problem(data.draw, inputs=12, width=12, rows=64)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = pgd_attack_batch(net, X, Y, cfg, box, rng)
         assert got.tobytes() == pgd_two_pass(net, X, Y, cfg, box, ref_rng).tobytes()

@@ -575,6 +575,16 @@ class TestCriticalYstar:
                                   thresholds=thr)
         assert res.failed
 
+    @pytest.mark.parametrize("kind", [1, 3])
+    def test_search_max_below_resolution_rejected(self, kind, monkeypatch):
+        # kind 3 would probe ystar = resolution before any grid bound applies
+        net = Network((Layer(np.zeros((1, 6)), np.array([0.187]), "relu"),
+                       Layer(np.array([[1.0]]), np.array([0.0]), "id")))
+        box = tuple((-5.0, 5.0) for _ in range(6))
+        monkeypatch.setattr(verifier, "bab_verify", None)   # no probe may run
+        with pytest.raises(ValueError, match="search_max=0.1 and resolution=0.25"):
+            find_critical_ystar(net, kind, box, resolution=0.25, search_max=0.1)
+
     @pytest.mark.parametrize("resolution, probed", [
         (0.5, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),
         (1.0, [1.0, 2.0, 3.0, 4.0, 5.0]),
