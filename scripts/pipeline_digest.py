@@ -6,8 +6,11 @@ Runs, in a temporary directory:
 - `gen-data` (dataset and normalization);
 - `train --epochs 200`, `train-adv --epochs 50` and `train-adv --epochs 20
   --restarts 3 --pgd-steps 4` (more than two PGD restarts) on that dataset;
-- `critical-ystar` and a short `robust-sweep` (8 cells x 25 points) on
-  each checked-in clone (perfbench/inputs/naive.json and adv.json);
+- `critical-ystar` at its defaults, `critical-ystar --resolution 0.25
+  --search-max 0.9` (a search_max off the grid and near the thresholds,
+  so that the search's closing probe counts) and a short `robust-sweep`
+  (8 cells x 25 points) on each checked-in clone
+  (perfbench/inputs/naive.json and adv.json);
 - `verify` on the first perfbench deep query (28-ReLU net);
 - `simulate`, open loop and closed loop under the naive clone (CSV and SVG);
 - `verify --property 1` on the naive clone;
@@ -68,6 +71,9 @@ def pipeline(d):
         net = str(INPUTS / f"{clone}.json")
         calls.append((["critical-ystar", "--net", net,
                        "--out", str(d / f"critical-{clone}.csv")], (f"critical-{clone}.csv",)))
+        calls.append((["critical-ystar", "--net", net, "--resolution", "0.25",
+                       "--search-max", "0.9", "--out", str(d / f"critical-offgrid-{clone}.csv")],
+                      (f"critical-offgrid-{clone}.csv",)))
         # a grid where the two clones' rates differ and some are fractional
         calls.append((["robust-sweep", "--net", net, "--data", data, "--points", "25",
                        "--eps-list", "0.01,0.05", "--lstar-list", "1e-4,2e-4,5e-3,2e-2",

@@ -20,7 +20,8 @@ import time
 import warnings
 
 from . import __version__, mlp, robust
-from .aeromodel import AlphaRegionError, PlateParams, State, simulate_open_loop
+from .aeromodel import (AlphaRegionError, IntegrationDivergedError, PlateParams, State,
+                        simulate_open_loop)
 from .closedloop import (DEFAULT_GAINS, X6_RANGE, NetworkController,
                          PidController, SimConfig, dataset_from_csv,
                          dataset_to_csv, fit_norm, generate_dataset,
@@ -362,8 +363,9 @@ def cmd_robust_sweep(args):
         sweep_kw["per_query_budget"] = dataclasses.replace(
             SWEEP_QUERY_BUDGET, max_seconds=args.query_budget_s)
     cells = [(e, l) for e in eps_list for l in l_list]
-    grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
-                                        cells, _d(args, "jobs", 1))))
+    with _rejected_settings():     # a network the verifier does not accept
+        grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
+                                            cells, _d(args, "jobs", 1))))
     out = _d(args, "out", "robust-sweep.csv")
     with open(out, "w") as fh:
         fh.write("epsilon,lstar,rate,n_verified,n_done,seconds,timeouts\n")
@@ -559,7 +561,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FileNotFoundError, mlp.NetworkFormatError, mlp.TrainingError,
-            AlphaRegionError) as exc:
+            AlphaRegionError, IntegrationDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -318,7 +318,10 @@ def dataset_from_csv(path) -> list:
         header = fh.readline().strip()
         if header != "x1,x2,x3,x4,x5,x6,err,e_x_cmd":
             raise ValueError(f"unexpected dataset header: {header}")
-        for line in fh:
-            vals = [float(v) for v in line.strip().split(",")]
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if len(fields) != 8:        # the header's fields
+                raise ValueError(f"{path} line {lineno}: {len(fields)} fields, expected 8")
+            vals = [float(v) for v in fields]
             rows.append(DataRow(State(*vals[:6]), vals[6], vals[7]))
     return rows

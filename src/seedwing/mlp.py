@@ -75,6 +75,9 @@ class Network:
         for a, b in zip(self.layers, self.layers[1:]):
             if b.w.shape[1] != a.w.shape[0]:
                 raise NetworkFormatError("adjacent layer widths disagree")
+        if self.norm is not None and len(self.norm.in_min) != self.n_in:
+            raise NetworkFormatError(f"'norm.in_min' has {len(self.norm.in_min)} bounds "
+                                     f"for {self.n_in} network inputs")
 
     @property
     def widths(self) -> tuple:
@@ -435,12 +438,29 @@ def save(net: Network, path):
         json.dump(doc, fh)
 
 
+def _floats(name: str, value, ndim: int) -> np.ndarray:
+    """A field's value as a finite float array of ndim dimensions."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != ndim or not np.isfinite(a).all():
+        kind = ("a finite number", "a list of finite numbers",
+                "a matrix of finite numbers")[ndim]
+        raise NetworkFormatError(f"'{name}' must be {kind}")
+    return a
+
+
 def load(path) -> Network:
+    """The network of a file `save` wrote; NetworkFormatError naming the
+    field at fault when the file does not hold one."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise NetworkFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("expected a JSON object")
     for key in ("widths", "layers"):
         if key not in doc:
             raise NetworkFormatError(f"missing field '{key}'")
@@ -448,20 +468,32 @@ def load(path) -> Network:
         raise NetworkFormatError("'layers' must be a non-empty list")
     layers = []
     for i, ld in enumerate(doc["layers"]):
+        if not isinstance(ld, dict):
+            raise NetworkFormatError(f"'layers[{i}]' must be an object")
         for key in ("w", "b", "act"):
             if key not in ld:
                 raise NetworkFormatError(f"missing field 'layers[{i}].{key}'")
-        layers.append(Layer(np.array(ld["w"], dtype=float),
-                            np.array(ld["b"], dtype=float), ld["act"]))
+        layers.append(Layer(_floats(f"layers[{i}].w", ld["w"], 2),
+                            _floats(f"layers[{i}].b", ld["b"], 1), ld["act"]))
     norm = None
     if doc.get("norm") is not None:
         nd = doc["norm"]
-        for key in ("in_min", "in_max", "out_min", "out_max"):
+        if not isinstance(nd, dict):
+            raise NetworkFormatError("'norm' must be an object")
+        vals = []
+        for key, ndim in (("in_min", 1), ("in_max", 1), ("out_min", 0), ("out_max", 0)):
             if key not in nd:
                 raise NetworkFormatError(f"missing field 'norm.{key}'")
-        norm = NormSpec(tuple(nd["in_min"]), tuple(nd["in_max"]),
-                        nd["out_min"], nd["out_max"])
-    net = Network(tuple(layers), norm=norm, meta=doc.get("meta", {}))
-    if list(net.widths) != list(doc["widths"]):
+            vals.append(_floats(f"norm.{key}", nd[key], ndim).tolist())
+        in_min, in_max, out_min, out_max = vals
+        try:
+            norm = NormSpec(tuple(in_min), tuple(in_max), out_min, out_max)
+        except ValueError as exc:
+            raise NetworkFormatError(f"'norm': {exc}") from exc
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise NetworkFormatError("'meta' must be an object")
+    net = Network(tuple(layers), norm=norm, meta=meta)
+    if doc["widths"] != list(net.widths):
         raise NetworkFormatError("declared widths do not match layer shapes")
     return net

@@ -550,9 +550,15 @@ def find_critical_ystar(net: Network, kind: int, box,
     """Critical threshold distance for one trajectory property.
 
     Kinds 1/2/4: smallest verified ystar (premise shrinks as ystar grows).
-    Kind 3: largest verified ystar (premise grows), Failed when none verifies.
-    Integer-grid sweep locates the transition, bisection refines it to
-    `resolution`. Timeout probes flag the result as a bound.
+    Kind 3: largest verified, non-vacuous ystar (premise grows). A probe is
+    past the threshold when it verifies (kinds 1/2/4), or when it does not
+    verify or is vacuous (kind 3). The grid walk probes 0 (kind 3:
+    resolution), then s, 2s, ... with s = max(1, resolution); search_max
+    closes it, replacing the first point within 1e-12 of it or beyond. The
+    first point past ends the walk, and bisection from the point before
+    refines the transition to `resolution`. Kinds 1/2/4 report the past
+    end, Failed when no point is past; kind 3 the end before it, Failed when
+    the first point is past. Timeout probes flag the result as a bound.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"property kind must be 1..4, got {kind}")
@@ -562,61 +568,38 @@ def find_critical_ystar(net: Network, kind: int, box,
         raise ValueError(f"search_max must be >= resolution, got search_max="
                          f"{search_max} and resolution={resolution}")
     res = CriticalResult(None)
+    step = max(1.0, resolution)
 
-    def probe(y):
+    def past(y) -> bool:
         v = bab_verify(net, encode_property(kind, y, box, thresholds), budget)
         if v.status == "timeout":
             res.flagged_timeout = True
-        return v
+        if kind == 3:
+            return not v.verified or v.vacuous
+        if v.verified:
+            res.vacuous = v.vacuous    # the last verified probe is the reported one
+        return v.verified
 
-    if kind in (1, 2, 4):
-        hi = None
-        prev = 0.0
-        y = 0.0
-        while y <= search_max + 1e-12:
-            v = probe(y)
-            if v.verified:
-                hi = y
-                hi_vac = v.vacuous
-                break
-            prev = y
-            y = y + max(1.0, resolution)
-        if hi is None:
-            return res
-        lo = prev
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            v = probe(mid)
-            if v.verified:
-                hi, hi_vac = mid, v.vacuous
-            else:
-                lo = mid
-        res.value = hi
-        res.vacuous = hi_vac
-        return res
+    def grid():
+        y = resolution if kind == 3 else 0.0
+        while y < search_max - 1e-12:
+            yield y
+            y = y + step if y >= step else step     # a start below s steps to s
+        yield search_max
 
-    # kind 3: resolution first, then the grid past it
-    v = probe(resolution)
-    if not v.verified or v.vacuous:
-        return res
-    lo = resolution
-    y = 1.0 if resolution < 1.0 else 2.0 * resolution
-    while y <= search_max + 1e-12:
-        v = probe(y)
-        if v.verified and not v.vacuous:
-            lo = y
-            y += max(1.0, resolution)
-        else:
+    lo = hi = None
+    for y in grid():
+        if past(y):
+            hi = y
             break
-    hi = min(y, search_max)
-    while hi - lo > resolution:
+        lo = y
+    while lo is not None and hi is not None and hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        v = probe(mid)
-        if v.verified and not v.vacuous:
-            lo = mid
-        else:
+        if past(mid):
             hi = mid
-    res.value = lo     # a vacuous probe never counts for kind 3
+        else:
+            lo = mid
+    res.value = lo if kind == 3 else hi
     return res
 
 

@@ -325,6 +325,20 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
          '"premise": [], "conclusion": [{"in": [0, 0, 0, 0, 0, 0], "out": [1], '
          '"rel": "<=", "rhs": 1}]}')
 
+# a well-formed 6-2-1 network file with normalization bounds, and one with
+# more ReLUs than the verifier takes; the bad-input cases below break one
+# part of the first
+NET6 = ('{"widths": [6, 2, 1], "layers": [{"w": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], '
+        '"b": [0, 0], "act": "relu"}, {"w": [[1, 1]], "b": [0], "act": "id"}], '
+        '"norm": {"in_min": [0, 0, 0, 0, 0, 0], "in_max": [1, 1, 1, 1, 1, 1], '
+        '"out_min": 0, "out_max": 1}, "meta": {}}')
+NORM5 = NET6.replace('[0, 0, 0, 0, 0, 0], "in_max": [1, 1, 1, 1, 1, 1]',
+                     '[0, 0, 0, 0, 0], "in_max": [1, 1, 1, 1, 1]')
+RELU40 = json.dumps({"widths": [6, 40, 1], "norm": json.loads(NET6)["norm"],
+                     "layers": [{"w": [[1, 0, 0, 0, 0, 0]] * 40, "b": [0] * 40, "act": "relu"},
+                                {"w": [[1] * 40], "b": [0], "act": "id"}]})
+DATA_HEADER = "x1,x2,x3,x4,x5,x6,err,e_x_cmd\n"
+
 
 @pytest.mark.parametrize("argv, text", [
     (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": []}'),
@@ -383,6 +397,25 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
     (["train-adv", "--data", "DATA", "--restarts", "-2", "--epochs", "3"], ""),
     (["robust-sweep", "--net", "NET", "--data", "DATA", "--points", "2", "--jobs", "0"], ""),
     (["reach", "--net", "NET", "--jobs", "-3"], ""),
+    (["verify", "--net", "BAD", "--property", "1"], NORM5),
+    (["critical-ystar", "--net", "BAD"], NORM5),
+    (["reach", "--net", "BAD"], NORM5),
+    (["robust-sweep", "--net", "BAD", "--data", "DATA"], NORM5),
+    (["verify", "--net", "BAD", "--property", "1"],
+     NET6.replace('"in_max": [1, 1, 1, 1, 1, 1]', '"in_max": [1, 1, 1, 1, 1, 0]')),
+    (["verify", "--net", "BAD", "--property", "1"],
+     NET6.replace('"out_min": 0', '"out_min": "low"')),
+    (["verify", "--net", "BAD", "--property", "1"], NET6.replace("[[1, 1]]", '[[1, "x"]]')),
+    (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": [5]}'),
+    (["verify", "--net", "BAD", "--property", "1"], NET6.replace('"meta": {}', '"meta": [1]')),
+    (["verify", "--net", "BAD", "--property", "1"], "5"),
+    (["verify", "--net", "BAD", "--property", "1"],
+     NET6[:NET6.index('"norm"')] + '"norm": 5}'),
+    (["train", "--data", "BAD", "--epochs", "3"], DATA_HEADER + "1,2,3,4,5,6,7\n"),
+    (["robust-sweep", "--net", "NET", "--data", "BAD"], DATA_HEADER + "1,2\n"),
+    (["simulate", "--ex", "-5", "--t-end", "5"], ""),
+    (["simulate", "--dt", "5", "--t-end", "20"], ""),
+    (["robust-sweep", "--net", "BAD", "--data", "DATA", "--points", "2"], RELU40),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -399,7 +432,11 @@ SPEC6 = ('{"name": "p", "input_box": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0
         "train-negative-batch", "train-zero-epochs", "train-negative-epochs",
         "train-negative-lr", "train-adv-zero-steps", "train-adv-zero-epsilon",
         "train-adv-zero-restarts", "train-adv-negative-restarts", "sweep-zero-jobs",
-        "reach-negative-jobs"])
+        "reach-negative-jobs", "verify-norm-short", "critical-norm-short",
+        "reach-norm-short", "sweep-norm-short", "norm-reversed", "norm-text-bound",
+        "text-weight", "layer-not-object", "meta-not-object", "net-not-object",
+        "norm-not-object", "data-short-row", "data-two-field-row", "sim-diverged",
+        "sim-diverged-large-dt", "sweep-too-many-relus"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -427,6 +464,22 @@ BAD_INPUT_NAMES = {
     "train-adv-negative-restarts": "--restarts: must be >= 1, got -2",
     "sweep-zero-jobs": "--jobs: must be >= 1, got 0",
     "reach-negative-jobs": "--jobs: must be >= 1, got -3",
+    "verify-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
+    "critical-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
+    "reach-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
+    "sweep-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
+    "norm-reversed": "'norm': in_min must be strictly below in_max",
+    "norm-text-bound": "'norm.out_min' must be a finite number",
+    "text-weight": "'layers[1].w' must be a matrix of finite numbers",
+    "layer-not-object": "'layers[0]' must be an object",
+    "meta-not-object": "'meta' must be an object",
+    "net-not-object": "expected a JSON object",
+    "norm-not-object": "'norm' must be an object",
+    "data-short-row": "line 2: 7 fields, expected 8",
+    "data-two-field-row": "line 2: 2 fields, expected 8",
+    "sim-diverged": "integration diverged at t=2.79s",
+    "sim-diverged-large-dt": "integration diverged at t=10s",
+    "sweep-too-many-relus": "network has 40 ReLUs",
 }
 
 

@@ -465,6 +465,11 @@ class TestSaveLoad:
         assert forward(net, [1.0, 1.0]) == pytest.approx(1.25)
         assert forward(net, [0.0, 2.0]) == pytest.approx(-1.75)
 
+    def test_norm_length_checked_on_construction(self):
+        spec = NormSpec((0.0,) * 5, (1.0,) * 5, 0.0, 1.0)
+        with pytest.raises(NetworkFormatError, match="5 bounds for 6 network inputs"):
+            Network(init_network().layers, norm=spec)
+
     def test_declared_widths_checked(self, tmp_path):
         doc = {"widths": [3, 1],
                "layers": [{"w": [[2.0, -1.0]], "b": [0.25], "act": "id"}]}

@@ -588,7 +588,7 @@ class TestCriticalYstar:
     @pytest.mark.parametrize("resolution, probed", [
         (0.5, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),
         (1.0, [1.0, 2.0, 3.0, 4.0, 5.0]),
-        (2.0, [2.0, 4.0]),
+        (2.0, [2.0, 4.0, 5.0]),      # search_max closes the grid
     ])
     def test_kind3_probes_each_ystar_once(self, resolution, probed, monkeypatch):
         # output pinned at 0.187 inside the band: every ystar verifies, so
@@ -597,6 +597,22 @@ class TestCriticalYstar:
                        Layer(np.array([[1.0]]), np.array([0.0]), "id")))
         box = tuple((-5.0, 5.0) for _ in range(6))
         thr = PropertyThresholds(pitch_lo=-1.0, pitch_hi=1.0)
+        seen = self.probes(monkeypatch)
+        res = find_critical_ystar(net, 3, box, resolution=resolution, search_max=5.0,
+                                  thresholds=thr)
+        assert seen == probed
+        assert res.value == probed[-1]
+
+    @staticmethod
+    def threshold_net(sign, bias=0.6):
+        """Output 0.187 - sign * relu(bias - sign * (x5 + x6)): property 1
+        (sign 1) or 2 (sign -1) verifies exactly when ystar >= bias."""
+        return Network((Layer([[0, 0, 0, 0, -sign, -sign]], [bias], "relu"),
+                        Layer([[-sign]], [0.187], "id")))
+
+    @staticmethod
+    def probes(monkeypatch):
+        """The list each ystar the search probes is appended to."""
         seen = []
         real = verifier.encode_property
 
@@ -604,10 +620,39 @@ class TestCriticalYstar:
             seen.append(y)
             return real(kind, y, *rest)
         monkeypatch.setattr(verifier, "encode_property", counted)
-        res = find_critical_ystar(net, 3, box, resolution=resolution, search_max=5.0,
-                                  thresholds=thr)
-        assert seen == probed
-        assert res.value == probed[-1]
+        return seen
+
+    @pytest.mark.parametrize("kind, sign, resolution, search_max, probed, value", [
+        (1, 1, 0.25, 0.9, [0.0, 0.9, 0.45, 0.675], 0.675),
+        (1, 1, 0.1, 0.65, [0.0, 0.65, 0.325, 0.4875, 0.56875], 0.65),
+        (1, 1, 0.25, 5.0, [0.0, 1.0, 0.5, 0.75], 0.75),
+        (1, 1, 1.0, 5.0, [0.0, 1.0], 1.0),
+        (1, 1, 0.25, 0.5, [0.0, 0.5], None),
+        (2, -1, 0.25, 0.9, [0.0, 0.9, 0.45, 0.675], 0.675),
+        (2, -1, 0.25, 5.0, [0.0, 1.0, 0.5, 0.75], 0.75),
+        (4, 1, 1.0, 2.5, [0.0], 0.0),                     # output never above 0.187
+        (4, -1, 1.0, 2.5, [0.0, 1.0, 2.0, 2.5], None),    # output always above it
+    ])
+    def test_probe_sequence(self, kind, sign, resolution, search_max, probed, value,
+                            monkeypatch):
+        # the grid 0, 1, 2, ... closed by search_max, then bisection to resolution
+        seen = self.probes(monkeypatch)
+        box = tuple((-5.0, 5.0) for _ in range(6))
+        res = find_critical_ystar(self.threshold_net(sign), kind, box,
+                                  resolution=resolution, search_max=search_max)
+        assert seen == pytest.approx(probed, abs=1e-12)
+        assert res.value == pytest.approx(value) and not res.vacuous
+
+    @pytest.mark.parametrize("bias, value, vacuous", [(0.6, 0.75, False), (0.85, 1.0, True)])
+    def test_vacuous_flag_is_the_reported_probes(self, bias, value, vacuous, monkeypatch):
+        # x5 + x6 <= 0.8 on this box, so ystar 1 verifies vacuously; with the
+        # threshold at 0.85 no non-vacuous ystar verifies
+        seen = self.probes(monkeypatch)
+        box = tuple((-5.0, 5.0) for _ in range(4)) + ((0.0, 0.4), (0.0, 0.4))
+        res = find_critical_ystar(self.threshold_net(1, bias), 1, box,
+                                  resolution=0.25, search_max=5.0)
+        assert seen == [0.0, 1.0, 0.5, 0.75]
+        assert (res.value, res.vacuous) == (value, vacuous)
 
 
 class TestRobustnessSweep:
