@@ -322,6 +322,12 @@ def dataset_from_csv(path) -> list:
             fields = line.strip().split(",")
             if len(fields) != 8:        # the header's fields
                 raise ValueError(f"{path} line {lineno}: {len(fields)} fields, expected 8")
-            vals = [float(v) for v in fields]
+            vals = []
+            for k, v in enumerate(fields, start=1):
+                try:
+                    vals.append(float(v))
+                except ValueError:
+                    raise ValueError(f"{path} line {lineno}: field {k} {v!r} "
+                                     "is not a number") from None
             rows.append(DataRow(State(*vals[:6]), vals[6], vals[7]))
     return rows

@@ -390,6 +390,7 @@ def embed_normalization(net: Network) -> Network:
 
     The returned network takes raw inputs and yields raw outputs:
     forward(embedded, x) == forward(net, x, use_norm=True) up to rounding.
+    A one-layer network stays one layer, carrying both foldings.
     """
     if net.norm is None:
         raise ValueError("network has no NormSpec to embed")
@@ -400,14 +401,15 @@ def embed_normalization(net: Network) -> Network:
     first = net.layers[0]
     w0 = first.w * scale[None, :]
     b0 = first.b - first.w @ (lo * scale)
+    layers = (Layer(w0, b0, first.act),) + net.layers[1:]
     out_range = spec.out_max - spec.out_min
-    last = net.layers[-1]
+    last = layers[-1]
     if last.act != "id":
         raise ValueError("output layer must be identity to embed denormalization")
     wl = last.w * out_range
     bl = last.b * out_range + spec.out_min
 
-    layers = (Layer(w0, b0, first.act),) + net.layers[1:-1] + (Layer(wl, bl, last.act),)
+    layers = layers[:-1] + (Layer(wl, bl, last.act),)
     meta = dict(net.meta)
     meta["normalization"] = "embedded"
     return Network(layers, norm=None, meta=meta)

@@ -3,10 +3,13 @@
 One integration step is a conservative linearization of the dynamics: the
 set is mapped through x+ = x + dt*(f(c) + J_c (x - c)) exactly, and a
 remainder zonotope bounds (a) the mean-value linearization error via an
-interval Jacobian, (b) the actuation interval held over the step, and (c)
-the explicit-Euler truncation error via a validated a-priori enclosure of
-the step trajectories. Every 0.5 s the controller's output range over the
-current set is enclosed and held as the actuation interval.
+interval Jacobian J_int, (b) the actuation interval held over the step, and
+(c) the explicit-Euler truncation error via a validated a-priori enclosure B
+of the step trajectories. J_int is taken over B, and J_c is its entrywise
+midpoint, so the linearization error per entry is rad(J_int)·|x - c|; any
+J_c would be sound, since the remainder absorbs J_int - J_c. Every 0.5 s the
+controller's output range over the current set is enclosed and held as the
+actuation interval.
 """
 
 from __future__ import annotations
@@ -109,7 +112,8 @@ def _seeded(x, u, lanes, kind):
 
 def point_jacobian(x, u: float, p: PlateParams, core=None):
     """6x7 Jacobian d f / d(x1..x6, u) at a point, via dual numbers. Columns
-    of entries the core does not read are exact zeros."""
+    of entries the core does not read are exact zeros. The reach step does
+    not call it (it linearizes about mid(J_int)); it is the tests' oracle."""
     f = core if core is not None else _derivative_core
     lanes = _lanes(f)
     out = f(*_seeded([float(v) for v in x], float(u), lanes, float), p)
@@ -149,15 +153,16 @@ def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig,
                  core=None):
     """Validated enclosure B of all step trajectories: hull + [0,dt]*f(B) in B.
 
-    The candidate margin doubles until the Picard condition holds, which also
+    The first candidate is the hull itself. Each side of B that falls short
+    of its need, dt*f(B) outward, grows to 1.2x that need, and the test
+    repeats until the Picard condition holds; the multiplicative growth also
     copes with transiently stiff steps where additive inflation stalls.
     """
     dt = cfg.dt
     x_ivs = _boxes_to_intervals(lo, hi)
-    f0 = [iv.as_interval(v) for v in interval_derivative(x_ivs, u_iv, p, core)]
     # one-sided extensions along the flow; grown per side only where deficient
-    m_lo = [max(0.0, -dt * f.lo) + 1e-15 for f in f0]
-    m_hi = [max(0.0, dt * f.hi) + 1e-15 for f in f0]
+    m_lo = [0.0] * 6
+    m_hi = [0.0] * 6
     for _ in range(40):
         B = [Interval(l.lo - a, l.hi + b) for l, a, b in zip(x_ivs, m_lo, m_hi)]
         fB = [iv.as_interval(v) for v in interval_derivative(B, u_iv, p, core)]
@@ -226,13 +231,16 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     c = Z.c.tolist()
     f = core if core is not None else _derivative_core
     f_c = np.array([float(v) for v in f(c, u_c, p)])
-    J_c = point_jacobian(c, u_c, p, core)
+    # linearize about the interval Jacobian's midpoint, so that the remainder
+    # pays rad(J_int)·|dx| per entry; unread columns stay exact zeros
+    J_mid = [[0.5 * J.lo + 0.5 * J.hi for J in row] for row in J_int]
+    J_c = np.array(J_mid)
 
     A = np.eye(6) + dt * J_c[:, :6]
     center = Z.c + dt * f_c
     G_lin = A @ Z.G
 
-    rem_lo, rem_hi = _remainder(lo, hi, c, J_int, J_c.tolist(), u_set, fB, dt)
+    rem_lo, rem_hi = _remainder(lo, hi, c, J_int, J_mid, u_set, fB, dt)
     rem_mid = 0.5 * (np.array(rem_lo) + np.array(rem_hi))
     rem_rad = 0.5 * (np.array(rem_hi) - np.array(rem_lo))
     Z_next = Zonotope(center + rem_mid, np.hstack([G_lin, np.diag(rem_rad)]))

@@ -340,6 +340,18 @@ RELU40 = json.dumps({"widths": [6, 40, 1], "norm": json.loads(NET6)["norm"],
 DATA_HEADER = "x1,x2,x3,x4,x5,x6,err,e_x_cmd\n"
 
 
+def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
+    # a valid 6-1 identity network once exited 1 with "adjacent layer widths
+    # disagree": embedding its normalization made it two layers
+    net = tmp_path / "net61.json"
+    net.write_text(json.dumps({"widths": [6, 1], "norm": json.loads(NET6)["norm"],
+                               "layers": [{"w": [[0, 0, 0, 0, 1, 1]], "b": [0],
+                                           "act": "id"}]}))
+    code = main(["verify", "--net", str(net), "--property", "1",
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, text", [
     (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": []}'),
     (["verify", "--net", "BAD", "--property", "1"], '{"widths": [6, 1], "layers": 5}'),
@@ -413,6 +425,8 @@ DATA_HEADER = "x1,x2,x3,x4,x5,x6,err,e_x_cmd\n"
      NET6[:NET6.index('"norm"')] + '"norm": 5}'),
     (["train", "--data", "BAD", "--epochs", "3"], DATA_HEADER + "1,2,3,4,5,6,7\n"),
     (["robust-sweep", "--net", "NET", "--data", "BAD"], DATA_HEADER + "1,2\n"),
+    (["train", "--data", "BAD", "--epochs", "3"],
+     DATA_HEADER + "1,0,0,0,0,2,0,0.19\n" * 3 + "1,0,0,0,0,abc,0,0.19\n"),
     (["simulate", "--ex", "-5", "--t-end", "5"], ""),
     (["simulate", "--dt", "5", "--t-end", "20"], ""),
     (["robust-sweep", "--net", "BAD", "--data", "DATA", "--points", "2"], RELU40),
@@ -435,8 +449,8 @@ DATA_HEADER = "x1,x2,x3,x4,x5,x6,err,e_x_cmd\n"
         "reach-negative-jobs", "verify-norm-short", "critical-norm-short",
         "reach-norm-short", "sweep-norm-short", "norm-reversed", "norm-text-bound",
         "text-weight", "layer-not-object", "meta-not-object", "net-not-object",
-        "norm-not-object", "data-short-row", "data-two-field-row", "sim-diverged",
-        "sim-diverged-large-dt", "sweep-too-many-relus"])
+        "norm-not-object", "data-short-row", "data-two-field-row", "data-text-field",
+        "sim-diverged", "sim-diverged-large-dt", "sweep-too-many-relus"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -477,6 +491,7 @@ BAD_INPUT_NAMES = {
     "norm-not-object": "'norm' must be an object",
     "data-short-row": "line 2: 7 fields, expected 8",
     "data-two-field-row": "line 2: 2 fields, expected 8",
+    "data-text-field": "bad.json line 5: field 6 'abc' is not a number",
     "sim-diverged": "integration diverged at t=2.79s",
     "sim-diverged-large-dt": "integration diverged at t=10s",
     "sweep-too-many-relus": "network has 40 ReLUs",

@@ -394,6 +394,22 @@ class TestEmbedNormalization:
         with pytest.raises(ValueError):
             embed_normalization(init_network(seed=12))
 
+    @pytest.mark.parametrize("widths", [(6, 1), (6, 3, 1)])
+    def test_keeps_layer_count_and_matches_normalized_forward(self, widths):
+        # a one-layer net carries the input scaling and the output range in
+        # its single layer; it once came back as two layers
+        rng = np.random.default_rng(13)
+        in_min = rng.uniform(-2.0, 0.0, 6)
+        in_max = in_min + rng.uniform(0.5, 3.0, 6)
+        spec = NormSpec(tuple(in_min), tuple(in_max), -0.3, 0.7)
+        net = init_network(widths, seed=14, norm=spec)
+        emb = embed_normalization(net)
+        assert len(emb.layers) == len(net.layers) and emb.widths == net.widths
+        for _ in range(50):
+            x = rng.uniform(in_min, in_max)
+            assert forward(emb, x) == pytest.approx(forward(net, x, use_norm=True),
+                                                    abs=1e-12)
+
 
 class TestDoubleNetwork:
     def test_identical_halves(self, naive_net):

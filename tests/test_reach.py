@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, interval_propagation,
                      remainder_intervals)
@@ -295,6 +297,89 @@ class TestReachStep:
         Z = Zonotope(np.array([1.0, 0, 0, 0, 0, 2.0]), np.zeros((6, 0)))
         with pytest.raises(BranchFailure):
             reach_step(Z, Interval(0.187), params, cfg)
+
+
+def _nominal_states(p, x0, dt, n_steps, every):
+    """Every `every`-th state of the point trajectory from x0 under u = 0.19."""
+    s = State(*x0)
+    out = []
+    for k in range(n_steps + 1):
+        if k % every == 0:
+            out.append(np.array(s.as_tuple()))
+        s = rk4_step(s, 0.19, p, dt)
+    return out
+
+
+@pytest.fixture(scope="module")
+def run_states(params, heavy_params, heavy_settled):
+    """(plate, dt, state) triples along the two reach workloads' nominal runs:
+    the paper's plate from the criterion-7 start up to t = 0.4 s at dt 1e-4,
+    and the heavy plate along its settled glide at dt 1e-3."""
+    paper = _nominal_states(params, (1.0, 0, 0, 0, 0, 1.5), 1e-4, 4000, 500)
+    glide = _nominal_states(heavy_params, heavy_settled, 1e-3, 300, 50)
+    return ([(params, 1e-4, x) for x in paper]
+            + [(heavy_params, 1e-3, x) for x in glide])
+
+
+class TestMidpointStep:
+    """The step linearizes about the interval Jacobian's midpoint and builds
+    its a-priori box from the hull, so it evaluates the plate core four times:
+    the float centre, about two interval derivatives and one interval
+    Jacobian, and never the point Jacobian."""
+
+    def test_reach_paper_calls_per_step(self, params):
+        cfg = ReachConfig(dt=1e-4)
+        u = Interval(0.19027, 0.19113)
+        Z = initial_zonotope(1.43, 1.60875)
+        with mock.patch.object(reach, "interval_derivative",
+                               wraps=reach.interval_derivative) as derivs, \
+                mock.patch.object(reach, "point_jacobian",
+                                  wraps=reach.point_jacobian) as points:
+            for _ in range(200):
+                Z = reach_step(Z, u, params, cfg)
+        assert derivs.call_count <= 2.1 * 200
+        assert points.call_count == 0
+
+    def test_linearization_matrix_is_jacobian_midpoint(self, params, heavy_params,
+                                                       heavy_settled):
+        G = np.zeros((6, 2))
+        G[5, 0] = 0.05
+        G[1, 1] = 0.002
+        for Z, u, p, cfg in [(Zonotope(heavy_settled, G), Interval(0.186, 0.188),
+                              heavy_params, ReachConfig(dt=1e-3)),
+                             (initial_zonotope(1.43, 1.60875), Interval(0.19027, 0.19113),
+                              params, ReachConfig(dt=1e-4))]:
+            _, info = reach_step(Z, u, p, cfg, return_info=True)
+            J_c, J_int = info["J_c"], info["J_int"]
+            for i in range(6):
+                for j in range(7):
+                    J = J_int[i][j]
+                    assert _bits(J_c[i, j]) == _bits(0.5 * J.lo + 0.5 * J.hi)
+                for j in (4, 5):
+                    assert _bits(J_c[i, j]) == _bits(0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           log_half=st.lists(st.floats(-5.0, -2.0), min_size=6, max_size=6),
+           u_ends=st.tuples(st.floats(0.181, 0.193), st.floats(0.181, 0.193)),
+           seed=st.integers(0, 2 ** 16))
+    def test_step_contains_fine_rk4_from_sampled_points(self, run_states, data,
+                                                        log_half, u_ends, seed):
+        p, dt, x = data.draw(st.sampled_from(run_states))
+        half = 10.0 ** np.array(log_half)
+        u_set = Interval(min(u_ends), max(u_ends))
+        try:
+            Z = reach_step(Zonotope(x, np.diag(half)), u_set, p, ReachConfig(dt=dt))
+        except BranchFailure:
+            assume(False)     # a step may refuse a box, soundly; not too often
+        lo, hi = zono_hull(Z)
+        rng = np.random.default_rng(seed)
+        corners = x + half * rng.choice([-1.0, 1.0], size=(8, 6))
+        interior = x + half * rng.uniform(-1.0, 1.0, size=(4, 6))
+        u = rng.uniform(u_set.lo, u_set.hi)
+        for x0 in np.vstack([corners, interior]):
+            v = fine_flow(x0, u, p, dt, n_sub=50)
+            assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
 
 
 class TestNnOutputSet:
