@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 from . import intervals as iv
 
@@ -42,19 +41,12 @@ class AlphaRegionError(RuntimeError):
     """Angle of attack left the assumed region while strict mode was on."""
 
 
-def _default_inertia(p: "PlateParams", e_x):
-    # dimensional reading of the dimensionless appendix formula: I* * rho*l^4
-    return (p.mass * (p.a_semi ** 2 + p.b_semi ** 2)
-            + p.rho_f * p.ell ** 4 * (1.0 / 32.0 + e_x * e_x))
-
-
 @dataclass(frozen=True)
 class PlateParams:
     """Mechanical and aerodynamic constants of the glider.
 
     Angles alpha0 / delta_s are stored in radians (defaults converted from
-    the tabulated degrees). m_prime defaults to the buoyancy-corrected mass
-    of the elliptical section; inertia_fn maps e_x to a moment of inertia.
+    the tabulated degrees).
     """
 
     ell: float = 0.07
@@ -74,9 +66,6 @@ class PlateParams:
     a_semi: float = 0.03375
     b_semi: float = 5e-4
     g: float = 9.81
-    m_prime: float | None = None
-    inertia_fn: Callable[["PlateParams", float], float] | None = None
-    tau_r_sign: float = 1.0
 
     def __post_init__(self):
         for name in ("ell", "mass", "rho_f", "delta_s"):
@@ -85,16 +74,11 @@ class PlateParams:
         for name in ("cl1", "cl2", "cd0", "cd1", "cd90", "ccp0", "ccp1", "ccp2", "cr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"PlateParams.{name} must be > 0")
-        if self.tau_r_sign not in (1.0, -1.0):
-            raise ValueError("tau_r_sign must be +1 or -1")
-        if self.inertia(0.187) <= 0:
-            raise ValueError("moment of inertia must be positive")
 
     @property
     def m_eff(self) -> float:
-        """Effective gravitational mass m'."""
-        if self.m_prime is not None:
-            return self.m_prime
+        """Effective gravitational mass m': the buoyancy-corrected mass of
+        the elliptical section."""
         return self.mass - self.rho_f * math.pi * self.a_semi * self.b_semi
 
     @property
@@ -102,9 +86,9 @@ class PlateParams:
         return math.pi * self.rho_f * self.ell ** 2 / 4.0
 
     def inertia(self, e_x):
-        if self.inertia_fn is not None:
-            return self.inertia_fn(self, e_x)
-        return _default_inertia(self, e_x)
+        # dimensional reading of the dimensionless appendix formula: I* * rho*l^4
+        return (self.mass * (self.a_semi ** 2 + self.b_semi ** 2)
+                + self.rho_f * self.ell ** 4 * (1.0 / 32.0 + e_x * e_x))
 
 
 @dataclass(frozen=True)
@@ -125,29 +109,6 @@ class State:
 
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)
-
-
-class StateDerivative(NamedTuple):
-    dx1: float
-    dx2: float
-    dx3: float
-    dx4: float
-    dx5: float
-    dx6: float
-
-
-@dataclass(frozen=True)
-class AeroBreakdown:
-    alpha: float
-    f_sel: float
-    c_lift: float
-    c_drag: float
-    l_cp: float          # metres
-    lift_t: tuple        # (x', y') components
-    lift_r: tuple
-    drag: tuple
-    tau_t: float
-    tau_r: float
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +144,7 @@ def _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p: PlateParams):
               0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * x1)
     drag = (-half_rho_l * c_drag * spd * x1, -half_rho_l * c_drag * spd * vy)
     tau_t = -half_rho_l * spd * (c_lift * x1 + c_drag * vy) * (l_cp - l_cm)
-    bracket = (2.0 * e_x + 1.0) ** 4 + p.tau_r_sign * (2.0 * e_x - 1.0) ** 4
+    bracket = (2.0 * e_x + 1.0) ** 4 + (2.0 * e_x - 1.0) ** 4
     tau_r = -(1.0 / 128.0) * p.rho_f * p.ell ** 4 * p.cd90 * x3 * iv.absval(x3) * bracket
     return lift_t, lift_r, drag, tau_t, tau_r
 
@@ -237,34 +198,6 @@ def angle_of_attack(s: State, u, p: PlateParams) -> float:
     return math.atan2(vy, s.x1)
 
 
-def force_coefficients(alpha: float, p: PlateParams):
-    """(c_lift, c_drag, l_cp[m]) at the given angle of attack."""
-    return _coeffs_abs(abs(alpha), p)[1:]
-
-
-def aero_breakdown(s: State, u, p: PlateParams) -> AeroBreakdown:
-    """All intermediate aerodynamic quantities for one state."""
-    e_x = float(u)
-    alpha = angle_of_attack(s, u, p)
-    f, c_lift, c_drag, l_cp = _coeffs_abs(abs(alpha), p)
-    terms = _aero_terms(s.x1, s.x2 - s.x3 * (e_x * p.ell), s.x3, e_x,
-                        c_lift, c_drag, l_cp, p)
-    return AeroBreakdown(alpha, f, c_lift, c_drag, l_cp, *terms)
-
-
-def aero_torques(s: State, u, p: PlateParams, l_cp: float):
-    """(tau_t, tau_r) given l_cp in metres."""
-    e_x = float(u)
-    c_lift, c_drag, _ = force_coefficients(angle_of_attack(s, u, p), p)
-    return _aero_terms(s.x1, s.x2 - s.x3 * (e_x * p.ell), s.x3, e_x,
-                       c_lift, c_drag, l_cp, p)[3:]
-
-
-def state_derivative(s: State, u, p: PlateParams) -> StateDerivative:
-    """Time derivative of all six state variables."""
-    return StateDerivative(*_deriv_raw(s.as_tuple(), float(u), p))
-
-
 def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,
              deriv=None) -> State:
     """One classical 4th-order Runge-Kutta step with the control held fixed.
@@ -312,18 +245,6 @@ class Trace:
             for t, s, u in zip(self.times, self.states, self.e_x):
                 vals = (t,) + s.as_tuple() + (u,)
                 fh.write(",".join(format(v, ".17g") for v in vals) + "\n")
-
-    @staticmethod
-    def from_csv(path) -> "Trace":
-        tr = Trace()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "t,x1,x2,x3,x4,x5,x6,e_x":
-                raise ValueError(f"unexpected trace header: {header}")
-            for line in fh:
-                vals = [float(v) for v in line.strip().split(",")]
-                tr.append(vals[0], State(*vals[1:7]), vals[7])
-        return tr
 
 
 def simulate_open_loop(s0: State, e_x, p: PlateParams, t_end: float = T_END,

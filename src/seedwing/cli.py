@@ -234,9 +234,9 @@ def _train_common(args, adversarial: bool):
         rows = dataset_from_csv(data)
     spec = fit_norm(rows)
     X, Y = rows_to_arrays(rows, spec)
-    net0 = mlp.init_network(norm=spec, **_given(args, "seed"))
     settings = _given(args, "epochs", "lr", "seed", "batch_size")
     with _rejected_settings():
+        net0 = mlp.init_network(norm=spec, **_given(args, "seed"))
         if adversarial:
             rcfg = robust.RobustTrainConfig(
                 attack=robust.AttackConfig(**_given(args, "epsilon", "restarts",

@@ -169,17 +169,6 @@ class NetworkController:
         return min(EX_MAX, max(EX_MIN, float(y)))
 
 
-class ConstantController:
-    def __init__(self, e_x: float):
-        self.e_x = e_x
-
-    def reset(self):
-        pass
-
-    def __call__(self, s: State) -> float:
-        return self.e_x
-
-
 def simulate_closed_loop(s0: State, ctrl, cfg: SimConfig, p: PlateParams,
                          record=None, strict: bool = False) -> Trace:
     """Closed-loop trajectory; ctrl(state) is queried every dt_control.

@@ -115,13 +115,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def rad(self) -> float:
-        return 0.5 * (self.hi - self.lo)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
     # -- arithmetic ---------------------------------------------------------
     def __neg__(self):
         return _interval(-self.hi, -self.lo)

@@ -38,6 +38,8 @@ class ReachDomainError(BranchFailure):
 
 # goal band half-width: success means |x6 + x5| <= GOAL_YSTAR at the horizon
 GOAL_YSTAR = 2.0
+# a step whose hull is wider than this in any coordinate ends the branch
+BLOWUP_WIDTH = 1e3
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class ReachConfig:
     # kept so that configurations naming them still construct
     relu_mode: str = "zonotope"
     exact_alpha: bool = True
-    blowup_width: float = 1e3
 
     def __post_init__(self):
         if not self.exact_alpha:
@@ -67,6 +68,8 @@ class ReachConfig:
                              "zonotope ReLU enclosure remains")
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
+        if self.max_order < 1:
+            raise ValueError(f"max_order must be >= 1, got {self.max_order}")
 
     @property
     def steps_per_cycle(self) -> int:
@@ -247,7 +250,7 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     Z_next = zono_reduce(Z_next, cfg.max_order)
     lo_next, hi_next = zono_hull(Z_next)
     w = np.max(hi_next - lo_next)
-    if w > cfg.blowup_width:
+    if w > BLOWUP_WIDTH:
         raise BranchFailure(f"set blow-up: hull width {w:.3g}")
     if return_info:
         rem = [Interval(a, b) for a, b in zip(rem_lo, rem_hi)]

@@ -159,17 +159,14 @@ SWEEP_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
 # ---------------------------------------------------------------------------
 # property encodings
 
-@dataclass(frozen=True)
-class PropertyThresholds:
-    """Actuation and state thresholds used by the four trajectory properties."""
-
-    u_center: float = 0.187
-    u_lo: float = 0.184
-    u_hi: float = 0.19
-    pitch_lo: float = -0.786
-    pitch_hi: float = -0.747
-    x3_max: float = -0.12
-    x2_max: float = -0.3
+# actuation and state thresholds of the four trajectory properties
+U_CENTER = 0.187
+U_LO = 0.184
+U_HI = 0.19
+PITCH_LO = -0.786
+PITCH_HI = -0.747
+X3_MAX = -0.12
+X2_MAX = -0.3
 
 
 def _in_vec(n, **kw):
@@ -179,39 +176,37 @@ def _in_vec(n, **kw):
     return tuple(v)
 
 
-def encode_property(kind: int, ystar: float, box,
-                    thresholds: PropertyThresholds = PropertyThresholds()) -> PropertySpec:
+def encode_property(kind: int, ystar: float, box) -> PropertySpec:
     """Trajectory-adherence properties 1-4 over a raw-unit input box.
 
-    1: above the line by ystar      => output >= u_center (commands descent)
-    2: below the line by ystar      => output <= u_center
-    3: within ystar of the line and pitch in a window => output in [u_lo, u_hi]
-    4: above and near the line, pitching down fast and sinking => output <= u_center
+    1: above the line by ystar      => output >= U_CENTER (commands descent)
+    2: below the line by ystar      => output <= U_CENTER
+    3: within ystar of the line and pitch in a window => output in [U_LO, U_HI]
+    4: above and near the line, pitching down fast and sinking => output <= U_CENTER
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     n = len(box)
-    t = thresholds
     line = _in_vec(n, **{"4": 1.0, "5": 1.0})     # x5 + x6
     out1 = (1.0,)
     if kind == 1:
         premise = (LinConstraint(line, (0.0,), ">=", ystar),)
-        conclusion = (LinConstraint((0.0,) * n, out1, ">=", t.u_center),)
+        conclusion = (LinConstraint((0.0,) * n, out1, ">=", U_CENTER),)
     elif kind == 2:
         premise = (LinConstraint(line, (0.0,), "<=", -ystar),)
-        conclusion = (LinConstraint((0.0,) * n, out1, "<=", t.u_center),)
+        conclusion = (LinConstraint((0.0,) * n, out1, "<=", U_CENTER),)
     elif kind == 3:
         premise = (LinConstraint(line, (0.0,), ">=", -ystar),
                    LinConstraint(line, (0.0,), "<=", ystar),
-                   LinConstraint(_in_vec(n, **{"3": 1.0}), (0.0,), ">=", t.pitch_lo),
-                   LinConstraint(_in_vec(n, **{"3": 1.0}), (0.0,), "<=", t.pitch_hi))
-        conclusion = (LinConstraint((0.0,) * n, out1, ">=", t.u_lo),
-                      LinConstraint((0.0,) * n, out1, "<=", t.u_hi))
+                   LinConstraint(_in_vec(n, **{"3": 1.0}), (0.0,), ">=", PITCH_LO),
+                   LinConstraint(_in_vec(n, **{"3": 1.0}), (0.0,), "<=", PITCH_HI))
+        conclusion = (LinConstraint((0.0,) * n, out1, ">=", U_LO),
+                      LinConstraint((0.0,) * n, out1, "<=", U_HI))
     elif kind == 4:
         premise = (LinConstraint(line, (0.0,), ">=", 0.0),
                    LinConstraint(line, (0.0,), "<=", ystar),
-                   LinConstraint(_in_vec(n, **{"2": 1.0}), (0.0,), "<=", t.x3_max),
-                   LinConstraint(_in_vec(n, **{"1": 1.0}), (0.0,), "<=", t.x2_max))
-        conclusion = (LinConstraint((0.0,) * n, out1, "<=", t.u_center),)
+                   LinConstraint(_in_vec(n, **{"2": 1.0}), (0.0,), "<=", X3_MAX),
+                   LinConstraint(_in_vec(n, **{"1": 1.0}), (0.0,), "<=", X2_MAX))
+        conclusion = (LinConstraint((0.0,) * n, out1, "<=", U_CENTER),)
     else:
         raise ValueError(f"property kind must be 1..4, got {kind}")
     return PropertySpec(f"property{kind}", box, premise, conclusion,
@@ -545,7 +540,6 @@ class CriticalResult:
 
 def find_critical_ystar(net: Network, kind: int, box,
                         resolution: float = 1.0, search_max: float = 50.0,
-                        thresholds: PropertyThresholds = PropertyThresholds(),
                         budget: Budget = Budget()) -> CriticalResult:
     """Critical threshold distance for one trajectory property.
 
@@ -571,7 +565,7 @@ def find_critical_ystar(net: Network, kind: int, box,
     step = max(1.0, resolution)
 
     def past(y) -> bool:
-        v = bab_verify(net, encode_property(kind, y, box, thresholds), budget)
+        v = bab_verify(net, encode_property(kind, y, box), budget)
         if v.status == "timeout":
             res.flagged_timeout = True
         if kind == 3:

@@ -37,11 +37,6 @@ class Zonotope:
     def n_gen(self) -> int:
         return self.G.shape[1]
 
-    @staticmethod
-    def point(x) -> "Zonotope":
-        x = np.asarray(x, dtype=float)
-        return Zonotope(x, np.zeros((x.shape[0], 0)))
-
 
 def zono_hull(Z: Zonotope):
     """Tight axis-aligned interval hull (lo, hi)."""
@@ -67,11 +62,6 @@ def zono_max_linear(Z: Zonotope, w) -> float:
     """Exact max of w.x over Z: w.c + sum |w.g_i|."""
     w = np.asarray(w, dtype=float)
     return float(w @ Z.c + np.abs(w @ Z.G).sum())
-
-
-def zono_sample(Z: Zonotope, n: int, rng: np.random.Generator) -> np.ndarray:
-    xi = rng.uniform(-1.0, 1.0, size=(n, Z.n_gen))
-    return Z.c[None, :] + xi @ Z.G.T
 
 
 def zono_contains_point(Z: Zonotope, x, tol: float = 1e-9) -> bool:

@@ -54,7 +54,7 @@ def plate_forces_oracle(state, e_x, p):
     drag = (-k * cd * v * x1, -k * cd * v * wy)
     tau_t = -k * v * (cl * x1 + cd * wy) * (lcp - lcm)
     tau_r = -p.rho_f * p.ell ** 4 * p.cd90 * x3 * abs(x3) / 128.0 \
-        * ((2 * e_x + 1) ** 4 + p.tau_r_sign * (2 * e_x - 1) ** 4)
+        * ((2 * e_x + 1) ** 4 + (2 * e_x - 1) ** 4)
 
     m = p.mass
     ma = math.pi * p.rho_f * p.ell ** 2 / 4.0

@@ -430,6 +430,9 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
     (["simulate", "--ex", "-5", "--t-end", "5"], ""),
     (["simulate", "--dt", "5", "--t-end", "20"], ""),
     (["robust-sweep", "--net", "BAD", "--data", "DATA", "--points", "2"], RELU40),
+    (["train", "--data", "DATA", "--seed", "-1", "--epochs", "3"], ""),
+    (["train-adv", "--data", "DATA", "--seed", "-1", "--epochs", "3"], ""),
+    (["reach", "--net", "NET", "--max-order", "0.5"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -450,7 +453,8 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
         "reach-norm-short", "sweep-norm-short", "norm-reversed", "norm-text-bound",
         "text-weight", "layer-not-object", "meta-not-object", "net-not-object",
         "norm-not-object", "data-short-row", "data-two-field-row", "data-text-field",
-        "sim-diverged", "sim-diverged-large-dt", "sweep-too-many-relus"])
+        "sim-diverged", "sim-diverged-large-dt", "sweep-too-many-relus",
+        "train-negative-seed", "train-adv-negative-seed", "reach-fractional-max-order"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -495,6 +499,9 @@ BAD_INPUT_NAMES = {
     "sim-diverged": "integration diverged at t=2.79s",
     "sim-diverged-large-dt": "integration diverged at t=10s",
     "sweep-too-many-relus": "network has 40 ReLUs",
+    "train-negative-seed": "expected non-negative integer",
+    "train-adv-negative-seed": "expected non-negative integer",
+    "reach-fractional-max-order": "max_order must be >= 1, got 0.5",
 }
 
 

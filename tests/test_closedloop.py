@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seedwing.aeromodel import State, simulate_open_loop
-from seedwing.closedloop import (DEFAULT_GAINS, ConstantController, DataRow,
+from seedwing.closedloop import (DEFAULT_GAINS, DataRow,
                                  DegenerateRangeError, NormSpec,
                                  PidController, PidGains, PidState, SimConfig,
                                  dataset_from_csv, dataset_to_csv,
@@ -119,7 +119,9 @@ class TestClosedLoop:
     def test_constant_network_equals_open_loop(self, params):
         s0 = State(1, 0, 0, 0, 0, 2.0)
         cfg = SimConfig(t_end=2.0, x6_starts=(2.0,), record_skip=0)
-        closed = simulate_closed_loop(s0, ConstantController(0.187), cfg, params)
+        # zero gains command exactly the bias u_center = 0.187 at every query
+        ctrl = PidController(PidGains(kp=0.0), cfg.dt_control)
+        closed = simulate_closed_loop(s0, ctrl, cfg, params)
         opened = simulate_open_loop(s0, 0.187, params, 2.0, 0.01)
         assert all(a == b for a, b in zip(closed.states, opened.states))
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, interval_propagation,
                      remainder_intervals)
+from set_helpers import contains, point_zonotope, zono_sample
 from seedwing import intervals as iv
 from seedwing import reach
 from seedwing.aeromodel import State, rk4_step, _deriv_raw
@@ -18,7 +19,7 @@ from seedwing.reach import (BranchFailure, ReachConfig, ReachDomainError,
                             interval_jacobian, nn_output_set, point_jacobian,
                             reach_control_cycle, reach_full, reach_step,
                             reach_to_csv, x6_cells)
-from seedwing.zono import Zonotope, zono_hull, zono_max_linear, zono_sample
+from seedwing.zono import Zonotope, zono_hull, zono_max_linear
 
 
 def constant_net(value, n_in=6):
@@ -98,7 +99,7 @@ class TestJacobians:
             Jp = point_jacobian(tuple(xs), us, params)
             for i in range(6):
                 for j in range(7):
-                    assert Jint[i][j].contains(Jp[i, j], tol=1e-9)
+                    assert contains(Jint[i][j], Jp[i, j], tol=1e-9)
 
     def test_degenerate_set_matches_point(self, params):
         x = (0.85, -0.1, 0.2, -0.4, 0.0, 1.0)
@@ -106,7 +107,7 @@ class TestJacobians:
         Jp = point_jacobian(x, 0.187, params)
         for i in range(6):
             for j in range(7):
-                assert Jint[i][j].contains(Jp[i, j], tol=1e-9)
+                assert contains(Jint[i][j], Jp[i, j], tol=1e-9)
                 assert Jint[i][j].width < 1e-5 * max(1.0, abs(Jp[i, j]))
 
     def test_velocity_origin_raises_domain_error(self, params):
@@ -156,8 +157,8 @@ class TestJacobianLanes:
         core = linear_core(A, np.zeros(6))
         Jint = interval_jacobian(self.BOX, self.U, params, core=core)
         Jp = point_jacobian([b.mid for b in self.BOX], self.U.mid, params, core=core)
-        assert Jint[0][4].contains(0.75) and Jint[0][4].width < 1e-12
-        assert Jint[1][5].contains(-2.0) and Jint[1][5].width < 1e-12
+        assert contains(Jint[0][4], 0.75) and Jint[0][4].width < 1e-12
+        assert contains(Jint[1][5], -2.0) and Jint[1][5].width < 1e-12
         assert Jp[0, 4] == 0.75 and Jp[1, 5] == -2.0
 
     def test_remainder_equals_interval_reference(self, params, heavy_params,
@@ -222,7 +223,7 @@ def test_config_rejects_interval_relu_mode():
     with pytest.raises(ValueError, match="only the zonotope ReLU enclosure remains"):
         ReachConfig(relu_mode="interval")
     with pytest.raises(ValueError, match="only the zonotope ReLU enclosure remains"):
-        nn_output_set(constant_net(0.187), Zonotope.point(np.zeros(6)), "interval")
+        nn_output_set(constant_net(0.187), point_zonotope(np.zeros(6)), "interval")
 
 
 @pytest.mark.parametrize("kw, text", [
@@ -260,7 +261,7 @@ class TestReachStep:
     def test_zero_width_step_contains_flow(self, params):
         cfg = ReachConfig(dt=1e-3)
         for x in [(1.0, 0, 0, 0, 0, 2.0), (0.8, -0.12, 0.3, -0.5, 0.1, 2.0)]:
-            Z = reach_step(Zonotope.point(np.array(x)), Interval(0.187),
+            Z = reach_step(point_zonotope(np.array(x)), Interval(0.187),
                            params, cfg)
             lo, hi = zono_hull(Z)
             v = fine_flow(x, 0.187, params, cfg.dt)
@@ -271,7 +272,7 @@ class TestReachStep:
         # RK4 point lands inside the hull
         cfg = ReachConfig(dt=1e-3)
         x = (1.0, 0, 0, 0, 0, 2.0)
-        Z = reach_step(Zonotope.point(np.array(x)), Interval(0.187), params, cfg)
+        Z = reach_step(point_zonotope(np.array(x)), Interval(0.187), params, cfg)
         srk = rk4_step(State(*x), 0.187, params, cfg.dt)
         lo, hi = zono_hull(Z)
         v = np.array(srk.as_tuple())
@@ -292,8 +293,9 @@ class TestReachStep:
             v = np.array(s.as_tuple())
             assert np.all(v >= lo - 1e-10) and np.all(v <= hi + 1e-10)
 
-    def test_blowup_guard(self, params):
-        cfg = ReachConfig(dt=1e-3, blowup_width=1e-6)
+    def test_blowup_guard(self, params, monkeypatch):
+        monkeypatch.setattr(reach, "BLOWUP_WIDTH", 1e-6)
+        cfg = ReachConfig(dt=1e-3)
         Z = Zonotope(np.array([1.0, 0, 0, 0, 0, 2.0]), np.zeros((6, 0)))
         with pytest.raises(BranchFailure):
             reach_step(Z, Interval(0.187), params, cfg)
@@ -388,7 +390,7 @@ class TestNnOutputSet:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.uniform(norm_spec.in_min, norm_spec.in_max)
-            out = nn_output_set(emb, Zonotope.point(x))
+            out = nn_output_set(emb, point_zonotope(x))
             want = min(max(forward(emb, x), 0.181), 0.193)
             assert out.lo == pytest.approx(want, abs=1e-9)
             assert out.hi == pytest.approx(want, abs=1e-9)
@@ -419,10 +421,10 @@ class TestNnOutputSet:
 
     def test_clamp_image(self):
         net = constant_net(0.5)
-        out = nn_output_set(net, Zonotope.point(np.zeros(6)))
+        out = nn_output_set(net, point_zonotope(np.zeros(6)))
         assert out.lo == out.hi == 0.193
         net2 = constant_net(0.0)
-        out2 = nn_output_set(net2, Zonotope.point(np.zeros(6)))
+        out2 = nn_output_set(net2, point_zonotope(np.zeros(6)))
         assert out2.lo == out2.hi == 0.181
 
 
@@ -441,7 +443,7 @@ class TestControlCycle:
     def test_zero_width_cycle_contains_point_simulation(self, heavy_params,
                                                         heavy_settled):
         cfg = ReachConfig(dt=1e-3)
-        Z = Zonotope.point(heavy_settled)
+        Z = point_zonotope(heavy_settled)
         out = reach_control_cycle(Z, constant_net(0.187), heavy_params, cfg)
         s = State(*heavy_settled)
         for _ in range(50):
@@ -546,7 +548,8 @@ class TestReachFull:
         assert all(b.fail_reason for b in result.branches)
         assert goal_check(result).status == "unknown"
 
-    def test_fail_step_counts_steps_of_failing_cycle(self, heavy_params, heavy_settled):
+    def test_fail_step_counts_steps_of_failing_cycle(self, heavy_params, heavy_settled,
+                                                     monkeypatch):
         cfg = ReachConfig(dt=1e-3, dt_control=0.1, t_end=0.3, n_splits=1)
         x6 = heavy_settled[5]
         cell = (x6 - 0.02, x6 + 0.02)
@@ -563,9 +566,8 @@ class TestReachFull:
             widths.append(np.max(hi - lo))
         bound = max(widths[:150])
         k_fail = next(k for k, w in enumerate(widths) if w > bound)
-        tight = ReachConfig(dt=1e-3, dt_control=0.1, t_end=0.3, n_splits=1,
-                            blowup_width=bound)
-        br = reach_full(cell, net, heavy_params, tight, base_state=heavy_settled).branches[0]
+        monkeypatch.setattr(reach, "BLOWUP_WIDTH", bound)
+        br = reach_full(cell, net, heavy_params, cfg, base_state=heavy_settled).branches[0]
         assert br.failed and "blow-up" in br.fail_reason
         assert (br.fail_cycle, br.fail_step) == divmod(k_fail, cfg.steps_per_cycle)
         assert len(br.checkpoints) == br.fail_cycle + 1
@@ -599,7 +601,7 @@ class TestInitialSet:
 
 class TestGoalCheck:
     def test_point_on_line_succeeds(self):
-        Z = Zonotope.point(np.array([0, 0, 0, 0, 3.0, -3.0]))
+        Z = point_zonotope(np.array([0, 0, 0, 0, 3.0, -3.0]))
         res = _result_with([Z])
         assert goal_check(res, 0.5).status == "success"
 
@@ -622,7 +624,7 @@ class TestGoalCheck:
 
     def test_unknown_on_inconclusive(self):
         from seedwing.reach import Branch, ReachResult
-        br = Branch(0, (1.0, 2.0), [Zonotope.point(np.zeros(6))],
+        br = Branch(0, (1.0, 2.0), [point_zonotope(np.zeros(6))],
                     failed=True, fail_reason="x", fail_cycle=1)
         res = ReachResult([br], ReachConfig())
         assert res.inconclusive

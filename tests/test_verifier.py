@@ -12,7 +12,7 @@ from seedwing import mlp, verifier
 from seedwing.mlp import Layer, Network, embed_normalization, \
     forward, forward_batch, init_network
 from seedwing.verifier import (LP_MARGIN, Budget, LinConstraint,
-                               PropertySpec, PropertyThresholds, Verdict,
+                               PropertySpec, Verdict,
                                _NodeLp, bab_verify, constraint_violation,
                                encode_property, encode_robustness,
                                find_critical_ystar, input_rows,
@@ -267,18 +267,17 @@ class TestIntervalBoundsProperties:
 class TestEncodings:
     def test_property_shapes_and_thresholds(self):
         box = tuple((-5.0, 5.0) for _ in range(6))
-        t = PropertyThresholds()
         p1 = encode_property(1, 2.0, box)
-        assert p1.conclusion[0].rel == ">=" and p1.conclusion[0].rhs == t.u_center
+        assert p1.conclusion[0].rel == ">=" and p1.conclusion[0].rhs == 0.187
         p2 = encode_property(2, 2.0, box)
         assert p2.premise[0].rhs == -2.0 and p2.conclusion[0].rel == "<="
         p3 = encode_property(3, 1.0, box)
         assert len(p3.premise) == 4 and len(p3.conclusion) == 2
-        assert {c.rhs for c in p3.conclusion} == {t.u_lo, t.u_hi}
-        assert {c.rhs for c in p3.premise[2:]} == {t.pitch_lo, t.pitch_hi}
+        assert {c.rhs for c in p3.conclusion} == {0.184, 0.19}
+        assert {c.rhs for c in p3.premise[2:]} == {-0.786, -0.747}
         p4 = encode_property(4, 1.0, box)
         assert len(p4.premise) == 4
-        assert p4.premise[2].rhs == t.x3_max and p4.premise[3].rhs == t.x2_max
+        assert p4.premise[2].rhs == -0.12 and p4.premise[3].rhs == -0.3
         with pytest.raises(ValueError):
             encode_property(5, 1.0, box)
 
@@ -565,14 +564,13 @@ class TestCriticalYstar:
         else:
             assert sweep is not None and abs(res.value - sweep) <= resolution + 1e-9
 
-    def test_failed_when_nothing_verifies(self):
+    def test_failed_when_nothing_verifies(self, monkeypatch):
         # output pinned above the band makes property 3 fail at every ystar
         net = Network((Layer(np.zeros((1, 6)), np.array([5.0]), "relu"),
                        Layer(np.array([[1.0]]), np.array([0.0]), "id")))
         box = tuple((-5.0, 5.0) for _ in range(6))
-        thr = PropertyThresholds(pitch_lo=-1.0, pitch_hi=1.0)
-        res = find_critical_ystar(net, 3, box, resolution=1.0, search_max=5.0,
-                                  thresholds=thr)
+        self.wide_pitch_window(monkeypatch)
+        res = find_critical_ystar(net, 3, box, resolution=1.0, search_max=5.0)
         assert res.failed
 
     @pytest.mark.parametrize("kind", [1, 3])
@@ -596,10 +594,9 @@ class TestCriticalYstar:
         net = Network((Layer(np.zeros((1, 6)), np.array([0.187]), "relu"),
                        Layer(np.array([[1.0]]), np.array([0.0]), "id")))
         box = tuple((-5.0, 5.0) for _ in range(6))
-        thr = PropertyThresholds(pitch_lo=-1.0, pitch_hi=1.0)
+        self.wide_pitch_window(monkeypatch)
         seen = self.probes(monkeypatch)
-        res = find_critical_ystar(net, 3, box, resolution=resolution, search_max=5.0,
-                                  thresholds=thr)
+        res = find_critical_ystar(net, 3, box, resolution=resolution, search_max=5.0)
         assert seen == probed
         assert res.value == probed[-1]
 
@@ -609,6 +606,12 @@ class TestCriticalYstar:
         (sign 1) or 2 (sign -1) verifies exactly when ystar >= bias."""
         return Network((Layer([[0, 0, 0, 0, -sign, -sign]], [bias], "relu"),
                         Layer([[-sign]], [0.187], "id")))
+
+    @staticmethod
+    def wide_pitch_window(monkeypatch):
+        """Property 3's pitch window widened to [-1, 1]."""
+        monkeypatch.setattr(verifier, "PITCH_LO", -1.0)
+        monkeypatch.setattr(verifier, "PITCH_HI", 1.0)
 
     @staticmethod
     def probes(monkeypatch):

@@ -4,7 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seedwing.zono import (Zonotope, zono_contains_point, zono_hull,
-                           zono_max_linear, zono_reduce, zono_sample)
+                           zono_max_linear, zono_reduce)
+
+from set_helpers import point_zonotope, zono_sample
 
 
 def rand_zono(rng, n=3, g=6):
@@ -45,6 +47,21 @@ class TestReduce:
         rlo, rhi = zono_hull(R)
         assert np.all(rlo <= lo + 1e-12) and np.all(rhi >= hi - 1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), g=st.integers(0, 60), max_order=st.floats(1.0, 12.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_cap_and_hull_for_any_order_from_one(self, n, g, max_order, seed):
+        # from max_order 1 on, the cap int(max_order * dim) holds the dim
+        # box generators that reduction adds (ReachConfig rejects less)
+        rng = np.random.default_rng(seed)
+        Z = Zonotope(rng.normal(size=n), rng.normal(scale=0.5, size=(n, g)))
+        R = zono_reduce(Z, max_order)
+        assert R.n_gen <= int(max_order * n)
+        lo, hi = zono_hull(Z)
+        rlo, rhi = zono_hull(R)
+        tol = 1e-12 * (1.0 + np.abs(Z.G).sum(axis=1))
+        assert np.all(rlo <= lo + tol) and np.all(rhi >= hi - tol)
+
 
 class TestLinearFunctional:
     def test_exact_maximum_vs_sampling(self):
@@ -70,7 +87,7 @@ class TestMembershipAndSplit:
         assert not zono_contains_point(Z, hi + 1.0)
 
     def test_degenerate_point(self):
-        Z = Zonotope.point([1.0, 2.0])
+        Z = point_zonotope([1.0, 2.0])
         assert zono_contains_point(Z, [1.0, 2.0])
         assert not zono_contains_point(Z, [1.1, 2.0])
         lo, hi = zono_hull(Z)
