@@ -11,7 +11,6 @@ Run:  python scripts/tune_pid.py [--fine]
 
 import argparse
 import itertools
-import warnings
 
 from seedwing.aeromodel import EX_MAX, EX_MIN, PlateParams, State
 from seedwing.closedloop import (PidController, PidGains, SimConfig,
@@ -37,7 +36,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--fine", action="store_true", help="refine around the coarse optimum")
     args = ap.parse_args()
-    warnings.simplefilter("ignore")
 
     p = PlateParams()
     cfg = SimConfig()

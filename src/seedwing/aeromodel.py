@@ -4,13 +4,13 @@ Plate-frame velocities (x1, x2), angular rate x3, pitch x4 and world position
 (x5, x6). The centre-of-mass offset e_x = l_CM/l is the single actuation
 variable. The derivative core is generic over the scalar types in
 :mod:`seedwing.intervals`, so the same formulas serve simulation, interval
-enclosures and Jacobians.
+enclosures and Jacobians. Trajectories step rk4_step in the one loop of
+:func:`seedwing.closedloop.simulate_closed_loop`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from . import intervals as iv
@@ -211,12 +211,13 @@ def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,
     e_x = float(u)
     x = s.as_tuple()
     h = 0.5 * dt
-    k1 = f(x, e_x, p)
-    k2 = f(tuple(a + h * k for a, k in zip(x, k1)), e_x, p)
-    k3 = f(tuple(a + h * k for a, k in zip(x, k2)), e_x, p)
-    k4 = f(tuple(a + dt * k for a, k in zip(x, k3)), e_x, p)
     try:
-        # State rejects a non-finite entry
+        # a stage at an infinite state fails in a math function (cos(inf)),
+        # and State rejects a non-finite entry
+        k1 = f(x, e_x, p)
+        k2 = f(tuple(a + h * k for a, k in zip(x, k1)), e_x, p)
+        k3 = f(tuple(a + h * k for a, k in zip(x, k2)), e_x, p)
+        k4 = f(tuple(a + dt * k for a, k in zip(x, k3)), e_x, p)
         return State(*(a + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
                        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)))
     except ValueError:
@@ -247,53 +248,12 @@ class Trace:
                 fh.write(",".join(format(v, ".17g") for v in vals) + "\n")
 
 
-def simulate_open_loop(s0: State, e_x, p: PlateParams, t_end: float = T_END,
-                       dt: float = DT, strict: bool = False) -> Trace:
-    """Fixed-actuation trajectory sampled every dt (first sample at t=0)."""
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    u = float(e_x)
-    n = round(t_end / dt)
-    tr = Trace()
-    s = s0
-    tr.append(0.0, s, u)
-    guard = AlphaRegionGuard(strict)
-    for k in range(n):
-        s = rk4_step(s, u, p, dt, t=k * dt)
-        tr.append((k + 1) * dt, s, u)
-        guard.check(s, u, p, (k + 1) * dt)
-    guard.finish()
-    return tr
-
-
-class AlphaRegionGuard:
-    """Tracks excursions of the angle of attack outside the assumed region.
-
-    Warns once per run by default; raises AlphaRegionError under strict mode.
-    """
-
-    def __init__(self, strict: bool = False):
-        self.strict = strict
-        self.first = None
-
-    def check(self, s: State, u, p: PlateParams, t: float):
-        a = angle_of_attack(s, u, p)
-        if ALPHA_LO - ALPHA_MARGIN <= a <= ALPHA_HI + ALPHA_MARGIN:
-            return
-        if self.strict:
-            raise AlphaRegionError(
-                f"alpha={a:.4f} outside [-pi/2, 0] at t={t:.3f}s")
-        if self.first is None:
-            self.first = (t, a)
-
-    def finish(self):
-        if self.first is not None:
-            t, a = self.first
-            warnings.warn(f"angle of attack left the assumed region "
-                          f"[-pi/2, 0] (first at t={t:.3f}s, alpha={a:.4f}); "
-                          f"the aerodynamic fit is extrapolating", stacklevel=2)
+def check_alpha_region(s: State, u, p: PlateParams, t: float):
+    """AlphaRegionError unless the angle of attack at s lies in the assumed
+    region [-pi/2, 0], up to the check's rounding slack."""
+    a = angle_of_attack(s, u, p)
+    if not ALPHA_LO - ALPHA_MARGIN <= a <= ALPHA_HI + ALPHA_MARGIN:
+        raise AlphaRegionError(f"alpha={a:.4f} outside [-pi/2, 0] at t={t:.3f}s")
 
 
 def mean_glide_slope(tr: Trace, t_from: float) -> float:

@@ -20,12 +20,12 @@ import time
 import warnings
 
 from . import __version__, mlp, robust
-from .aeromodel import (AlphaRegionError, IntegrationDivergedError, PlateParams, State,
-                        simulate_open_loop)
+from .aeromodel import AlphaRegionError, IntegrationDivergedError, PlateParams, State
 from .closedloop import (DEFAULT_GAINS, X6_RANGE, NetworkController,
                          PidController, SimConfig, dataset_from_csv,
                          dataset_to_csv, fit_norm, generate_dataset,
-                         rows_to_arrays, simulate_closed_loop)
+                         rows_to_arrays, simulate_closed_loop,
+                         simulate_open_loop)
 from .reach import (GOAL_YSTAR, ReachConfig, ReachResult, goal_check,
                     reach_branch, reach_to_csv, x6_cells)
 from .svgplot import plot_reach, plot_trajectories
@@ -174,6 +174,12 @@ def property_kinds(text) -> tuple:
 def positive_int(text) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
+def non_negative_int(text) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return int(text)
 
 
@@ -489,7 +495,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--epochs", type=positive_int)
         sp.add_argument("--lr", type=finite_float)
         sp.add_argument("--batch-size", dest="batch_size", type=positive_int)
-        sp.add_argument("--seed", type=int)
+        sp.add_argument("--seed", type=non_negative_int)
         if name == "train-adv":
             sp.add_argument("--epsilon", type=finite_float)
             sp.add_argument("--pgd-steps", dest="pgd_steps", type=int)
@@ -552,10 +558,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = _apply_config(ap.parse_args(argv))
-        # warnings are silenced for this command only, unless --strict
+        # warnings (numpy's, as a training run diverges) are silenced for
+        # this command only
         with warnings.catch_warnings():
-            if not getattr(args, "strict", None):
-                warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore")
             return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

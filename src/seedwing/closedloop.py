@@ -2,8 +2,10 @@
 
 The controller is queried every dt_control seconds with the full raw state;
 its output (the centre-of-mass offset) is held constant while the dynamics
-advance at dt_model. Recorded query rows become the regression dataset, and
-min-max normalization maps it into the unit box for training.
+advance at dt_model. The open loop is this loop under a held actuation, and
+a network flies in its embedded form, the one the verifier and reach check.
+Recorded query rows become the regression dataset, and min-max
+normalization maps it into the unit box for training.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aeromodel import (DT, EX_MAX, EX_MIN, T_END, AlphaRegionGuard,
-                        IntegrationDivergedError, PlateParams, State, Trace,
-                        rk4_step)
+from .aeromodel import (DT, EX_MAX, EX_MIN, T_END, IntegrationDivergedError,
+                        PlateParams, State, Trace, check_alpha_region, rk4_step)
 
 # controller period: the actuation is held for 0.5 s between queries
 DT_CONTROL = 0.5
@@ -67,9 +68,9 @@ def check_times(cfg, *names):
 
 def check_multiple(cfg, big: str, small: str):
     """ValueError naming both times unless cfg.<big> is a whole multiple of
-    cfg.<small>."""
+    cfg.<small>, at least once."""
     b, a = getattr(cfg, big), getattr(cfg, small)
-    if abs(b / a - round(b / a)) > 1e-9:
+    if round(b / a) < 1 or abs(b / a - round(b / a)) > 1e-9:
         raise ValueError(f"{big} {b} is not a multiple of {small} {a}")
 
 
@@ -154,19 +155,17 @@ class PidController:
 
 
 class NetworkController:
-    """Wraps a trained network as a state-to-actuation controller."""
+    """A trained network, its normalization embedded, as a state-to-actuation
+    controller."""
 
     def __init__(self, net):
-        from .mlp import forward
+        from .mlp import embed_normalization, forward
         self._forward = forward
-        self.net = net
-
-    def reset(self):
-        pass
+        self.net = embed_normalization(net)
 
     def __call__(self, s: State) -> float:
-        y = self._forward(self.net, np.array(s.as_tuple()), use_norm=True)
-        return min(EX_MAX, max(EX_MIN, float(y)))
+        y = self._forward(self.net, np.array(s.as_tuple()))
+        return min(EX_MAX, max(EX_MIN, y))
 
 
 def simulate_closed_loop(s0: State, ctrl, cfg: SimConfig, p: PlateParams,
@@ -174,16 +173,15 @@ def simulate_closed_loop(s0: State, ctrl, cfg: SimConfig, p: PlateParams,
     """Closed-loop trajectory; ctrl(state) is queried every dt_control.
 
     `record(k, state, err, u)` is invoked at each controller query, after the
-    actuation is computed.
+    actuation is computed. Under `strict` an angle of attack outside the
+    assumed region stops the run with AlphaRegionError.
     """
     if hasattr(ctrl, "reset"):
         ctrl.reset()
     tr = Trace()
     s = s0
     u = None
-    guard = AlphaRegionGuard(strict)
     for k in range(round(cfg.t_end / cfg.dt_model)):
-        t = k * cfg.dt_model
         if k % cfg.steps_per_control == 0:
             u = float(ctrl(s))
             if record is not None:
@@ -191,14 +189,23 @@ def simulate_closed_loop(s0: State, ctrl, cfg: SimConfig, p: PlateParams,
         if k == 0:
             tr.append(0.0, s, u)
         try:
-            s = rk4_step(s, u, p, cfg.dt_model, t=t)
+            s = rk4_step(s, u, p, cfg.dt_model, t=k * cfg.dt_model)
         except IntegrationDivergedError as exc:
             raise IntegrationDivergedError(
                 exc.t, f"(control step {k // cfg.steps_per_control})") from exc
-        tr.append(t + cfg.dt_model, s, u)
-        guard.check(s, u, p, t + cfg.dt_model)
-    guard.finish()
+        t = (k + 1) * cfg.dt_model
+        tr.append(t, s, u)
+        if strict:
+            check_alpha_region(s, u, p, t)
     return tr
+
+
+def simulate_open_loop(s0: State, e_x, p: PlateParams, t_end: float = T_END,
+                       dt: float = DT, strict: bool = False) -> Trace:
+    """Fixed-actuation trajectory sampled every dt (first sample at t=0): the
+    closed loop under a controller that holds e_x."""
+    cfg = SimConfig(t_end=t_end, dt_model=dt, dt_control=dt, record_skip=0)
+    return simulate_closed_loop(s0, lambda s: e_x, cfg, p, strict=strict)
 
 
 def generate_dataset(cfg: SimConfig, gains: PidGains, p: PlateParams) -> list:
@@ -242,12 +249,6 @@ class NormSpec:
         return json.dumps({"in_min": list(self.in_min), "in_max": list(self.in_max),
                            "out_min": self.out_min, "out_max": self.out_max})
 
-    @staticmethod
-    def from_json(text: str) -> "NormSpec":
-        d = json.loads(text)
-        return NormSpec(tuple(d["in_min"]), tuple(d["in_max"]),
-                        d["out_min"], d["out_max"])
-
 
 class DegenerateRangeError(ValueError):
     pass
@@ -277,10 +278,6 @@ def normalize(v, spec: NormSpec):
 
 def normalize_out(y, spec: NormSpec):
     return (y - spec.out_min) / (spec.out_max - spec.out_min)
-
-
-def denormalize_out(y_hat, spec: NormSpec):
-    return y_hat * (spec.out_max - spec.out_min) + spec.out_min
 
 
 def rows_to_arrays(rows: list, spec: NormSpec | None = None):

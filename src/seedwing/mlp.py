@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .closedloop import NormSpec, denormalize_out, normalize
+from .closedloop import NormSpec
 from .zono import Zonotope, zono_hull
 
 DEFAULT_WIDTHS = (6, 6, 4, 1, 1)
@@ -123,26 +123,18 @@ def init_network(widths=DEFAULT_WIDTHS, seed: int = 0, norm: NormSpec | None = N
 # ---------------------------------------------------------------------------
 # evaluation
 
-def forward(net: Network, x, use_norm: bool = False):
+def forward(net: Network, x):
     """Scalar output for a single input vector (vector if n_out > 1): the
     one-row case of forward_batch."""
-    y = forward_batch(net, np.asarray(x, dtype=float)[None], use_norm)[0]
+    y = forward_batch(net, np.asarray(x, dtype=float)[None])[0]
     return float(y) if np.ndim(y) == 0 else y
 
 
-def forward_batch(net: Network, X: np.ndarray, use_norm: bool = False) -> np.ndarray:
+def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """(..., n) outputs for single-output nets, else (..., n, n_out), of
-    (..., n, d) inputs.
-
-    With use_norm the inputs are normalized and the outputs denormalized via
-    the attached NormSpec.
-    """
+    (..., n, d) inputs, in the network's own units."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if use_norm and net.norm is None:
-        raise ValueError("network has no NormSpec")
-    Y = _forward_trace(net, normalize(X, net.norm) if use_norm else X)[0][-1]
-    if use_norm:
-        Y = denormalize_out(Y, net.norm)
+    Y = _forward_trace(net, X)[0][-1]
     return Y[..., 0] if Y.shape[-1] == 1 else Y
 
 
@@ -389,7 +381,8 @@ def embed_normalization(net: Network) -> Network:
     """Fold the NormSpec into the first and last layers.
 
     The returned network takes raw inputs and yields raw outputs:
-    forward(embedded, x) == forward(net, x, use_norm=True) up to rounding.
+    forward(embedded, x) equals the net applied to the normalized x, its
+    output denormalized, up to rounding.
     A one-layer network stays one layer, carrying both foldings.
     """
     if net.norm is None:

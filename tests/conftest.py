@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,6 @@ from seedwing import mlp, robust
 from seedwing.aeromodel import PlateParams, State, rk4_step
 from seedwing.closedloop import (DEFAULT_GAINS, SimConfig, fit_norm,
                                  generate_dataset, rows_to_arrays)
-
-warnings.filterwarnings("ignore", message="angle of attack")
 
 UNIT_BOX = (np.zeros(6), np.ones(6))
 

@@ -5,7 +5,9 @@ transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
 feasibility decision, a vertex-enumeration LP optimizer, a row-by-row
 simplex pivot, an exhaustive activation-pattern verification oracle,
 branch and bound with a node LP for every pending conclusion row,
-plain interval bound propagation, per-row pre-activations, the doubled-network form of the robustness query,
+plain interval bound propagation, per-row pre-activations, the network on
+its normalized input with its output denormalized, the doubled-network
+form of the robustness query,
 a forward-mode Dual that keeps one Interval object per partial, the
 two-pass Dual[Interval] operators (a product as two passes of padded
 products; a constant's partials form no term in either), the reach step's
@@ -23,6 +25,7 @@ import numpy as np
 
 from seedwing import intervals as iv
 from seedwing import mlp, robust, verifier
+from seedwing.closedloop import normalize
 from seedwing.intervals import Interval, IntervalDomainError
 from seedwing.mlp import Layer, Network
 from seedwing.verifier import (LP_MARGIN, REPLAY_TOL, LinConstraint,
@@ -376,6 +379,13 @@ def forward_preacts(net, x) -> list:
         pres.append(z)
         a = np.maximum(z, 0.0) if layer.act == "relu" else z
     return pres
+
+
+def normalized_forward(net, x) -> float:
+    """net on the normalized raw input x, its output denormalized: what
+    embed_normalization folds into the first and last layers."""
+    spec = net.norm
+    return mlp.forward(net, normalize(x, spec)) * (spec.out_max - spec.out_min) + spec.out_min
 
 
 def double_network(net) -> Network:

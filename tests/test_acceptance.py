@@ -12,10 +12,10 @@ import numpy as np
 
 from oracles import enumerate_verify
 from seedwing import mlp, robust
-from seedwing.aeromodel import State, simulate_open_loop, \
-    mean_glide_slope, _deriv_raw
+from seedwing.aeromodel import State, mean_glide_slope, _deriv_raw
 from seedwing.closedloop import (DEFAULT_GAINS, PidController, SimConfig,
-                                 simulate_closed_loop, target_error)
+                                 simulate_closed_loop, simulate_open_loop,
+                                 target_error)
 from seedwing.mlp import embed_normalization, forward, forward_batch, init_network
 from seedwing.reach import ReachConfig, goal_check, reach_full
 from seedwing.verifier import (Budget, bab_verify, encode_property,

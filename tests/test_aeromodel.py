@@ -8,8 +8,8 @@ import pytest
 from seedwing.aeromodel import (AlphaRegionError, IntegrationDivergedError,
                                 PlateParams, State, _aero_terms, _coeffs_abs,
                                 _deriv_raw, angle_of_attack, mean_glide_slope,
-                                rk4_step, selection_fraction,
-                                simulate_open_loop)
+                                rk4_step, selection_fraction)
+from seedwing.closedloop import simulate_open_loop
 from oracles import plate_forces_oracle
 
 DEG = math.pi / 180.0

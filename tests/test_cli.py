@@ -6,7 +6,7 @@ import pytest
 
 from seedwing import mlp
 from seedwing.cli import (_apply_config, build_parser, finite_float, float_list, main,
-                          positive_float_list, positive_int)
+                          non_negative_int, positive_float_list, positive_int)
 from seedwing.verifier import LinConstraint, PropertySpec
 
 
@@ -267,7 +267,8 @@ def _sample(dest, action):
         return _SAMPLES[dest]
     if action.choices:
         return str(list(action.choices)[-1])
-    return {int: "2", positive_int: "2", finite_float: "0.25"}.get(action.type, "x")
+    return {int: "2", positive_int: "2", non_negative_int: "2",
+            finite_float: "0.25"}.get(action.type, "x")
 
 
 @pytest.mark.parametrize("command", sorted(build_parser().commands))
@@ -433,6 +434,11 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
     (["train", "--data", "DATA", "--seed", "-1", "--epochs", "3"], ""),
     (["train-adv", "--data", "DATA", "--seed", "-1", "--epochs", "3"], ""),
     (["reach", "--net", "NET", "--max-order", "0.5"], ""),
+    (["simulate", "--dt", "0.25", "--t-end", "1"], ""),
+    (["simulate", "--dt", "0.4", "--t-end", "1"], ""),
+    (["simulate", "--mode", "closed", "--dt", "1e12", "--t-end", "1"], ""),
+    (["reach", "--net", "NET", "--dt", "1e12", "--t-end", "1", "--splits", "1"], ""),
+    (["simulate", "--t-end", "1e-12"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -454,7 +460,9 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
         "text-weight", "layer-not-object", "meta-not-object", "net-not-object",
         "norm-not-object", "data-short-row", "data-two-field-row", "data-text-field",
         "sim-diverged", "sim-diverged-large-dt", "sweep-too-many-relus",
-        "train-negative-seed", "train-adv-negative-seed", "reach-fractional-max-order"])
+        "train-negative-seed", "train-adv-negative-seed", "reach-fractional-max-order",
+        "sim-diverged-domain", "sim-open-dt-not-dividing", "sim-dt-above-control",
+        "reach-dt-above-control", "sim-t-end-below-dt"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -499,9 +507,14 @@ BAD_INPUT_NAMES = {
     "sim-diverged": "integration diverged at t=2.79s",
     "sim-diverged-large-dt": "integration diverged at t=10s",
     "sweep-too-many-relus": "network has 40 ReLUs",
-    "train-negative-seed": "expected non-negative integer",
-    "train-adv-negative-seed": "expected non-negative integer",
+    "train-negative-seed": "argument --seed: must be >= 0, got -1",
+    "train-adv-negative-seed": "argument --seed: must be >= 0, got -1",
     "reach-fractional-max-order": "max_order must be >= 1, got 0.5",
+    "sim-diverged-domain": "integration diverged at t=",
+    "sim-open-dt-not-dividing": "t_end 1.0 is not a multiple of",
+    "sim-dt-above-control": "dt_control 0.5 is not a multiple of dt_model",
+    "reach-dt-above-control": "dt_control 0.5 is not a multiple of dt",
+    "sim-t-end-below-dt": "t_end 1e-12 is not a multiple of dt_control 0.01",
 }
 
 

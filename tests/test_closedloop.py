@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from seedwing.aeromodel import State, simulate_open_loop
+from seedwing.aeromodel import EX_MAX, EX_MIN, State
 from seedwing.closedloop import (DEFAULT_GAINS, DataRow,
-                                 DegenerateRangeError, NormSpec,
-                                 PidController, PidGains, PidState, SimConfig,
-                                 dataset_from_csv, dataset_to_csv,
-                                 denormalize_out, fit_norm,
-                                 generate_dataset, normalize, normalize_out,
-                                 pid_step, rows_to_arrays,
-                                 simulate_closed_loop, target_error)
+                                 DegenerateRangeError, NetworkController,
+                                 NormSpec, PidController, PidGains, PidState,
+                                 SimConfig, dataset_from_csv, dataset_to_csv,
+                                 fit_norm, generate_dataset, normalize,
+                                 normalize_out, pid_step, rows_to_arrays,
+                                 simulate_closed_loop, simulate_open_loop,
+                                 target_error)
+from seedwing.mlp import embed_normalization, forward
 
 
 class TestTargetError:
@@ -203,7 +204,8 @@ class TestNormalization:
             back = normalize(v, norm_spec) * (hi - lo) + lo
             assert np.max(np.abs(back - v) / np.maximum(np.abs(v), 1e-9)) < 1e-12
             y = rng.uniform(norm_spec.out_min, norm_spec.out_max)
-            assert denormalize_out(normalize_out(y, norm_spec), norm_spec) == \
+            out_range = norm_spec.out_max - norm_spec.out_min
+            assert normalize_out(y, norm_spec) * out_range + norm_spec.out_min == \
                 pytest.approx(y, rel=1e-12)
 
     def test_dataset_maps_into_unit_box(self, dataset, norm_spec):
@@ -224,7 +226,8 @@ class TestNormalization:
     def test_json_schema_exact_keys(self, norm_spec):
         doc = json.loads(norm_spec.to_json())
         assert set(doc) == {"in_min", "in_max", "out_min", "out_max"}
-        back = NormSpec.from_json(norm_spec.to_json())
+        back = NormSpec(tuple(doc["in_min"]), tuple(doc["in_max"]),
+                        doc["out_min"], doc["out_max"])
         assert back == norm_spec
 
 
@@ -232,7 +235,6 @@ class TestNetworkController:
     def test_clone_tracks_teacher_sign(self, params, naive_net):
         # cloned controller follows the teacher's error sign at >= 80% of
         # control steps (it is near-identical here)
-        from seedwing.closedloop import NetworkController
         cfg = SimConfig()
         for x6_0 in (1.43, 2.86, 4.29):
             s0 = State(1, 0, 0, 0, 0, x6_0)
@@ -245,8 +247,19 @@ class TestNetworkController:
                              for k in steps])
             assert agree >= 0.80
 
+    def test_flies_the_embedded_network(self, params, naive_net):
+        # every actuation is the clamped output of the network the verifier
+        # and reach check, bit for bit
+        emb = embed_normalization(naive_net)
+        queried = []
+        simulate_closed_loop(State(1, 0, 0, 0, 0, 2.86), NetworkController(naive_net),
+                             SimConfig(), params,
+                             record=lambda k, s, err, u: queried.append((s, u)))
+        assert len(queried) == 40
+        for s, u in queried:
+            assert u == min(max(forward(emb, s.as_tuple()), EX_MIN), EX_MAX)
+
     def test_network_controller_clamps(self, naive_net):
-        from seedwing.closedloop import NetworkController
         ctrl = NetworkController(naive_net)
         rng = np.random.default_rng(17)
         for _ in range(50):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import double_network, forward_preacts, train_per_layer
+from oracles import (double_network, forward_preacts, normalized_forward,
+                     train_per_layer)
 from seedwing import mlp
-from seedwing.closedloop import NormSpec, denormalize_out, normalize
+from seedwing.closedloop import NormSpec
 from seedwing.mlp import (Layer, Network, NetworkFormatError,
                           TrainingCollapsedError, TrainingDivergedError,
                           embed_normalization, forward, forward_batch,
@@ -108,15 +109,13 @@ class TestForward:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 16),
-           x=st.lists(st.floats(-2.0, 3.0), min_size=6, max_size=6),
-           use_norm=st.booleans())
-    def test_single_row_is_one_row_batch(self, seed, x, use_norm):
-        spec = NormSpec((-1.0,) * 6, (2.0,) * 6, 0.1, 0.3)
-        net = init_network(seed=seed, norm=spec)
+           x=st.lists(st.floats(-2.0, 3.0), min_size=6, max_size=6))
+    def test_single_row_is_one_row_batch(self, seed, x):
+        net = init_network(seed=seed)
         x = np.array(x)
-        one = forward(net, x, use_norm=use_norm)
+        one = forward(net, x)
         assert isinstance(one, float)
-        assert one == forward_batch(net, x[None], use_norm=use_norm)[0]
+        assert one == forward_batch(net, x[None])[0]
 
 
     @settings(max_examples=100, deadline=None)
@@ -376,7 +375,7 @@ class TestEmbedNormalization:
         rng = np.random.default_rng(8)
         for _ in range(100):
             x = rng.uniform(norm_spec.in_min, norm_spec.in_max)
-            want = forward(naive_net, x, use_norm=True)
+            want = normalized_forward(naive_net, x)
             got = forward(emb, x)
             assert abs(got - want) <= 1e-9
 
@@ -385,10 +384,8 @@ class TestEmbedNormalization:
         lo = np.array(norm_spec.in_min)
         hi = np.array(norm_spec.in_max)
         # normalized corners map onto raw corners exactly under the fusion
-        assert forward(emb, lo) == pytest.approx(
-            denormalize_out(forward(naive_net, np.zeros(6)), norm_spec), abs=1e-9)
-        assert forward(emb, hi) == pytest.approx(
-            denormalize_out(forward(naive_net, np.ones(6)), norm_spec), abs=1e-9)
+        assert forward(emb, lo) == pytest.approx(normalized_forward(naive_net, lo), abs=1e-9)
+        assert forward(emb, hi) == pytest.approx(normalized_forward(naive_net, hi), abs=1e-9)
 
     def test_missing_norm_rejected(self):
         with pytest.raises(ValueError):
@@ -407,8 +404,7 @@ class TestEmbedNormalization:
         assert len(emb.layers) == len(net.layers) and emb.widths == net.widths
         for _ in range(50):
             x = rng.uniform(in_min, in_max)
-            assert forward(emb, x) == pytest.approx(forward(net, x, use_norm=True),
-                                                    abs=1e-12)
+            assert forward(emb, x) == pytest.approx(normalized_forward(net, x), abs=1e-12)
 
 
 class TestDoubleNetwork:

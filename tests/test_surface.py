@@ -8,6 +8,11 @@ is a `Name`, an `Attribute`, an import `alias`, or an identifier inside a
 string constant (perfbench's tracer names the functions it wraps in strings,
 such as "reach.point_jacobian"); docstrings and other bare string statements
 do not count.
+
+A reference is matched by name alone, so the check cannot tell apart defs
+that share a name: a method with no caller passes when another class's
+method of the same name has one (`Spec.to_json` is covered by any
+`.to_json` call in the package).
 """
 
 import ast
