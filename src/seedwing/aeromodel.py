@@ -17,9 +17,11 @@ from . import intervals as iv
 
 DEG = math.pi / 180.0
 
-# actuation clamp for the centre-of-mass offset
+# actuation clamp for the centre-of-mass offset, and the trim actuation
+# between its ends
 EX_MIN = 0.181
 EX_MAX = 0.193
+U_CENTER = 0.187
 
 # assumed angle-of-attack validity region, and the rounding slack of its check
 ALPHA_LO = -math.pi / 2

@@ -1,15 +1,16 @@
 """Batch front-end: simulate -> dataset -> train -> verify -> reach.
 
-Configuration comes from an optional JSON file plus flags (flags win). Every
-run writes a manifest listing the produced artifacts. Exit codes: 0 success,
-1 usage error, 2 falsified / goal failure, 3 timeout or unknown.
+Configuration comes from an optional JSON file plus flags (flags win). Each
+command only computes and returns its exit code, inputs and outputs; `main`
+times it, writes its manifest next to its first output and maps every input
+it rejects to one `error:` line. Exit codes: 0 success, 1 usage error,
+2 falsified / goal failure, 3 timeout or unknown.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import dataclasses
 import functools
 import json
@@ -20,7 +21,8 @@ import time
 import warnings
 
 from . import __version__, mlp, robust
-from .aeromodel import AlphaRegionError, IntegrationDivergedError, PlateParams, State
+from .aeromodel import (U_CENTER, AlphaRegionError, IntegrationDivergedError,
+                        PlateParams, State)
 from .closedloop import (DEFAULT_GAINS, X6_RANGE, NetworkController,
                          PidController, SimConfig, dataset_from_csv,
                          dataset_to_csv, fit_norm, generate_dataset,
@@ -62,9 +64,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_manifest(path, command, args_ns, inputs, outputs, wall):
+def _write_manifest(path, args_ns, inputs, outputs, wall):
     doc = {
-        "command": command,
+        "command": args_ns.command,
         "config": getattr(args_ns, "config", None),
         "seed": getattr(args_ns, "seed", None),
         "args": {k: v for k, v in sorted(vars(args_ns).items())
@@ -133,16 +135,6 @@ def _d(args, name, default):
     return default if v is None else v
 
 
-@contextlib.contextmanager
-def _rejected_settings():
-    """A ValueError from a config or run that rejects its settings is a
-    usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # argparse types of the number, list and count flags: a bad value is a
 # usage error before any work starts
 
@@ -187,38 +179,32 @@ def non_negative_int(text) -> int:
 # subcommands
 
 def cmd_simulate(args):
-    t0 = time.perf_counter()
     p = PlateParams()
     mode = args.mode or "open"
     s0 = State(1.0, 0.0, 0.0, 0.0, 0.0, _d(args, "x6_start", 2.86))
     out = _d(args, "out", "trace.csv")
     svg = _d(args, "svg", "trace.svg")
     inputs = []
-    with _rejected_settings():
-        if mode == "open":
-            tr = simulate_open_loop(s0, _d(args, "ex", 0.187), p,
-                                    **_given(args, "t_end", "dt", "strict"))
+    if mode == "open":
+        tr = simulate_open_loop(s0, _d(args, "ex", U_CENTER), p,
+                                **_given(args, "t_end", "dt", "strict"))
+    else:
+        cfg = SimConfig(x6_starts=(s0.x6,), record_skip=0,
+                        **_given(args, "t_end", "dt_control", dt_model="dt"))
+        if args.net:
+            ctrl = NetworkController(mlp.load(args.net))
+            inputs.append(args.net)
         else:
-            cfg = SimConfig(x6_starts=(s0.x6,), record_skip=0,
-                            **_given(args, "t_end", "dt_control", dt_model="dt"))
-            if args.net:
-                ctrl = NetworkController(mlp.load(args.net))
-                inputs.append(args.net)
-            else:
-                ctrl = PidController(DEFAULT_GAINS, cfg.dt_control)
-            tr = simulate_closed_loop(s0, ctrl, cfg, p, **_given(args, "strict"))
+            ctrl = PidController(DEFAULT_GAINS, cfg.dt_control)
+        tr = simulate_closed_loop(s0, ctrl, cfg, p, **_given(args, "strict"))
     tr.to_csv(out)
     plot_trajectories([tr], svg, f"{mode}-loop trajectory", GOAL_YSTAR)
-    _write_manifest(out + ".manifest.json", "simulate", args, inputs,
-                    [out, svg], time.perf_counter() - t0)
     print(f"wrote {out} ({len(tr)} samples) and {svg}")
-    return EXIT_OK
+    return EXIT_OK, inputs, [out, svg]
 
 
 def cmd_gen_data(args):
-    t0 = time.perf_counter()
-    with _rejected_settings():
-        cfg = SimConfig(**_given(args, "record_skip"))
+    cfg = SimConfig(**_given(args, "record_skip"))
     gains = dataclasses.replace(DEFAULT_GAINS, **_given(args, "kp", "ki", "kd"))
     rows = generate_dataset(cfg, gains, PlateParams())
     out = _d(args, "out", "dataset.csv")
@@ -227,51 +213,36 @@ def cmd_gen_data(args):
     spec = fit_norm(rows)
     with open(norm_out, "w") as fh:
         fh.write(spec.to_json())
-    _write_manifest(out + ".manifest.json", "gen-data", args, [],
-                    [out, norm_out], time.perf_counter() - t0)
     print(f"wrote {len(rows)} rows to {out}; normalization to {norm_out}")
-    return EXIT_OK
+    return EXIT_OK, [], [out, norm_out]
 
 
-def _train_common(args, adversarial: bool):
-    t0 = time.perf_counter()
+def cmd_train(args):
+    """`train`, or `train-adv` when that is the command."""
+    adversarial = args.command == "train-adv"
     data = _d(args, "data", "dataset.csv")
-    with _rejected_settings():
-        rows = dataset_from_csv(data)
+    rows = dataset_from_csv(data)
     spec = fit_norm(rows)
     X, Y = rows_to_arrays(rows, spec)
     settings = _given(args, "epochs", "lr", "seed", "batch_size")
-    with _rejected_settings():
-        net0 = mlp.init_network(norm=spec, **_given(args, "seed"))
-        if adversarial:
-            rcfg = robust.RobustTrainConfig(
-                attack=robust.AttackConfig(**_given(args, "epsilon", "restarts",
-                                                    steps="pgd_steps")),
-                **_given(args, "lambda_lip"), **settings)
-            net = robust.train_adversarial(net0, X, Y, rcfg)
-        else:
-            net = mlp.train(net0, X, Y, **settings)
-    net = mlp.Network(net.layers, norm=spec, meta=net.meta)
+    net0 = mlp.init_network(norm=spec, **_given(args, "seed"))
+    if adversarial:
+        rcfg = robust.RobustTrainConfig(
+            attack=robust.AttackConfig(**_given(args, "epsilon", "restarts",
+                                                steps="pgd_steps")),
+            **_given(args, "lambda_lip"), **settings)
+        net = robust.train_adversarial(net0, X, Y, rcfg)
+    else:
+        net = mlp.train(net0, X, Y, **settings)
     out = _d(args, "out", "net-adv.json" if adversarial else "net.json")
     mlp.save(net, out)
     outputs = [out]
     if args.embedded_out:
         mlp.save(mlp.embed_normalization(net), args.embedded_out)
         outputs.append(args.embedded_out)
-    _write_manifest(out + ".manifest.json",
-                    "train-adv" if adversarial else "train", args, [data],
-                    outputs, time.perf_counter() - t0)
     print(f"trained {'adversarial' if adversarial else 'naive'} network -> {out} "
           f"(train RMSE {net.meta['train_rmse']:.5f})")
-    return EXIT_OK
-
-
-def cmd_train(args):
-    return _train_common(args, adversarial=False)
-
-
-def cmd_train_adv(args):
-    return _train_common(args, adversarial=True)
+    return EXIT_OK, [data], outputs
 
 
 def _verdict_exit(status: str) -> int:
@@ -287,7 +258,6 @@ def _box_from_net(net):
 
 
 def cmd_verify(args):
-    t0 = time.perf_counter()
     if not args.net:
         raise UsageError("--net is required")
     net = mlp.load(args.net)
@@ -309,20 +279,16 @@ def cmd_verify(args):
         spec = encode_property(args.prop, ystar, _box_from_net(net))
         target = mlp.embed_normalization(net)
         param = ystar
-    with _rejected_settings():     # a spec that does not fit the network
-        v = bab_verify(target, spec, budget)
+    v = bab_verify(target, spec, budget)
     out = _d(args, "out", "verify.csv")
     results_to_csv([(spec.name, param, v)], out)
-    _write_manifest(out + ".manifest.json", "verify", args, inputs, [out],
-                    time.perf_counter() - t0)
     extra = " (vacuous premise)" if v.vacuous else ""
     print(f"{spec.name}: {v.status}{extra} nodes={v.nodes} lp={v.lp_calls} "
           f"[{v.seconds:.2f}s] -> {out}")
-    return _verdict_exit(v.status)
+    return _verdict_exit(v.status), inputs, [out]
 
 
 def cmd_critical_ystar(args):
-    t0 = time.perf_counter()
     if not args.net:
         raise UsageError("--net is required")
     net = mlp.load(args.net)
@@ -333,8 +299,7 @@ def cmd_critical_ystar(args):
     out = _d(args, "out", "critical-ystar.csv")
     lines = ["property,critical_ystar,failed,vacuous,timeout_flag"]
     for kind in _d(args, "properties", (1, 2, 3, 4)):
-        with _rejected_settings():   # raised before the first probe
-            res = find_critical_ystar(target, kind, box, budget=budget, **settings)
+        res = find_critical_ystar(target, kind, box, budget=budget, **settings)
         val = "" if res.failed else format(res.value, ".17g")
         lines.append(f"{kind},{val},{int(res.failed)},{int(res.vacuous)},"
                      f"{int(res.flagged_timeout)}")
@@ -344,13 +309,10 @@ def cmd_critical_ystar(args):
               + (" [timeout bound]" if res.flagged_timeout else ""))
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_manifest(out + ".manifest.json", "critical-ystar", args,
-                    [args.net], [out], time.perf_counter() - t0)
-    return EXIT_OK
+    return EXIT_OK, [args.net], [out]
 
 
 def cmd_robust_sweep(args):
-    t0 = time.perf_counter()
     if not args.net:
         raise UsageError("--net is required")
     if not args.data:
@@ -358,8 +320,7 @@ def cmd_robust_sweep(args):
     net = mlp.load(args.net)
     if net.norm is None:
         raise UsageError("robustness sweep needs a network with normalization")
-    with _rejected_settings():
-        rows = dataset_from_csv(args.data)
+    rows = dataset_from_csv(args.data)
     eps_list = _d(args, "eps_list", SWEEP_GRID)
     l_list = _d(args, "lstar_list", SWEEP_GRID)
     X, _ = rows_to_arrays(rows, net.norm)
@@ -369,9 +330,8 @@ def cmd_robust_sweep(args):
         sweep_kw["per_query_budget"] = dataclasses.replace(
             SWEEP_QUERY_BUDGET, max_seconds=args.query_budget_s)
     cells = [(e, l) for e in eps_list for l in l_list]
-    with _rejected_settings():     # a network the verifier does not accept
-        grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
-                                            cells, _d(args, "jobs", 1))))
+    grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
+                                        cells, _d(args, "jobs", 1))))
     out = _d(args, "out", "robust-sweep.csv")
     with open(out, "w") as fh:
         fh.write("epsilon,lstar,rate,n_verified,n_done,seconds,timeouts\n")
@@ -379,8 +339,6 @@ def cmd_robust_sweep(args):
             rate = "" if cell.rate is None else format(cell.rate, ".4f")
             fh.write(f"{eps},{ls},{rate},{cell.n_verified},{cell.n_done},"
                      f"{cell.seconds:.2f},{cell.timeouts}\n")
-    _write_manifest(out + ".manifest.json", "robust-sweep", args,
-                    [args.net, args.data], [out], time.perf_counter() - t0)
     print(f"wrote {out}")
     for eps in eps_list:
         row = []
@@ -388,7 +346,7 @@ def cmd_robust_sweep(args):
             cell = grid[(eps, ls)]
             row.append(" -  " if cell.rate is None else f"{100*cell.rate:4.0f}")
         print(f"eps={eps:g}: " + " ".join(row))
-    return EXIT_OK
+    return EXIT_OK, [args.net, args.data], [out]
 
 
 def _ordered_map(fn, items, jobs: int) -> list:
@@ -411,15 +369,13 @@ def _reach_cell(net, p, cfg, indexed_cell):
 
 
 def cmd_reach(args):
-    t0 = time.perf_counter()
     if not args.net:
         raise UsageError("--net is required")
     net = mlp.load(args.net)
     target = mlp.embed_normalization(net) if net.norm is not None else net
-    with _rejected_settings():
-        cfg = ReachConfig(**_given(args, "dt", "t_end", "max_order", n_splits="splits"))
-        cells = enumerate(x6_cells((_d(args, "x6_lo", X6_RANGE[0]),
-                                    _d(args, "x6_hi", X6_RANGE[1])), cfg.n_splits))
+    cfg = ReachConfig(**_given(args, "dt", "t_end", "max_order", n_splits="splits"))
+    cells = enumerate(x6_cells((_d(args, "x6_lo", X6_RANGE[0]),
+                                _d(args, "x6_hi", X6_RANGE[1])), cfg.n_splits))
     branches = _ordered_map(functools.partial(_reach_cell, target, PlateParams(), cfg),
                             cells, _d(args, "jobs", 1))
     result = ReachResult(branches, cfg)
@@ -429,8 +385,6 @@ def cmd_reach(args):
     svg = _d(args, "svg", "reach.svg")
     reach_to_csv(result, out)
     plot_reach(result, svg, "reachable sets", ystar)
-    _write_manifest(out + ".manifest.json", "reach", args, [args.net],
-                    [out, svg], time.perf_counter() - t0)
     n_fail = sum(1 for b in result.branches if b.failed)
     print(f"reach: {len(result.branches)} branches ({n_fail} failed); "
           f"goal |x6+x5| <= {ystar:g}: {verdict.status}"
@@ -444,8 +398,9 @@ def cmd_reach(args):
                       f" failed at cycle {b.fail_cycle}, step {b.fail_step} "
                       f"(t = {t:.4f} s): {b.fail_reason}")
                 break
-    return {"success": EXIT_OK, "failure": EXIT_FALSIFIED,
+    code = {"success": EXIT_OK, "failure": EXIT_FALSIFIED,
             "unknown": EXIT_UNKNOWN}[verdict.status]
+    return code, [args.net], [out, svg]
 
 
 def build_parser() -> _Parser:
@@ -487,7 +442,7 @@ def build_parser() -> _Parser:
     config(sp)
     sp.set_defaults(func=cmd_gen_data)
 
-    for name, fn in (("train", cmd_train), ("train-adv", cmd_train_adv)):
+    for name in ("train", "train-adv"):
         sp = sub.add_parser(name)
         sp.add_argument("--data")
         sp.add_argument("--out")
@@ -502,7 +457,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--restarts", type=positive_int)
             sp.add_argument("--lambda-lip", dest="lambda_lip", type=finite_float)
         config(sp)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("verify", help="verify one property")
     sp.add_argument("--net")
@@ -555,18 +510,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one command, write its manifest, and map every input it rejects
+    (a ValueError covers the settings, files and configs the library
+    rejects; an OSError, a path that cannot be read or written) to one
+    `error:` line and exit 1."""
     try:
-        args = _apply_config(ap.parse_args(argv))
+        args = _apply_config(build_parser().parse_args(argv))
+        t0 = time.perf_counter()
         # warnings (numpy's, as a training run diverges) are silenced for
         # this command only
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, mlp.NetworkFormatError, mlp.TrainingError,
+            code, inputs, outputs = args.func(args)
+        _write_manifest(outputs[0] + ".manifest.json", args, inputs, outputs,
+                        time.perf_counter() - t0)
+        return code
+    except (UsageError, ValueError, OSError, mlp.TrainingError,
             AlphaRegionError, IntegrationDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

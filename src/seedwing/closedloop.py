@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aeromodel import (DT, EX_MAX, EX_MIN, T_END, IntegrationDivergedError,
-                        PlateParams, State, Trace, check_alpha_region, rk4_step)
+from .aeromodel import (DT, EX_MAX, EX_MIN, T_END, U_CENTER,
+                        IntegrationDivergedError, PlateParams, State, Trace,
+                        check_alpha_region, rk4_step)
 
 # controller period: the actuation is held for 0.5 s between queries
 DT_CONTROL = 0.5
@@ -28,17 +29,11 @@ X6_RANGE = (1.43, 4.29)
 
 @dataclass(frozen=True)
 class PidGains:
-    """Gains on the x6+x5 tracking error, plus the actuation bias."""
+    """Gains on the x6+x5 tracking error, about the trim actuation U_CENTER."""
 
     kp: float
     ki: float = 0.0
     kd: float = 0.0
-    u_center: float = 0.187
-
-    def __post_init__(self):
-        if not (EX_MIN <= self.u_center <= EX_MAX):
-            raise ValueError(f"u_center {self.u_center} must lie inside "
-                             f"[{EX_MIN}, {EX_MAX}]")
 
 
 # Desk-tuned with scripts/tune_pid.py over the nine default starts. The
@@ -128,7 +123,7 @@ def pid_step(e: float, pid_state: PidState, gains: PidGains, dt: float) -> float
         raise ValueError("dt must be > 0")
     integral_next = pid_state.integral + e * dt
     deriv = 0.0 if pid_state.prev_err is None else (e - pid_state.prev_err) / dt
-    u_raw = gains.u_center + gains.kp * e + gains.ki * integral_next + gains.kd * deriv
+    u_raw = U_CENTER + gains.kp * e + gains.ki * integral_next + gains.kd * deriv
     if EX_MIN <= u_raw <= EX_MAX:
         pid_state.integral = integral_next
         u = u_raw
@@ -139,14 +134,12 @@ def pid_step(e: float, pid_state: PidState, gains: PidGains, dt: float) -> float
 
 
 class PidController:
-    """State-to-actuation teacher; owns its PID memory, reset per simulation."""
+    """State-to-actuation teacher; owns its PID memory, so each run takes a
+    fresh controller."""
 
     def __init__(self, gains: PidGains, dt_control: float):
         self.gains = gains
         self.dt_control = dt_control
-        self._pid = PidState()
-
-    def reset(self):
         self._pid = PidState()
 
     def __call__(self, s: State) -> float:
@@ -176,8 +169,6 @@ def simulate_closed_loop(s0: State, ctrl, cfg: SimConfig, p: PlateParams,
     actuation is computed. Under `strict` an angle of attack outside the
     assumed region stops the run with AlphaRegionError.
     """
-    if hasattr(ctrl, "reset"):
-        ctrl.reset()
     tr = Trace()
     s = s0
     u = None
@@ -316,4 +307,6 @@ def dataset_from_csv(path) -> list:
                     raise ValueError(f"{path} line {lineno}: field {k} {v!r} "
                                      "is not a number") from None
             rows.append(DataRow(State(*vals[:6]), vals[6], vals[7]))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return rows

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import lp as lpmod
 from . import mlp
+from .aeromodel import U_CENTER
 from .mlp import Network
 from .zono import Zonotope
 
@@ -160,7 +161,7 @@ SWEEP_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
 # property encodings
 
 # actuation and state thresholds of the four trajectory properties
-U_CENTER = 0.187
+# (properties 1, 2 and 4 also compare the actuation with U_CENTER)
 U_LO = 0.184
 U_HI = 0.19
 PITCH_LO = -0.786

@@ -439,6 +439,11 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
     (["simulate", "--mode", "closed", "--dt", "1e12", "--t-end", "1"], ""),
     (["reach", "--net", "NET", "--dt", "1e12", "--t-end", "1", "--splits", "1"], ""),
     (["simulate", "--t-end", "1e-12"], ""),
+    (["train", "--data", "BAD", "--epochs", "3"], DATA_HEADER),
+    (["robust-sweep", "--net", "NET", "--data", "BAD"], DATA_HEADER),
+    (["train", "--data", "BAD", "--epochs", "3"], DATA_HEADER + "1,0,0,0,0,2,0,0.19\n"),
+    (["train", "--data", "BAD", "--epochs", "3"],
+     DATA_HEADER + "1,0,0,0,0,2,0,0.19\n2,1,1,1,0,3,0,0.185\n"),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -462,7 +467,8 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
         "sim-diverged", "sim-diverged-large-dt", "sweep-too-many-relus",
         "train-negative-seed", "train-adv-negative-seed", "reach-fractional-max-order",
         "sim-diverged-domain", "sim-open-dt-not-dividing", "sim-dt-above-control",
-        "reach-dt-above-control", "sim-t-end-below-dt"])
+        "reach-dt-above-control", "sim-t-end-below-dt", "train-no-rows", "sweep-no-rows",
+        "train-one-row", "train-constant-column"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -515,6 +521,10 @@ BAD_INPUT_NAMES = {
     "sim-dt-above-control": "dt_control 0.5 is not a multiple of dt_model",
     "reach-dt-above-control": "dt_control 0.5 is not a multiple of dt",
     "sim-t-end-below-dt": "t_end 1e-12 is not a multiple of dt_control 0.01",
+    "train-no-rows": "bad.json: no data rows",
+    "sweep-no-rows": "bad.json: no data rows",
+    "train-one-row": "need at least two rows",
+    "train-constant-column": "input dimension 4 has zero range",
 }
 
 
@@ -549,3 +559,36 @@ def test_non_finite_number_one_line_error(argv, text, workdir, tmp_path, capsys)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "finite number" in err
+
+
+# every path flag of every command, given an existing directory, after the
+# settings that keep the command's run short; each once ended in a traceback
+PATH_DESTS = {"config", "net", "data", "spec", "out", "svg", "norm_out", "embedded_out"}
+SHORT_RUN = {
+    "simulate": ["--mode", "closed", "--t-end", "1"],
+    "gen-data": [],
+    "train": ["--data", "DATA", "--epochs", "1"],
+    "train-adv": ["--data", "DATA", "--epochs", "1"],
+    "verify": ["--net", "NET", "--property", "1", "--ystar", "50"],
+    "critical-ystar": ["--net", "NET", "--properties", "1", "--resolution", "1",
+                       "--search-max", "8"],
+    "robust-sweep": ["--net", "NET", "--data", "DATA", "--points", "1",
+                     "--eps-list", "1e-5", "--lstar-list", "1e-3"],
+    "reach": ["--net", "NET", "--t-end", "0.5", "--splits", "1"],
+}
+PATH_FLAGS = [(name, action.option_strings[-1])
+              for name, sp in build_parser().commands.items()
+              for action in sp._actions if action.dest in PATH_DESTS]
+
+
+@pytest.mark.parametrize("command, flag", PATH_FLAGS, ids=[" ".join(c) for c in PATH_FLAGS])
+def test_directory_path_one_line_error(command, flag, workdir, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # the outputs no flag names land here
+    (tmp_path / "dir").mkdir()
+    paths = {"NET": str(workdir / "net.json"), "DATA": str(workdir / "data.csv")}
+    argv = [command] + [paths.get(a, a) for a in SHORT_RUN[command]] + [flag, "dir"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Is a directory: 'dir'" in err

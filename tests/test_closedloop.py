@@ -120,7 +120,7 @@ class TestClosedLoop:
     def test_constant_network_equals_open_loop(self, params):
         s0 = State(1, 0, 0, 0, 0, 2.0)
         cfg = SimConfig(t_end=2.0, x6_starts=(2.0,), record_skip=0)
-        # zero gains command exactly the bias u_center = 0.187 at every query
+        # zero gains command exactly the trim U_CENTER = 0.187 at every query
         ctrl = PidController(PidGains(kp=0.0), cfg.dt_control)
         closed = simulate_closed_loop(s0, ctrl, cfg, params)
         opened = simulate_open_loop(s0, 0.187, params, 2.0, 0.01)
@@ -137,9 +137,6 @@ class TestClosedLoop:
 
     def test_divergence_tagged_with_control_index(self, params):
         class Bad:
-            def reset(self):
-                pass
-
             def __call__(self, s):
                 return float("nan")
 
