@@ -124,8 +124,9 @@ def selection_fraction(alpha, p: PlateParams):
 def _coeffs_abs(aa, p: PlateParams):
     """Coefficients from |alpha|; every aerodynamic term is even in alpha."""
     f = selection_fraction(aa, p)
-    c_lift = -(f * p.cl1 * iv.sin(aa) + (1.0 - f) * p.cl2 * iv.sin(2.0 * aa))
-    s2 = iv.sin(aa) ** 2
+    sin_aa = iv.sin(aa)
+    c_lift = -(f * p.cl1 * sin_aa + (1.0 - f) * p.cl2 * iv.sin(2.0 * aa))
+    s2 = sin_aa ** 2
     c_drag = f * (p.cd0 + p.cd1 * s2) + (1.0 - f) * p.cd90 * s2
     l_cp = p.ell * (f * (p.ccp0 - p.ccp1 * aa ** 2)
                     + p.ccp2 * (1.0 - f) * (1.0 - aa / (math.pi / 2)))
@@ -168,12 +169,12 @@ def _derivative_core(x, e_x, p: PlateParams):
         _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p)
 
     m, ma, mp_g = p.mass, p.added_mass, p.m_eff * p.g
+    c4, s4 = iv.cos(x4), iv.sin(x4)
     dx3 = (tau_t + tau_r) / p.inertia(e_x)
     dx2 = (-m * x3 * x1 + ma * dx3 * l_cm + lt_y + lr_y + d_y
-           - mp_g * iv.cos(x4)) / (m + ma)
+           - mp_g * c4) / (m + ma)
     dx1 = ((m + ma) * x3 * x2 - ma * x3 * x3 * l_cm + lt_x + lr_x + d_x
-           - mp_g * iv.sin(x4)) / m
-    c4, s4 = iv.cos(x4), iv.sin(x4)
+           - mp_g * s4) / m
     return (dx1, dx2, dx3, x3, x1 * c4 - x2 * s4, x1 * s4 + x2 * c4)
 
 

@@ -2,9 +2,10 @@
 
 Configuration comes from an optional JSON file plus flags (flags win). Each
 command only computes and returns its exit code, inputs and outputs; `main`
-times it, writes its manifest next to its first output and maps every input
-it rejects to one `error:` line. Exit codes: 0 success, 1 usage error,
-2 falsified / goal failure, 3 timeout or unknown.
+checks every output path before the command runs, times it, writes its
+manifest next to its first output and maps every input it rejects to one
+`error:` line. Exit codes: 0 success, 1 usage error, 2 falsified / goal
+failure, 3 timeout or unknown.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import errno
 import functools
 import json
 import math
 import multiprocessing
+import os
 import sys
 import time
 import warnings
@@ -48,11 +51,19 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of exiting. `options` maps each setting
     (an argument's dest) to its action, so that a config value can be
-    parsed as its flag."""
+    parsed as its flag; `outputs` maps each output-path setting to its
+    default path (None: not written unless given), the first being the
+    path the manifest goes next to."""
 
     def __init__(self, *args, **kw):
         self.options = {}
+        self.outputs = {}
         super().__init__(*args, **kw)
+
+    def add_output(self, flag, default=None):
+        action = self.add_argument(flag)
+        self.outputs[action.dest] = default
+        return action
 
     def add_argument(self, *names, **kw):
         action = super().add_argument(*names, **kw)
@@ -78,6 +89,41 @@ def _write_manifest(path, args_ns, inputs, outputs, wall):
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
+
+
+def _check_writable(path):
+    """Raise the OSError that opening path for writing would, without
+    creating it: path is a directory, its parent is missing or not a
+    directory, or it cannot be written."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
+    raise OSError(code, os.strerror(code), path)
+
+
+def _parse(argv):
+    """The command's settings from its flags, then its config; each output
+    path no flag or config gave takes its default, and every path to be
+    written, the manifest's too, is checked before the command computes
+    anything."""
+    parser = build_parser()
+    args = _apply_config(parser.parse_args(argv))
+    paths = []
+    for dest, default in parser.commands[args.command].outputs.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        if getattr(args, dest) is not None:
+            paths.append(getattr(args, dest))
+    for path in paths + [paths[0] + ".manifest.json"]:
+        _check_writable(path)
+    return args
 
 
 def _apply_config(args):
@@ -182,8 +228,7 @@ def cmd_simulate(args):
     p = PlateParams()
     mode = args.mode or "open"
     s0 = State(1.0, 0.0, 0.0, 0.0, 0.0, _d(args, "x6_start", 2.86))
-    out = _d(args, "out", "trace.csv")
-    svg = _d(args, "svg", "trace.svg")
+    out, svg = args.out, args.svg
     inputs = []
     if mode == "open":
         tr = simulate_open_loop(s0, _d(args, "ex", U_CENTER), p,
@@ -207,8 +252,7 @@ def cmd_gen_data(args):
     cfg = SimConfig(**_given(args, "record_skip"))
     gains = dataclasses.replace(DEFAULT_GAINS, **_given(args, "kp", "ki", "kd"))
     rows = generate_dataset(cfg, gains, PlateParams())
-    out = _d(args, "out", "dataset.csv")
-    norm_out = _d(args, "norm_out", "norm.json")
+    out, norm_out = args.out, args.norm_out
     dataset_to_csv(rows, out)
     spec = fit_norm(rows)
     with open(norm_out, "w") as fh:
@@ -234,7 +278,7 @@ def cmd_train(args):
         net = robust.train_adversarial(net0, X, Y, rcfg)
     else:
         net = mlp.train(net0, X, Y, **settings)
-    out = _d(args, "out", "net-adv.json" if adversarial else "net.json")
+    out = args.out
     mlp.save(net, out)
     outputs = [out]
     if args.embedded_out:
@@ -280,7 +324,7 @@ def cmd_verify(args):
         target = mlp.embed_normalization(net)
         param = ystar
     v = bab_verify(target, spec, budget)
-    out = _d(args, "out", "verify.csv")
+    out = args.out
     results_to_csv([(spec.name, param, v)], out)
     extra = " (vacuous premise)" if v.vacuous else ""
     print(f"{spec.name}: {v.status}{extra} nodes={v.nodes} lp={v.lp_calls} "
@@ -296,7 +340,7 @@ def cmd_critical_ystar(args):
     box = _box_from_net(net)
     budget = Budget(max_seconds=_d(args, "budget_s", 30.0))
     settings = _given(args, "resolution", "search_max")
-    out = _d(args, "out", "critical-ystar.csv")
+    out = args.out
     lines = ["property,critical_ystar,failed,vacuous,timeout_flag"]
     for kind in _d(args, "properties", (1, 2, 3, 4)):
         res = find_critical_ystar(target, kind, box, budget=budget, **settings)
@@ -332,7 +376,7 @@ def cmd_robust_sweep(args):
     cells = [(e, l) for e in eps_list for l in l_list]
     grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
                                         cells, _d(args, "jobs", 1))))
-    out = _d(args, "out", "robust-sweep.csv")
+    out = args.out
     with open(out, "w") as fh:
         fh.write("epsilon,lstar,rate,n_verified,n_done,seconds,timeouts\n")
         for (eps, ls), cell in grid.items():
@@ -381,8 +425,7 @@ def cmd_reach(args):
     result = ReachResult(branches, cfg)
     ystar = _d(args, "goal_ystar", GOAL_YSTAR)
     verdict = goal_check(result, ystar)
-    out = _d(args, "out", "reach.csv")
-    svg = _d(args, "svg", "reach.svg")
+    out, svg = args.out, args.svg
     reach_to_csv(result, out)
     plot_reach(result, svg, "reachable sets", ystar)
     n_fail = sum(1 for b in result.branches if b.failed)
@@ -425,8 +468,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--t-end", dest="t_end", type=finite_float)
     sp.add_argument("--dt", type=finite_float)
     sp.add_argument("--dt-control", dest="dt_control", type=finite_float)
-    sp.add_argument("--out")
-    sp.add_argument("--svg")
+    sp.add_output("--out", "trace.csv")
+    sp.add_output("--svg", "trace.svg")
     sp.add_argument("--strict", action="store_true", default=None,
                     help="an angle of attack outside [-pi/2, 0] is an error")
     config(sp)
@@ -437,16 +480,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--ki", type=finite_float)
     sp.add_argument("--kd", type=finite_float)
     sp.add_argument("--record-skip", dest="record_skip", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--norm-out", dest="norm_out")
+    sp.add_output("--out", "dataset.csv")
+    sp.add_output("--norm-out", "norm.json")
     config(sp)
     sp.set_defaults(func=cmd_gen_data)
 
     for name in ("train", "train-adv"):
         sp = sub.add_parser(name)
         sp.add_argument("--data")
-        sp.add_argument("--out")
-        sp.add_argument("--embedded-out", dest="embedded_out")
+        sp.add_output("--out", "net-adv.json" if name == "train-adv" else "net.json")
+        sp.add_output("--embedded-out")
         sp.add_argument("--epochs", type=positive_int)
         sp.add_argument("--lr", type=finite_float)
         sp.add_argument("--batch-size", dest="batch_size", type=positive_int)
@@ -465,7 +508,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--ystar", type=finite_float)
     sp.add_argument("--spec", help="PropertySpec JSON file")
     sp.add_argument("--budget-s", dest="budget_s", type=finite_float)
-    sp.add_argument("--out")
+    sp.add_output("--out", "verify.csv")
     config(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -475,7 +518,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--resolution", type=finite_float)
     sp.add_argument("--search-max", dest="search_max", type=finite_float)
     sp.add_argument("--budget-s", dest="budget_s", type=finite_float)
-    sp.add_argument("--out")
+    sp.add_output("--out", "critical-ystar.csv")
     config(sp)
     sp.set_defaults(func=cmd_critical_ystar)
 
@@ -487,7 +530,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--points", type=positive_int)
     sp.add_argument("--query-budget-s", dest="query_budget_s", type=finite_float)
     sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=finite_float)
-    sp.add_argument("--out")
+    sp.add_output("--out", "robust-sweep.csv")
     config(sp)
     jobs(sp)
     sp.set_defaults(func=cmd_robust_sweep)
@@ -501,8 +544,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--dt", type=finite_float)
     sp.add_argument("--t-end", dest="t_end", type=finite_float)
     sp.add_argument("--max-order", dest="max_order", type=finite_float)
-    sp.add_argument("--out")
-    sp.add_argument("--svg")
+    sp.add_output("--out", "reach.csv")
+    sp.add_output("--svg", "reach.svg")
     config(sp)
     jobs(sp)
     sp.set_defaults(func=cmd_reach)
@@ -513,9 +556,10 @@ def main(argv=None) -> int:
     """Run one command, write its manifest, and map every input it rejects
     (a ValueError covers the settings, files and configs the library
     rejects; an OSError, a path that cannot be read or written) to one
-    `error:` line and exit 1."""
+    `error:` line and exit 1. An output path that cannot be written is
+    rejected before the command runs, so nothing is computed or written."""
     try:
-        args = _apply_config(build_parser().parse_args(argv))
+        args = _parse(argv)
         t0 = time.perf_counter()
         # warnings (numpy's, as a training run diverges) are silenced for
         # this command only

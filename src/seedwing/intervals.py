@@ -259,6 +259,14 @@ def interval_atan2(y: Interval, x: Interval) -> Interval:
 # A constant operand's partials are exact zeros and form no term: a constant
 # added or subtracted keeps the Dual's partials, a constant factor scales
 # them once, and only the Dual's own terms are padded.
+#
+# An exact-zero partial, a pair that is exactly (0.0, 0.0) (either zero's
+# sign), forms no term either: times any factor it is (0.0, 0.0), and added
+# to a pair it leaves that pair as it is. Both results are exact in IEEE
+# arithmetic, so neither is padded. A lane of a partial the expression never
+# reads (a structural zero of the Jacobian) thus stays exactly zero, where
+# padding would turn it into +-1e-300 dust. `a or b` is the test: it is
+# false only for two zeros (a NaN is true, so a NaN lane still raises).
 
 
 def _bounds(f):
@@ -271,13 +279,19 @@ def _neg(lo, hi):
 
 
 def _sum(alo, ahi, blo, bhi):
-    """Padded sums of two lists of interval partials."""
+    """Padded sums of two lists of interval partials; an exact-zero pair
+    leaves the other pair unpadded."""
     out_lo, out_hi = [], []
     for a, b, c, d in zip(alo, ahi, blo, bhi):
-        lo = a + c
-        hi = b + d
-        lo -= (lo if lo >= 0.0 else -lo) * _PAD + _TINY
-        hi += (hi if hi >= 0.0 else -hi) * _PAD + _TINY
+        if not (a or b):
+            lo, hi = c, d
+        elif not (c or d):
+            lo, hi = a, b
+        else:
+            lo = a + c
+            hi = b + d
+            lo -= (lo if lo >= 0.0 else -lo) * _PAD + _TINY
+            hi += (hi if hi >= 0.0 else -hi) * _PAD + _TINY
         if not lo <= hi:
             Interval(lo, hi)    # raises
         out_lo.append(lo)
@@ -287,15 +301,18 @@ def _sum(alo, ahi, blo, bhi):
 
 def _scaled(lo, hi, f):
     """Padded products of interval partials with one factor f, a float or an
-    Interval."""
+    Interval; an exact-zero pair gives (0.0, 0.0)."""
     fl, fh = _bounds(f)
     out_lo, out_hi = [], []
     for a, b in zip(lo, hi):
-        l, h = _product(a, b, fl, fh)
-        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
-        h += (h if h >= 0.0 else -h) * _PAD + _TINY
-        if not l <= h:
-            Interval(l, h)      # raises
+        if a or b:
+            l, h = _product(a, b, fl, fh)
+            l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+            h += (h if h >= 0.0 else -h) * _PAD + _TINY
+            if not l <= h:
+                Interval(l, h)      # raises
+        else:
+            l = h = 0.0
         out_lo.append(l)
         out_hi.append(h)
     return out_lo, out_hi
@@ -304,21 +321,30 @@ def _scaled(lo, hi, f):
 def _scaled_sum(alo, ahi, f, blo, bhi, g):
     """Padded sums of the padded products a * f and b * g of two lists of
     interval partials (f and g floats or Intervals): the partials of a Dual
-    product, in one pass."""
+    product, in one pass. An exact-zero pair forms no product, and a sum
+    with no product on one side is the other product, unpadded."""
     fl, fh = _bounds(f)
     gl, gh = _bounds(g)
     out_lo, out_hi = [], []
     for a, b, c, d in zip(alo, ahi, blo, bhi):
-        l1, h1 = _product(a, b, fl, fh)
-        l, h = _product(c, d, gl, gh)
-        l1 -= (l1 if l1 >= 0.0 else -l1) * _PAD + _TINY
-        h1 += (h1 if h1 >= 0.0 else -h1) * _PAD + _TINY
-        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
-        h += (h if h >= 0.0 else -h) * _PAD + _TINY
-        l += l1
-        h += h1
-        l -= (l if l >= 0.0 else -l) * _PAD + _TINY
-        h += (h if h >= 0.0 else -h) * _PAD + _TINY
+        if c or d:
+            l, h = _product(c, d, gl, gh)
+            l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+            h += (h if h >= 0.0 else -h) * _PAD + _TINY
+            if a or b:
+                l1, h1 = _product(a, b, fl, fh)
+                l1 -= (l1 if l1 >= 0.0 else -l1) * _PAD + _TINY
+                h1 += (h1 if h1 >= 0.0 else -h1) * _PAD + _TINY
+                l += l1
+                h += h1
+                l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+                h += (h if h >= 0.0 else -h) * _PAD + _TINY
+        elif a or b:
+            l, h = _product(a, b, fl, fh)
+            l -= (l if l >= 0.0 else -l) * _PAD + _TINY
+            h += (h if h >= 0.0 else -h) * _PAD + _TINY
+        else:
+            l = h = 0.0
         if not l <= h:
             Interval(l, h)      # raises
         out_lo.append(l)
@@ -365,6 +391,10 @@ class Dual:
     [d, d]. A float or Interval operand is a constant: its partials are
     exact zeros and form no term, so c + x keeps x's partials, c * x and
     x / c scale them once, and c / x is -(q * x') / x with q = c / x.
+    Likewise an interval partial that is exactly [0, 0] forms no term: its
+    product with any factor is [0, 0] and its sum with another partial is
+    that partial, both unpadded, so a lane the expression never reads stays
+    an exact zero.
     """
 
     __slots__ = ("val", "lo", "hi")

@@ -188,7 +188,9 @@ def _remainder(lo, hi, c, J_int, J_c, u_set: Interval, fB, dt):
 
     The arithmetic is that of Interval objects on float endpoint pairs:
     _product's sign cases, _iv's padding and the same summation order, so
-    the bounds are the Interval expression's bit for bit.
+    the bounds are the Interval expression's bit for bit. An entry of J_int
+    that is exactly [0, 0], with J_c 0 there (a structural zero), adds no
+    term: its linearization, actuation and truncation terms are exact zeros.
     """
     u_c = u_set.mid
     du_lo, du_hi = _pad(u_set.lo - u_c, u_set.hi - u_c)
@@ -201,6 +203,8 @@ def _remainder(lo, hi, c, J_int, J_c, u_set: Interval, fB, dt):
         al = ah = 0.0           # (J_int - J_c)·dx
         tl = th = 0.0           # J_int·fB
         for J, jc, (xl, xh), (fl, fh) in zip(J_row, Jc_row, dx, fB):
+            if not (J.lo or J.hi or jc):
+                continue        # an exact [0, 0] entry about 0 adds no term
             dl, dh = _pad(J.lo - jc, J.hi - jc)
             pl, ph = _pad(*_product(dl, dh, xl, xh))
             al, ah = _pad(al + pl, ah + ph)
@@ -208,8 +212,9 @@ def _remainder(lo, hi, c, J_int, J_c, u_set: Interval, fB, dt):
             tl, th = _pad(tl + pl, th + ph)
         al, ah = _scale(al, ah, dt)
         J = J_row[6]
-        pl, ph = _scale(*_pad(*_product(J.lo, J.hi, du_lo, du_hi)), dt)
-        al, ah = _pad(al + pl, ah + ph)
+        if J.lo or J.hi:
+            pl, ph = _scale(*_pad(*_product(J.lo, J.hi, du_lo, du_hi)), dt)
+            al, ah = _pad(al + pl, ah + ph)
         pl, ph = _scale(tl, th, half_dt2)
         al, ah = _pad(al + pl, ah + ph)
         rem_lo.append(al)

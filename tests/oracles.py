@@ -8,10 +8,11 @@ branch and bound with a node LP for every pending conclusion row,
 plain interval bound propagation, per-row pre-activations, the network on
 its normalized input with its output denormalized, the doubled-network
 form of the robustness query,
-a forward-mode Dual that keeps one Interval object per partial, the
-two-pass Dual[Interval] operators (a product as two passes of padded
-products; a constant's partials form no term in either), the reach step's
-remainder with one Interval object per operation, and the training kernel
+a forward-mode Dual that keeps one Interval object per partial, another in
+mpmath's arithmetic, the two-pass Dual[Interval] operators (a product as
+two passes of padded products), the reach step's remainder with one
+Interval object per operation (in each, a constant's partials and an
+exact-zero partial form no term), and the training kernel
 with per-layer gradient lists, a rebuilt network per descent step and two
 forward passes per PGD iterate.
 """
@@ -440,16 +441,47 @@ def ref_mul(x, y):
 
 
 def ref_div(x, y):
+    """The partial x over y. An Interval x is multiplied by y's reciprocal
+    (padded when y is an Interval), so an exact-zero x forms no term."""
     if isinstance(x, Interval) and isinstance(y, Interval):
         if y.lo <= 0.0 <= y.hi:
             raise IntervalDomainError("interval division by zero-straddling interval")
-        return ref_mul(x, ref_iv(1.0 / y.hi, 1.0 / y.lo))
+        return ref_term(x, ref_iv(1.0 / y.hi, 1.0 / y.lo))
+    if isinstance(x, Interval) and y != 0:
+        return ref_term(x, 1.0 / y)
     return x / y
+
+
+def _zero(d):
+    """An exact-zero partial: the float 0.0 or the Interval [0, 0] (either
+    zero's sign)."""
+    return d.lo == 0.0 and d.hi == 0.0 if isinstance(d, Interval) else d == 0.0
+
+
+def ref_term(d, f):
+    """The partial d times the factor f. Where the product is an interval
+    one, an exact-zero partial forms no term: the product is [0, 0],
+    unpadded."""
+    if (isinstance(d, Interval) or isinstance(f, Interval)) and _zero(d):
+        return Interval(0.0)
+    return ref_mul(d, f)
+
+
+def ref_plus(a, b):
+    """The sum of two partials. Where the sum is an interval one, an
+    exact-zero partial leaves the other partial as it is, unpadded."""
+    if isinstance(a, Interval) or isinstance(b, Interval):
+        if _zero(a):
+            return iv.as_interval(b)
+        if _zero(b):
+            return iv.as_interval(a)
+    return a + b
 
 
 class RefDual:
     """Value plus a tuple of float or Interval partials, one object each. A
-    constant operand's partials are exact zeros and form no term."""
+    constant operand's partials are exact zeros and form no term, and so does
+    an exact-zero interval partial (ref_term, ref_plus)."""
 
     __slots__ = ("val", "der")
 
@@ -469,14 +501,16 @@ class RefDual:
 
     def __add__(self, other):
         if isinstance(other, RefDual):
-            return RefDual(self.val + other.val, [a + b for a, b in zip(self.der, other.der)])
+            return RefDual(self.val + other.val,
+                           [ref_plus(a, b) for a, b in zip(self.der, other.der)])
         return RefDual(self.val + other, self._beside(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, RefDual):
-            return RefDual(self.val - other.val, [a - b for a, b in zip(self.der, other.der)])
+            return RefDual(self.val - other.val,
+                           [ref_plus(a, -b) for a, b in zip(self.der, other.der)])
         return RefDual(self.val - other, self._beside(other))
 
     def __rsub__(self, other):
@@ -485,9 +519,9 @@ class RefDual:
     def __mul__(self, other):
         if isinstance(other, RefDual):
             return RefDual(ref_mul(self.val, other.val),
-                           [ref_mul(a, other.val) + ref_mul(self.val, b)
+                           [ref_plus(ref_term(a, other.val), ref_term(b, self.val))
                             for a, b in zip(self.der, other.der)])
-        return RefDual(ref_mul(self.val, other), [ref_mul(a, other) for a in self._beside(other)])
+        return RefDual(ref_mul(self.val, other), [ref_term(a, other) for a in self._beside(other)])
 
     __rmul__ = __mul__
 
@@ -495,16 +529,16 @@ class RefDual:
         if isinstance(other, RefDual):
             inv = 1.0 / other.val
             q = ref_mul(self.val, inv)
-            return RefDual(q, [ref_mul(a - ref_mul(q, b), inv)
+            return RefDual(q, [ref_term(ref_plus(a, -ref_term(b, q)), inv)
                                for a, b in zip(self.der, other.der)])
         inv = 1.0 / other
-        return RefDual(ref_mul(self.val, inv), [ref_mul(a, inv) for a in self._beside(inv)])
+        return RefDual(ref_mul(self.val, inv), [ref_term(a, inv) for a in self._beside(inv)])
 
     def __rtruediv__(self, other):
         # d(c / x) = -(q * dx) / x with q = c / x
         inv = 1.0 / self.val
         q = ref_mul(other, inv)
-        return RefDual(q, [ref_mul(-ref_mul(q, b), inv) for b in self._beside(q)])
+        return RefDual(q, [ref_term(-ref_term(b, q), inv) for b in self._beside(q)])
 
     def __pow__(self, n):
         out = self
@@ -514,7 +548,7 @@ class RefDual:
 
 
 def _ref_chain(x, val, dval):
-    return RefDual(val, [ref_mul(dval, d) for d in x.der])
+    return RefDual(val, [ref_term(d, dval) for d in x.der])
 
 
 def ref_sin(x):
@@ -552,7 +586,7 @@ def ref_absval(x):
             if v.hi <= 0:
                 return -x
             s = Interval(-1.0, 1.0)
-            return RefDual(iv.interval_abs(v), [ref_mul(s, d) for d in x.der])
+            return RefDual(iv.interval_abs(v), [ref_term(d, s) for d in x.der])
         return x if v >= 0 else -x
     return iv.absval(x)
 
@@ -567,26 +601,90 @@ def ref_atan2(y, x):
             raise IntervalDomainError(
                 "atan2 derivative unbounded: velocity box reaches the origin")
         if not isinstance(x, RefDual):
-            num = [ref_mul(xv, dy) for dy in y._beside(xv)]
+            num = [ref_term(dy, xv) for dy in y._beside(xv)]
         elif not isinstance(y, RefDual):
-            num = [-ref_mul(yv, dx) for dx in x._beside(yv)]
+            num = [-ref_term(dx, yv) for dx in x._beside(yv)]
         else:
-            num = [ref_mul(xv, dy) - ref_mul(yv, dx) for dy, dx in zip(y.der, x.der)]
+            num = [ref_plus(ref_term(dy, xv), -ref_term(dx, yv))
+                   for dy, dx in zip(y.der, x.der)]
         return RefDual(v, [ref_div(n, denom) for n in num])
     return iv.atan2(y, x)
+
+
+# ---------------------------------------------------------------------------
+# forward-mode Dual in mpmath arithmetic
+
+class MPDual:
+    """A value and partials as mpmath numbers: intervals (mpmath.iv) or
+    points (mpmath.mpf). Each derivative formula of Dual, in mpmath's
+    arithmetic, a constant's partials forming no term."""
+
+    def __init__(self, val, der):
+        self.val, self.der = val, list(der)
+
+    def __neg__(self):
+        return MPDual(-self.val, [-a for a in self.der])
+
+    def __add__(self, o):
+        if isinstance(o, MPDual):
+            return MPDual(self.val + o.val, [a + b for a, b in zip(self.der, o.der)])
+        return MPDual(self.val + o, self.der)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, MPDual):
+            return MPDual(self.val - o.val, [a - b for a, b in zip(self.der, o.der)])
+        return MPDual(self.val - o, self.der)
+
+    def __rsub__(self, c):
+        return MPDual(c - self.val, [-a for a in self.der])
+
+    def __mul__(self, o):
+        if isinstance(o, MPDual):
+            return MPDual(self.val * o.val,
+                          [a * o.val + self.val * b for a, b in zip(self.der, o.der)])
+        return MPDual(self.val * o, [a * o for a in self.der])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, MPDual):
+            inv = 1 / o.val
+            q = self.val * inv
+            return MPDual(q, [(a - q * b) * inv for a, b in zip(self.der, o.der)])
+        inv = 1 / o
+        return MPDual(self.val * inv, [a * inv for a in self.der])
+
+    def __rtruediv__(self, c):
+        inv = 1 / self.val
+        q = c * inv
+        return MPDual(q, [-(q * b) * inv for b in self.der])
+
+    def __pow__(self, n):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
 
 # ---------------------------------------------------------------------------
 # two-pass Dual[Interval] operators (the references for the one-pass kernels)
 
 def two_pass_sum(alo, ahi, blo, bhi):
-    """Padded sums of two lists of interval partials."""
+    """Padded sums of two lists of interval partials; an exact-zero pair
+    leaves the other pair as it is."""
     out_lo, out_hi = [], []
     for a, b, c, d in zip(alo, ahi, blo, bhi):
-        lo = a + c
-        hi = b + d
-        lo -= abs(lo) * _PAD + _TINY
-        hi += abs(hi) * _PAD + _TINY
+        if a == 0.0 and b == 0.0:
+            lo, hi = c, d
+        elif c == 0.0 and d == 0.0:
+            lo, hi = a, b
+        else:
+            lo = a + c
+            hi = b + d
+            lo -= abs(lo) * _PAD + _TINY
+            hi += abs(hi) * _PAD + _TINY
         if not lo <= hi:
             x = Interval(a, b) + Interval(c, d)
             lo, hi = x.lo, x.hi
@@ -598,7 +696,9 @@ def two_pass_sum(alo, ahi, blo, bhi):
 def two_pass_scaled(lo, hi, f, plus=None):
     """Padded products of interval partials with one factor f, a float or an
     Interval; with `plus`, a pair of partial lists, each product is then
-    added to the matching partial of `plus` and padded again."""
+    added to the matching partial of `plus` and padded again. An exact-zero
+    pair's product is [0, 0], and a sum with an exact-zero pair is the other
+    pair, both unpadded."""
     if isinstance(f, Interval):
         fl, fh = f.lo, f.hi
     else:
@@ -607,7 +707,10 @@ def two_pass_scaled(lo, hi, f, plus=None):
     add_lo, add_hi = plus if plus is not None else (lo, hi)
     out_lo, out_hi = [], []
     for a, b, c, d in zip(lo, hi, add_lo, add_hi):
-        if case == 0:
+        zero = a == 0.0 and b == 0.0
+        if zero:
+            l = h = 0.0
+        elif case == 0:
             l = a * fl if a >= 0.0 else a * fh
             h = b * fh if b >= 0.0 else b * fl
         elif case == 1:
@@ -622,16 +725,20 @@ def two_pass_scaled(lo, hi, f, plus=None):
             p = b * fh
             if p > h:
                 h = p
-        l -= abs(l) * _PAD + _TINY
-        h += abs(h) * _PAD + _TINY
-        if plus is not None:
-            l += c
-            h += d
+        if not zero:
             l -= abs(l) * _PAD + _TINY
             h += abs(h) * _PAD + _TINY
+        if plus is not None:
+            if zero:
+                l, h = c, d
+            elif c != 0.0 or d != 0.0:
+                l += c
+                h += d
+                l -= abs(l) * _PAD + _TINY
+                h += abs(h) * _PAD + _TINY
         if not l <= h:
             x = Interval(a, b) * f
-            if plus is not None:
+            if plus is not None and (c != 0.0 or d != 0.0):
                 x = x + Interval(c, d)
             l, h = x.lo, x.hi
         out_lo.append(l)
@@ -753,20 +860,28 @@ TWO_PASS_KERNELS = {"_sum": two_pass_sum, "_scaled": two_pass_scaled}
 
 def remainder_intervals(lo, hi, c, J_int, J_c, u_set, fB, dt):
     """Remainder bounds per row as (lo, hi) lists, from Interval operators:
-    (J_int - J_c)·dx over the hull about c, J_u·du, and J_int·fB·dt²/2."""
+    (J_int - J_c)·dx over the hull about c, J_u·du, and J_int·fB·dt²/2. An
+    entry that is exactly [0, 0], with J_c 0 there, adds no term."""
+    def zero(i, j):
+        J = J_int[i][j]
+        return J.lo == 0.0 and J.hi == 0.0 and (j == 6 or J_c[i][j] == 0.0)
+
     du = u_set - u_set.mid
     dx = [Interval(lo[j] - c[j], hi[j] - c[j]) for j in range(6)]
     rem = []
     for i in range(6):
         acc = Interval(0.0)
         for j in range(6):
-            dJ = J_int[i][j] - J_c[i][j]
-            acc = acc + dJ * dx[j]
+            if not zero(i, j):
+                dJ = J_int[i][j] - J_c[i][j]
+                acc = acc + dJ * dx[j]
         acc = acc * dt
-        acc = acc + (J_int[i][6] * du) * dt
+        if not zero(i, 6):
+            acc = acc + (J_int[i][6] * du) * dt
         trunc = Interval(0.0)
         for j in range(6):
-            trunc = trunc + J_int[i][j] * fB[j]
+            if not zero(i, j):
+                trunc = trunc + J_int[i][j] * fB[j]
         acc = acc + trunc * (0.5 * dt * dt)
         rem.append(acc)
     return [r.lo for r in rem], [r.hi for r in rem]

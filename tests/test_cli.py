@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from seedwing import mlp
+from seedwing import cli, mlp
 from seedwing.cli import (_apply_config, build_parser, finite_float, float_list, main,
                           non_negative_int, positive_float_list, positive_int)
 from seedwing.verifier import LinConstraint, PropertySpec
@@ -444,6 +444,10 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
     (["train", "--data", "BAD", "--epochs", "3"], DATA_HEADER + "1,0,0,0,0,2,0,0.19\n"),
     (["train", "--data", "BAD", "--epochs", "3"],
      DATA_HEADER + "1,0,0,0,0,2,0,0.19\n2,1,1,1,0,3,0,0.185\n"),
+    (["gen-data", "--out", "DIR"], ""),
+    (["simulate", "--t-end", "1", "--out", "SHADOWED"], ""),
+    (["gen-data", "--norm-out", "NO_PARENT"], ""),
+    (["gen-data", "--norm-out", "FILE_PARENT"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -468,17 +472,29 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
         "train-negative-seed", "train-adv-negative-seed", "reach-fractional-max-order",
         "sim-diverged-domain", "sim-open-dt-not-dividing", "sim-dt-above-control",
         "reach-dt-above-control", "sim-t-end-below-dt", "train-no-rows", "sweep-no-rows",
-        "train-one-row", "train-constant-column"])
+        "train-one-row", "train-constant-column", "gen-data-out-dir",
+        "sim-manifest-dir", "out-parent-missing", "out-parent-a-file"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
+    # DIR is a directory; SHADOWED is a free path whose manifest path is one;
+    # the parent of NO_PARENT does not exist, and that of FILE_PARENT is a file
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "o.csv.manifest.json").mkdir()
     paths = {"BAD": str(bad), "NET": str(workdir / "net.json"),
-             "DATA": str(workdir / "data.csv")}
-    code = main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.csv")])
+             "DATA": str(workdir / "data.csv"), "DIR": str(tmp_path / "dir"),
+             "SHADOWED": str(tmp_path / "o.csv"),
+             "NO_PARENT": str(tmp_path / "no" / "n.json"),
+             "FILE_PARENT": str(bad / "n.json")}
+    out = [] if "--out" in argv else ["--out", str(tmp_path / "out.csv")]
+    code = main([paths.get(a, a) for a in argv] + out)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert BAD_INPUT_NAMES.get(request.node.callspec.id, "") in err
+    # a rejected command leaves no output behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["bad.json", "dir", "o.csv.manifest.json"]
 
 
 # what the one line of some bad-input cases must say: the value at fault,
@@ -525,6 +541,10 @@ BAD_INPUT_NAMES = {
     "sweep-no-rows": "bad.json: no data rows",
     "train-one-row": "need at least two rows",
     "train-constant-column": "input dimension 4 has zero range",
+    "gen-data-out-dir": "Is a directory: '",
+    "sim-manifest-dir": "Is a directory: '",
+    "out-parent-missing": "No such file or directory: '",
+    "out-parent-a-file": "Not a directory: '",
 }
 
 
@@ -592,3 +612,32 @@ def test_directory_path_one_line_error(command, flag, workdir, tmp_path, capsys,
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "Is a directory: 'dir'" in err
+
+
+# every output flag of every command given an existing directory, and an
+# output whose manifest path is one: each is rejected before the command
+# runs, so nothing is computed or written
+OUTPUT_CASES = [(name, [sp.options[dest].option_strings[-1], "dir"])
+                for name, sp in build_parser().commands.items() for dest in sp.outputs]
+OUTPUT_CASES += [(name, ["--out", "o.csv"]) for name in build_parser().commands]
+
+
+@pytest.mark.parametrize("command, argv", OUTPUT_CASES,
+                         ids=[" ".join([c] + a) for c, a in OUTPUT_CASES])
+def test_bad_output_path_rejected_before_the_command_runs(command, argv, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "o.csv.manifest.json").mkdir()
+    func = build_parser().commands[command].get_default("func").__name__
+
+    def ran(args):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setattr(cli, func, ran)
+    code = main([command] + argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory: '" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "o.csv.manifest.json"]

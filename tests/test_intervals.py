@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from seedwing import intervals as iv
 from seedwing.intervals import Dual, Interval, IntervalDomainError
 
-from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, RefDual, ref_absval,
+from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, MPDual, RefDual, ref_absval,
                      ref_atan2, ref_cos, ref_iv, ref_mul, ref_sin, ref_sqrt,
                      ref_tanh, two_pass_add, two_pass_mul, two_pass_rsub,
                      two_pass_rtruediv, two_pass_sub, two_pass_truediv)
@@ -421,6 +421,59 @@ def test_one_pass_edge_examples():
     assert not any(math.isnan(e) for e in out.lo + out.hi)
 
 
+# -- exact-zero lanes ----------------------------------------------------------
+# A lane that is exactly [0, 0] in every operand is the partial along a
+# variable the expression never reads: it must stay [0, 0] through every
+# operator and function, and leave the other lanes as they are without it.
+
+ZERO_LANE_OPS = {
+    "add": lambda x, c: x + c, "radd": lambda x, c: c + x,
+    "sub": lambda x, c: x - c, "rsub": lambda x, c: c - x,
+    "mul": lambda x, c: x * c, "rmul": lambda x, c: c * x,
+    "div": lambda x, c: x / c, "rdiv": lambda x, c: c / x,
+    "neg": lambda x, c: -x, "sq": lambda x, c: x ** 2, "cube": lambda x, c: x ** 3,
+    "sin": lambda x, c: iv.sin(x), "cos": lambda x, c: iv.cos(x),
+    "tanh": lambda x, c: iv.tanh(x), "sqrt": lambda x, c: iv.sqrt(x),
+    "abs": lambda x, c: iv.absval(x),
+    "atan2": lambda x, c: iv.atan2(x, c), "ratan2": lambda x, c: iv.atan2(c, x),
+}
+
+
+def _lane_outcome(fn, x, c):
+    try:
+        out = fn(x, c)
+    except (ArithmeticError, ValueError) as exc:
+        return ("raised", type(exc).__name__, str(exc)), None
+    return _key(out.val), [_key(d) for d in out.der]
+
+
+@PROPS
+@given(st.data(), st.integers(1, 3), st.sampled_from(sorted(ZERO_LANE_OPS)),
+       st.sampled_from(["dual", "constant"]))
+def test_exact_zero_lane_stays_zero_and_leaves_the_other_lanes(data, n, op, other):
+    """x (and c, when a Dual) with an exact-zero lane k inserted, against
+    the same operation with lane k deleted; n >= 1 other lanes keep both
+    Duals interval-valued."""
+    k = data.draw(st.integers(0, n))
+
+    def operand():
+        """The Dual without lane k, and with it."""
+        val, der = data.draw(dual_data(n, "interval"))
+        zero = data.draw(intervals(ZEROS))
+        return Dual(val, der), Dual(val, der[:k] + [zero] + der[k:])
+
+    x, x_full = operand()
+    c, c_full = operand() if other == "dual" else (data.draw(CONSTANTS),) * 2
+    fn = ZERO_LANE_OPS[op]
+    val, der = _lane_outcome(fn, x, c)
+    val_full, der_full = _lane_outcome(fn, x_full, c_full)
+    assert val_full == val
+    if der is not None:
+        lane = der_full.pop(k)
+        assert lane[0] == "I" and float.fromhex(lane[1]) == float.fromhex(lane[2]) == 0.0
+        assert der_full == der
+
+
 # -- sign-split products ------------------------------------------------------
 
 WIDE = st.floats(-1e300, 1e300) | ZEROS | st.sampled_from([1.0, -1.0, 5e-324, -5e-324])
@@ -659,55 +712,6 @@ def test_sin_cos_contain_mpmath_range_on_thin_boxes_at_half_pi_multiples():
 # partial of an interval-valued Dual must contain it. Divisors and sqrt
 # arguments stay at least 1e-3 from zero, and atan2 boxes in the quadrant
 # x > 0, y >= 0, so no formula meets a singularity.
-
-class MPDual:
-    """A value and partials as mpmath intervals."""
-
-    def __init__(self, val, der):
-        self.val, self.der = val, list(der)
-
-    def __add__(self, o):
-        if isinstance(o, MPDual):
-            return MPDual(self.val + o.val, [a + b for a, b in zip(self.der, o.der)])
-        return MPDual(self.val + o, self.der)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, MPDual):
-            return MPDual(self.val - o.val, [a - b for a, b in zip(self.der, o.der)])
-        return MPDual(self.val - o, self.der)
-
-    def __rsub__(self, c):
-        return MPDual(c - self.val, [-a for a in self.der])
-
-    def __mul__(self, o):
-        if isinstance(o, MPDual):
-            return MPDual(self.val * o.val,
-                          [a * o.val + self.val * b for a, b in zip(self.der, o.der)])
-        return MPDual(self.val * o, [a * o for a in self.der])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, MPDual):
-            inv = 1 / o.val
-            q = self.val * inv
-            return MPDual(q, [(a - q * b) * inv for a, b in zip(self.der, o.der)])
-        inv = 1 / o
-        return MPDual(self.val * inv, [a * inv for a in self.der])
-
-    def __rtruediv__(self, c):
-        inv = 1 / self.val
-        q = c * inv
-        return MPDual(q, [-(q * b) * inv for b in self.der])
-
-    def __pow__(self, n):
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
 
 def _mp_abs_slope(v):
     if v.a >= 0:

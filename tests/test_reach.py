@@ -1,17 +1,19 @@
+import itertools
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, interval_propagation,
+from oracles import (TWO_PASS_KERNELS, TWO_PASS_OPERATORS, MPDual, interval_propagation,
                      remainder_intervals)
 from set_helpers import contains, point_zonotope, zono_sample
 from seedwing import intervals as iv
 from seedwing import reach
-from seedwing.aeromodel import State, rk4_step, _deriv_raw
+from seedwing.aeromodel import State, rk4_step, _deriv_raw, _derivative_core
 from seedwing.intervals import Dual, Interval
 from seedwing.mlp import Layer, Network, embed_normalization, forward
 from seedwing.reach import (BranchFailure, ReachConfig, ReachDomainError,
@@ -178,6 +180,109 @@ class TestJacobianLanes:
                                        info["J_c"].tolist(), u, fB, cfg.dt)
             assert [_bits(r) for r in info["remainder"]] == \
                 [_bits(Interval(a, b)) for a, b in zip(*want)]
+
+
+# x1..x6 spans of the random plate boxes, away from zero relative flow: x1
+# keeps one sign with x1² >= 0.36, above the 0.3 that vy*vy can fall below
+# zero when vy = x2 - x3*l_cm straddles it (the enclosure of the speed's
+# square is x1*x1 + vy*vy)
+PLATE_SPANS = [(0.6, 3.0), (-0.5, 0.5), (-3.0, 3.0), (-2.0, 1.0), (-1.0, 1.0), (0.0, 5.0)]
+
+
+@st.composite
+def plate_boxes(draw):
+    """A state box, about half of its sides thin, and an actuation interval."""
+    box = []
+    for lo, hi in PLATE_SPANS:
+        a, b = sorted((draw(st.floats(lo, hi)), draw(st.floats(lo, hi))))
+        if draw(st.booleans()):
+            b = a + 1e-3 * (b - a)
+        box.append(Interval(a, b))
+    if draw(st.booleans()):
+        box[0] = -box[0]
+    u = sorted((draw(st.floats(0.181, 0.193)), draw(st.floats(0.181, 0.193))))
+    return box, Interval(*u)
+
+
+# the plate's structural zeros: partials of expressions that never read the
+# variable (positions x5, x6 nowhere; dx4 = x3 reads x3 only; dx3 does not
+# read the pitch x4; dx5, dx6 read neither x3 nor the actuation)
+STRUCTURAL_ZEROS = ([(i, j) for i in range(6) for j in (4, 5)]
+                    + [(3, j) for j in (0, 1, 3, 6)] + [(2, 3)]
+                    + [(i, j) for i in (4, 5) for j in (2, 6)])
+
+
+class TestStructuralZeros:
+    @settings(max_examples=200, deadline=None)
+    @given(plate_boxes())
+    def test_interval_jacobian_keeps_structural_zeros_exact(self, params, box_u):
+        box, u = box_u
+        J = interval_jacobian(box, u, params)
+        for i, j in STRUCTURAL_ZEROS:
+            assert J[i][j].lo == 0.0 and J[i][j].hi == 0.0, (i, j, J[i][j])
+        assert J[3][2].lo == J[3][2].hi == 1.0
+
+
+# -- the plate core against its own formulas in mpmath at 200 bits ------------
+# seedwing.intervals' generic functions patched with mpmath's evaluate the
+# very core the enclosures evaluate, at points and, through MPDual, with
+# point partials; a kink of |.| at exactly 0 takes the slope +1
+
+def _mp_chain(fn, slope):
+    def generic(x):
+        if isinstance(x, MPDual):
+            return MPDual(fn(x.val), [slope(x.val) * d for d in x.der])
+        return fn(x)
+    return generic
+
+
+def _mp_atan2(y, x):
+    if not isinstance(y, MPDual):       # the core passes two Duals or two numbers
+        return mpmath.atan2(y, x)
+    denom = x.val * x.val + y.val * y.val
+    return MPDual(mpmath.atan2(y.val, x.val),
+                  [(x.val * dy - y.val * dx) / denom for dy, dx in zip(y.der, x.der)])
+
+
+MP_GENERIC = {
+    "sin": _mp_chain(mpmath.sin, mpmath.cos),
+    "cos": _mp_chain(mpmath.cos, lambda v: -mpmath.sin(v)),
+    "tanh": _mp_chain(mpmath.tanh, lambda v: 1 - mpmath.tanh(v) ** 2),
+    "sqrt": _mp_chain(mpmath.sqrt, lambda v: 1 / (2 * mpmath.sqrt(v))),
+    "absval": _mp_chain(abs, lambda v: 1 if v >= 0 else -1),
+    "atan2": _mp_atan2,
+}
+
+
+def _inside(out, v):
+    return mpmath.mpf(out.lo) <= v <= mpmath.mpf(out.hi)
+
+
+class TestCoreAgainstMpmath:
+    @settings(max_examples=100, deadline=None)
+    @given(plate_boxes())
+    def test_enclosures_contain_core_at_corners_and_centre(self, params, box_u):
+        """interval_derivative contains the core's value, and interval_jacobian
+        its partials, at every corner and the centre of the box (x1..x4 and
+        u; x5 and x6 are not read)."""
+        box, u = box_u
+        f_box = interval_derivative(box, u, params)
+        J = interval_jacobian(box, u, params)
+        ends = [(b.lo, b.hi) for b in box[:4]] + [(u.lo, u.hi)]
+        points = list(itertools.product(*ends)) + [tuple(0.5 * (a + b) for a, b in ends)]
+        with mpmath.workprec(200), mock.patch.multiple(iv, **MP_GENERIC):
+            for *x, e_x in points:
+                x = [mpmath.mpf(v) for v in x] + [mpmath.mpf(box[4].lo), mpmath.mpf(box[5].lo)]
+                e_x = mpmath.mpf(e_x)
+                for i, v in enumerate(_derivative_core(x, e_x, params)):
+                    assert _inside(f_box[i], v), ("value", i, x, e_x)
+                if x[1] == x[2] * (e_x * params.ell):
+                    continue        # vy = 0: |vy| has no derivative here
+                seeds = [MPDual(v, [int(k == j) for k in range(7)])
+                         for j, v in enumerate(x + [e_x])]
+                for i, d in enumerate(_derivative_core(seeds[:6], seeds[6], params)):
+                    for j in range(7):
+                        assert _inside(J[i][j], d.der[j]), ("partial", i, j, x, e_x)
 
 
 class TestStepWithReferenceArithmetic:
