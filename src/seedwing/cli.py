@@ -11,13 +11,10 @@ failure, 3 timeout or unknown.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import errno
-import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -31,11 +28,10 @@ from .closedloop import (DEFAULT_GAINS, X6_RANGE, NetworkController,
                          dataset_to_csv, fit_norm, generate_dataset,
                          rows_to_arrays, simulate_closed_loop,
                          simulate_open_loop)
-from .reach import (GOAL_YSTAR, ReachConfig, ReachResult, goal_check,
-                    reach_branch, reach_to_csv, x6_cells)
+from .reach import GOAL_YSTAR, ReachConfig, goal_check, reach_full, reach_to_csv
 from .svgplot import plot_reach, plot_trajectories
-from .verifier import (SWEEP_GRID, SWEEP_QUERY_BUDGET, Budget, PropertySpec,
-                       bab_verify, encode_property, find_critical_ystar,
+from .verifier import (SWEEP_QUERY_BUDGET, Budget, PropertySpec, bab_verify,
+                       encode_property, find_critical_ystar,
                        results_to_csv, robustness_sweep)
 
 EXIT_OK = 0
@@ -365,17 +361,14 @@ def cmd_robust_sweep(args):
     if net.norm is None:
         raise UsageError("robustness sweep needs a network with normalization")
     rows = dataset_from_csv(args.data)
-    eps_list = _d(args, "eps_list", SWEEP_GRID)
-    l_list = _d(args, "lstar_list", SWEEP_GRID)
     X, _ = rows_to_arrays(rows, net.norm)
     core = mlp.Network(net.layers, norm=None, meta=dict(net.meta))
-    sweep_kw = _given(args, "cell_budget_s", n_points="points")
+    sweep_kw = _given(args, "eps_list", "lstar_list", "cell_budget_s",
+                      n_points="points")
     if args.query_budget_s is not None:
         sweep_kw["per_query_budget"] = dataclasses.replace(
             SWEEP_QUERY_BUDGET, max_seconds=args.query_budget_s)
-    cells = [(e, l) for e in eps_list for l in l_list]
-    grid = dict(zip(cells, _ordered_map(functools.partial(_sweep_cell, core, X, sweep_kw),
-                                        cells, _d(args, "jobs", 1))))
+    grid = robustness_sweep(core, X, **sweep_kw)
     out = args.out
     with open(out, "w") as fh:
         fh.write("epsilon,lstar,rate,n_verified,n_done,seconds,timeouts\n")
@@ -384,7 +377,8 @@ def cmd_robust_sweep(args):
             fh.write(f"{eps},{ls},{rate},{cell.n_verified},{cell.n_done},"
                      f"{cell.seconds:.2f},{cell.timeouts}\n")
     print(f"wrote {out}")
-    for eps in eps_list:
+    l_list = dict.fromkeys(ls for _, ls in grid)
+    for eps in dict.fromkeys(e for e, _ in grid):
         row = []
         for ls in l_list:
             cell = grid[(eps, ls)]
@@ -393,36 +387,14 @@ def cmd_robust_sweep(args):
     return EXIT_OK, [args.net, args.data], [out]
 
 
-def _ordered_map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], spread over `jobs` processes when jobs > 1."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(fn, items))
-
-
-def _sweep_cell(core, X, kw, cell):
-    eps, lstar = cell
-    return robustness_sweep(core, X, (eps,), (lstar,), **kw)[cell]
-
-
-def _reach_cell(net, p, cfg, indexed_cell):
-    """Branch of one initial x6 cell, numbered as reach_full numbers it."""
-    return reach_branch(*indexed_cell, net, p, cfg)
-
-
 def cmd_reach(args):
     if not args.net:
         raise UsageError("--net is required")
     net = mlp.load(args.net)
     target = mlp.embed_normalization(net) if net.norm is not None else net
     cfg = ReachConfig(**_given(args, "dt", "t_end", "max_order", n_splits="splits"))
-    cells = enumerate(x6_cells((_d(args, "x6_lo", X6_RANGE[0]),
-                                _d(args, "x6_hi", X6_RANGE[1])), cfg.n_splits))
-    branches = _ordered_map(functools.partial(_reach_cell, target, PlateParams(), cfg),
-                            cells, _d(args, "jobs", 1))
-    result = ReachResult(branches, cfg)
+    x6_interval = (_d(args, "x6_lo", X6_RANGE[0]), _d(args, "x6_hi", X6_RANGE[1]))
+    result = reach_full(x6_interval, target, PlateParams(), cfg, **_given(args, "jobs"))
     ystar = _d(args, "goal_ystar", GOAL_YSTAR)
     verdict = goal_check(result, ystar)
     out, svg = args.out, args.svg
@@ -456,9 +428,6 @@ def build_parser() -> _Parser:
 
     def config(sp):
         sp.add_argument("--config", help="JSON config file (flags win)")
-
-    def jobs(sp):
-        sp.add_argument("--jobs", type=positive_int, help="worker processes (default 1)")
 
     sp = sub.add_parser("simulate", help="open- or closed-loop trajectory")
     sp.add_argument("--mode", choices=("open", "closed"), help="default open")
@@ -532,7 +501,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=finite_float)
     sp.add_output("--out", "robust-sweep.csv")
     config(sp)
-    jobs(sp)
     sp.set_defaults(func=cmd_robust_sweep)
 
     sp = sub.add_parser("reach", help="closed-loop reachable sets and goal check")
@@ -547,7 +515,7 @@ def build_parser() -> _Parser:
     sp.add_output("--out", "reach.csv")
     sp.add_output("--svg", "reach.svg")
     config(sp)
-    jobs(sp)
+    sp.add_argument("--jobs", type=positive_int, help="worker processes (default 1)")
     sp.set_defaults(func=cmd_reach)
     return ap
 

@@ -14,6 +14,9 @@ actuation interval.
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
+import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,16 +369,32 @@ def reach_branch(index: int, x6_cell, net: Network, p: PlateParams,
     return br
 
 
+def _ordered_map(fn, jobs: int, *iterables) -> list:
+    """list(map(fn, *iterables)), spread over `jobs` spawned processes when
+    jobs > 1."""
+    if jobs <= 1:
+        return list(map(fn, *iterables))
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def reach_full(x6_interval, net: Network, p: PlateParams,
-               cfg: ReachConfig = ReachConfig(), base_state=None) -> ReachResult:
+               cfg: ReachConfig = ReachConfig(), base_state=None, *,
+               jobs: int = 1) -> ReachResult:
     """Reachable tube from the standard initial set over the full horizon.
 
     The initial x6 interval is split into n_splits equal cells, one branch
     each. base_state overrides the non-x6 components of the standard start.
+    With jobs > 1 the cells' branches run in that many processes; the
+    branches and their order are those of jobs=1, which runs them in this
+    process.
     """
-    return ReachResult([reach_branch(i, cell, net, p, cfg, base_state)
-                        for i, cell in enumerate(x6_cells(x6_interval, cfg.n_splits))],
-                       cfg)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cells = x6_cells(x6_interval, cfg.n_splits)
+    run = functools.partial(reach_branch, net=net, p=p, cfg=cfg, base_state=base_state)
+    return ReachResult(_ordered_map(run, jobs, range(len(cells)), cells), cfg)
 
 
 BAND_FUNCTIONAL = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])   # x5 + x6

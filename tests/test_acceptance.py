@@ -6,6 +6,7 @@ singularity in free flight); they are asserted faithfully and fail with the
 measured values. See README "Known limitations" for the analysis.
 """
 
+import os
 import time
 
 import numpy as np
@@ -287,7 +288,7 @@ def test_criterion_7_reachability_containment(params, naive_net, adv_net):
         # (Picard) enclosure validates the first step from the 1 m/s start
         # and fails to converge on the second
         cfg = ReachConfig(n_splits=16, dt=1e-4)
-        result = reach_full((1.43, 4.29), emb, params, cfg)
+        result = reach_full((1.43, 4.29), emb, params, cfg, jobs=os.cpu_count() or 1)
         results[name] = result
         n_failed = sum(1 for b in result.branches if b.failed)
         first = next((b for b in result.branches if b.failed), None)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -7,7 +8,7 @@ import pytest
 from seedwing import cli, mlp
 from seedwing.cli import (_apply_config, build_parser, finite_float, float_list, main,
                           non_negative_int, positive_float_list, positive_int)
-from seedwing.verifier import LinConstraint, PropertySpec
+from seedwing.verifier import LinConstraint, PropertySpec, robustness_sweep
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,26 @@ class TestRobustSweep:
         assert lines[0].startswith("epsilon,lstar,rate")
         assert len(lines) == 3
 
+    def test_one_library_call_per_sweep(self, workdir, tmp_path, monkeypatch):
+        # the whole grid is one robustness_sweep call, so the data box, the
+        # point quota and f(x0) are computed once per command
+        calls = []
+
+        def spy(*args, **kw):
+            calls.append(inspect.signature(robustness_sweep).bind(*args, **kw).arguments)
+            return robustness_sweep(*args, **kw)
+
+        monkeypatch.setattr(cli, "robustness_sweep", spy)
+        out = tmp_path / "grid.csv"
+        assert main(["robust-sweep", "--net", str(workdir / "net.json"),
+                     "--data", str(workdir / "data.csv"),
+                     "--eps-list", "1e-5,1e-3", "--lstar-list", "1e-3,1e-2",
+                     "--points", "3", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert calls[0]["eps_list"] == (1e-5, 1e-3)
+        assert calls[0]["lstar_list"] == (1e-3, 1e-2)
+        assert len(out.read_text().splitlines()) == 5
+
 
 class TestReachCommand:
     def test_reach_unknown_exit_three(self, workdir, tmp_path):
@@ -211,30 +232,17 @@ class TestReachCommand:
 
 
 class TestJobs:
-    def test_sweep_jobs_match_serial(self, workdir, tmp_path):
-        rows = []
-        for jobs in (1, 2):
-            out = tmp_path / f"grid-j{jobs}.csv"
-            code = main(["robust-sweep", "--net", str(workdir / "net.json"),
-                         "--data", str(workdir / "data.csv"),
-                         "--eps-list", "1e-5,1e-3", "--lstar-list", "1e-3,1e-2",
-                         "--points", "3", "--jobs", str(jobs), "--out", str(out)])
-            assert code == 0
-            lines = [line.split(",") for line in out.read_text().splitlines()]
-            seconds = lines[0].index("seconds")
-            rows.append([line[:seconds] + line[seconds + 1:] for line in lines])
-        assert rows[0] == rows[1]
-        assert len(rows[0]) == 5
-
     def test_config_sets_jobs(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"jobs": 2}))
-        for command in ("reach", "robust-sweep"):
-            args = _apply_config(build_parser().parse_args([command, "--config", str(conf)]))
-            assert args.jobs == 2
+        args = _apply_config(build_parser().parse_args(["reach", "--config", str(conf)]))
+        assert args.jobs == 2
+        # a key that names no setting of the command is ignored
+        args = _apply_config(build_parser().parse_args(["robust-sweep", "--config", str(conf)]))
+        assert not hasattr(args, "jobs")
 
     @pytest.mark.parametrize("command", ["simulate", "gen-data", "train", "train-adv",
-                                         "verify", "critical-ystar"])
+                                         "verify", "critical-ystar", "robust-sweep"])
     def test_jobs_only_where_read(self, command, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)   # a command that ran would write here
         assert main([command, "--jobs", "2"]) == 1
@@ -408,7 +416,6 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
     (["train-adv", "--data", "DATA", "--epsilon", "0", "--epochs", "3"], ""),
     (["train-adv", "--data", "DATA", "--restarts", "0", "--epochs", "3"], ""),
     (["train-adv", "--data", "DATA", "--restarts", "-2", "--epochs", "3"], ""),
-    (["robust-sweep", "--net", "NET", "--data", "DATA", "--points", "2", "--jobs", "0"], ""),
     (["reach", "--net", "NET", "--jobs", "-3"], ""),
     (["verify", "--net", "BAD", "--property", "1"], NORM5),
     (["critical-ystar", "--net", "BAD"], NORM5),
@@ -463,7 +470,7 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
         "train-lr-overflow", "train-zero-batch", "train-adv-zero-batch",
         "train-negative-batch", "train-zero-epochs", "train-negative-epochs",
         "train-negative-lr", "train-adv-zero-steps", "train-adv-zero-epsilon",
-        "train-adv-zero-restarts", "train-adv-negative-restarts", "sweep-zero-jobs",
+        "train-adv-zero-restarts", "train-adv-negative-restarts",
         "reach-negative-jobs", "verify-norm-short", "critical-norm-short",
         "reach-norm-short", "sweep-norm-short", "norm-reversed", "norm-text-bound",
         "text-weight", "layer-not-object", "meta-not-object", "net-not-object",
@@ -510,7 +517,6 @@ BAD_INPUT_NAMES = {
     "train-negative-lr": "lr must be finite and > 0, got -0.5",
     "train-adv-zero-restarts": "--restarts: must be >= 1, got 0",
     "train-adv-negative-restarts": "--restarts: must be >= 1, got -2",
-    "sweep-zero-jobs": "--jobs: must be >= 1, got 0",
     "reach-negative-jobs": "--jobs: must be >= 1, got -3",
     "verify-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
     "critical-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",

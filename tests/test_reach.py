@@ -677,6 +677,29 @@ class TestReachFull:
         assert (br.fail_cycle, br.fail_step) == divmod(k_fail, cfg.steps_per_cycle)
         assert len(br.checkpoints) == br.fail_cycle + 1
 
+    def test_jobs_match_serial_bit_for_bit(self, heavy_params, heavy_settled, naive_net):
+        # one 0.1 s cycle at dt 1e-3, so both cells' sets propagate and the
+        # controller's enclosure runs in the worker processes
+        cfg = ReachConfig(dt=1e-3, dt_control=0.1, t_end=0.1, n_splits=2)
+        emb = embed_normalization(naive_net)
+        x6 = heavy_settled[5]
+        serial, pooled = (reach_full((x6 - 0.04, x6 + 0.04), emb, heavy_params, cfg,
+                                     base_state=heavy_settled, jobs=jobs).branches
+                          for jobs in (1, 2))
+        assert [len(b.checkpoints) for b in serial] == [2, 2]
+        for a, b in zip(serial, pooled, strict=True):
+            assert (a.index, a.x6_cell) == (b.index, b.x6_cell)
+            assert (a.failed, a.fail_reason, a.fail_cycle, a.fail_step) == \
+                (b.failed, b.fail_reason, b.fail_cycle, b.fail_step)
+            assert len(a.checkpoints) == len(b.checkpoints)
+            for Za, Zb in zip(a.checkpoints, b.checkpoints):
+                assert Za.c.tobytes() == Zb.c.tobytes()
+                assert Za.G.shape == Zb.G.shape and Za.G.tobytes() == Zb.G.tobytes()
+
+    def test_zero_jobs_rejected(self, heavy_params):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            reach_full((2.0, 2.1), constant_net(0.187), heavy_params, jobs=0)
+
     def test_csv_export(self, tmp_path, heavy_params, heavy_settled):
         cfg = ReachConfig(dt=1e-3, t_end=0.5, n_splits=2)
         x6 = heavy_settled[5]
