@@ -182,7 +182,8 @@ def _derivative_core(x, e_x, p: PlateParams):
 # Jacobians seed dual lanes for x1..x4 and u only
 _derivative_core.reads = (0, 1, 2, 3)
 
-# float-path name of the core, used by rk4_step
+# float-path name of the core, looked up by rk4_step at each call, so that
+# the integrator order tests can patch other dynamics in under this name
 _deriv_raw = _derivative_core
 
 
@@ -201,16 +202,11 @@ def angle_of_attack(s: State, u, p: PlateParams) -> float:
     return math.atan2(vy, s.x1)
 
 
-def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0,
-             deriv=None) -> State:
-    """One classical 4th-order Runge-Kutta step with the control held fixed.
-
-    `deriv` may inject an alternative (x, e_x, p) -> 6-tuple derivative,
-    used by the integrator order tests.
-    """
+def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0) -> State:
+    """One classical 4th-order Runge-Kutta step with the control held fixed."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    f = deriv if deriv is not None else _deriv_raw
+    f = _deriv_raw
     e_x = float(u)
     x = s.as_tuple()
     h = 0.5 * dt

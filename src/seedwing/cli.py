@@ -110,9 +110,11 @@ def _parse(argv):
     written, the manifest's too, is checked before the command computes
     anything."""
     parser = build_parser()
-    args = _apply_config(parser.parse_args(argv))
+    args = parser.parse_args(argv)
+    command = parser.commands[args.command]
+    _apply_config(args, command)
     paths = []
-    for dest, default in parser.commands[args.command].outputs.items():
+    for dest, default in command.outputs.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
         if getattr(args, dest) is not None:
@@ -122,16 +124,16 @@ def _parse(argv):
     return args
 
 
-def _apply_config(args):
+def _apply_config(args, parser):
     """Fill the settings no flag gave from the JSON config (flags win).
 
-    Each config value is parsed as the flag of the same setting would be,
-    with the same type, choices and errors (a JSON list as its items joined
-    by commas); keys that name no setting of the command are ignored, so one
-    flat config can serve every command.
+    Each config value is parsed by the command's parser as the flag of the
+    same setting would be, with the same type, choices and errors (a JSON
+    list as its items joined by commas); keys that name no setting of the
+    command are ignored, so one flat config can serve every command.
     """
     if not getattr(args, "config", None):
-        return args
+        return
     with open(args.config) as fh:
         try:
             conf = json.load(fh)
@@ -140,7 +142,6 @@ def _apply_config(args):
     section = conf.get(args.command, conf) if isinstance(conf, dict) else conf
     if not isinstance(section, dict):
         raise UsageError(f"config {args.config}: expected a JSON object")
-    parser = build_parser().commands[args.command]
     tokens = []
     for key, val in section.items():
         action = parser.options.get(key)
@@ -160,7 +161,6 @@ def _apply_config(args):
     for key, val in vars(given).items():
         if val is not None and getattr(args, key) is None:
             setattr(args, key, val)
-    return args
 
 
 def _given(args, *names, **renamed):
@@ -189,6 +189,13 @@ def finite_float(text) -> float:
 
 def float_list(text) -> tuple:
     return tuple(finite_float(v) for v in text.split(","))
+
+
+def positive_float(text) -> float:
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def positive_float_list(text) -> tuple:
@@ -476,7 +483,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--property", dest="prop", type=int, choices=(1, 2, 3, 4))
     sp.add_argument("--ystar", type=finite_float)
     sp.add_argument("--spec", help="PropertySpec JSON file")
-    sp.add_argument("--budget-s", dest="budget_s", type=finite_float)
+    sp.add_argument("--budget-s", dest="budget_s", type=positive_float)
     sp.add_output("--out", "verify.csv")
     config(sp)
     sp.set_defaults(func=cmd_verify)
@@ -486,7 +493,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--properties", type=property_kinds)
     sp.add_argument("--resolution", type=finite_float)
     sp.add_argument("--search-max", dest="search_max", type=finite_float)
-    sp.add_argument("--budget-s", dest="budget_s", type=finite_float)
+    sp.add_argument("--budget-s", dest="budget_s", type=positive_float)
     sp.add_output("--out", "critical-ystar.csv")
     config(sp)
     sp.set_defaults(func=cmd_critical_ystar)
@@ -497,8 +504,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--eps-list", dest="eps_list", type=positive_float_list)
     sp.add_argument("--lstar-list", dest="lstar_list", type=float_list)
     sp.add_argument("--points", type=positive_int)
-    sp.add_argument("--query-budget-s", dest="query_budget_s", type=finite_float)
-    sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=finite_float)
+    sp.add_argument("--query-budget-s", dest="query_budget_s", type=positive_float)
+    sp.add_argument("--cell-budget-s", dest="cell_budget_s", type=positive_float)
     sp.add_output("--out", "robust-sweep.csv")
     config(sp)
     sp.set_defaults(func=cmd_robust_sweep)

@@ -87,23 +87,17 @@ def _boxes_to_intervals(lo, hi):
     return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
-def interval_derivative(x_ivs, u_iv: Interval, p: PlateParams, core=None):
-    """Interval enclosure of the six derivatives over a state box x input set.
+# The functions below call the dynamics by the module name `_derivative_core`
+# and read its `reads` tuple (the state entries seeded as dual lanes, with u)
+# at call time, never binding either earlier: that name is the one seam
+# through which tests patch in other generic dynamics.
 
-    `core` may inject an alternative generic derivative (x, u, p); the
-    default is the plate model.
-    """
-    f = core if core is not None else _derivative_core
+def interval_derivative(x_ivs, u_iv: Interval, p: PlateParams):
+    """Interval enclosure of the six derivatives over a state box x input set."""
     try:
-        return f(list(x_ivs), u_iv, p)
+        return _derivative_core(list(x_ivs), u_iv, p)
     except iv.IntervalDomainError as exc:
         raise ReachDomainError(str(exc)) from exc
-
-
-def _lanes(core):
-    """State entries the core declares it reads (its `reads` attribute), or
-    all six; only these and u are seeded as dual lanes."""
-    return tuple(getattr(core, "reads", range(6)))
 
 
 def _seeded(x, u, lanes, kind):
@@ -116,13 +110,12 @@ def _seeded(x, u, lanes, kind):
     return x, seeds[-1]
 
 
-def point_jacobian(x, u: float, p: PlateParams, core=None):
+def point_jacobian(x, u: float, p: PlateParams):
     """6x7 Jacobian d f / d(x1..x6, u) at a point, via dual numbers. Columns
     of entries the core does not read are exact zeros. The reach step does
     not call it (it linearizes about mid(J_int)); it is the tests' oracle."""
-    f = core if core is not None else _derivative_core
-    lanes = _lanes(f)
-    out = f(*_seeded([float(v) for v in x], float(u), lanes, float), p)
+    lanes = _derivative_core.reads
+    out = _derivative_core(*_seeded([float(v) for v in x], float(u), lanes, float), p)
     cols = list(lanes) + [6]
     J = np.zeros((6, 7))
     for i, d in enumerate(out):
@@ -131,16 +124,15 @@ def point_jacobian(x, u: float, p: PlateParams, core=None):
     return J
 
 
-def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams, core=None):
+def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams):
     """6x7 matrix of Interval partials of f over the box x_ivs x u_iv.
     Columns of entries the core does not read are exact zeros.
 
     Raises ReachDomainError when the set leaves the enclosure domain.
     """
-    f = core if core is not None else _derivative_core
-    lanes = _lanes(f)
+    lanes = _derivative_core.reads
     try:
-        out = f(*_seeded(x_ivs, u_iv, lanes, Interval), p)
+        out = _derivative_core(*_seeded(x_ivs, u_iv, lanes, Interval), p)
     except iv.IntervalDomainError as exc:
         raise ReachDomainError(str(exc)) from exc
     cols = lanes + (6,)
@@ -155,8 +147,7 @@ def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams, core=None):
     return J
 
 
-def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig,
-                 core=None):
+def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig):
     """Validated enclosure B of all step trajectories: hull + [0,dt]*f(B) in B.
 
     The first candidate is the hull itself. Each side of B that falls short
@@ -171,7 +162,7 @@ def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig,
     m_hi = [0.0] * 6
     for _ in range(40):
         B = [Interval(l.lo - a, l.hi + b) for l, a, b in zip(x_ivs, m_lo, m_hi)]
-        fB = [iv.as_interval(v) for v in interval_derivative(B, u_iv, p, core)]
+        fB = [iv.as_interval(v) for v in interval_derivative(B, u_iv, p)]
         need_lo = [max(0.0, -dt * f.lo) + 1e-15 for f in fB]
         need_hi = [max(0.0, dt * f.hi) + 1e-15 for f in fB]
         if all(m >= n for m, n in zip(m_lo + m_hi, need_lo + need_hi)):
@@ -226,22 +217,16 @@ def _remainder(lo, hi, c, J_int, J_c, u_set: Interval, fB, dt):
 
 
 def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
-               cfg: ReachConfig = ReachConfig(), core=None,
-               return_info: bool = False):
-    """One dt step of the conservative linearization.
-
-    `core` injects alternative generic dynamics (tests); with return_info the
-    remainder decomposition is returned alongside the zonotope.
-    """
+               cfg: ReachConfig = ReachConfig()) -> Zonotope:
+    """One dt step of the conservative linearization."""
     dt = cfg.dt
     lo, hi = (h.tolist() for h in zono_hull(Z))
-    B, fB = _apriori_box(lo, hi, u_set, p, cfg, core)
-    J_int = interval_jacobian(B, u_set, p, core)
+    B, fB = _apriori_box(lo, hi, u_set, p, cfg)
+    J_int = interval_jacobian(B, u_set, p)
 
     u_c = u_set.mid
     c = Z.c.tolist()
-    f = core if core is not None else _derivative_core
-    f_c = np.array([float(v) for v in f(c, u_c, p)])
+    f_c = np.array([float(v) for v in _derivative_core(c, u_c, p)])
     # linearize about the interval Jacobian's midpoint, so that the remainder
     # pays rad(J_int)·|dx| per entry; unread columns stay exact zeros
     J_mid = [[0.5 * J.lo + 0.5 * J.hi for J in row] for row in J_int]
@@ -260,10 +245,6 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     w = np.max(hi_next - lo_next)
     if w > BLOWUP_WIDTH:
         raise BranchFailure(f"set blow-up: hull width {w:.3g}")
-    if return_info:
-        rem = [Interval(a, b) for a, b in zip(rem_lo, rem_hi)]
-        return Z_next, {"remainder": rem, "apriori": B, "J_int": J_int,
-                        "J_c": J_c, "f_c": f_c}
     return Z_next
 
 

@@ -126,14 +126,14 @@ def _lipschitz_term_gradient(net: Network, x, x_adv) -> np.ndarray:
 
 
 def train_adversarial(net0: Network, X: np.ndarray, Y: np.ndarray,
-                      cfg: RobustTrainConfig, box=None) -> Network:
-    """Min-max training: every batch is attacked with PGD, and the loss is
-    the mean of clean and adversarial MSE plus lambda_lip times the batch
-    Lipschitz quotient (so epsilon -> 0, lambda = 0 is plain training)."""
+                      cfg: RobustTrainConfig) -> Network:
+    """Min-max training: every batch is attacked with PGD inside the data's
+    box, and the loss is the mean of clean and adversarial MSE plus
+    lambda_lip times the batch Lipschitz quotient (so epsilon -> 0,
+    lambda = 0 is plain training)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
-    if box is None:
-        box = (X.min(axis=0), X.max(axis=0))
+    box = (X.min(axis=0), X.max(axis=0))
     attack_rng = np.random.default_rng(cfg.seed + 1)
 
     def batch_gradient(cur, Xb, Yb):

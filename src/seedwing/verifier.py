@@ -387,11 +387,12 @@ def constraint_violation(c: LinConstraint, x, y) -> float:
                for ic, oc, rhs in c.as_leq())
 
 
-def premise_holds(spec: PropertySpec, x, tol: float = REPLAY_TOL) -> bool:
+def premise_holds(spec: PropertySpec, x) -> bool:
+    """Whether x lies in the spec's box and premise, within REPLAY_TOL."""
     for lo_hi, xi in zip(spec.input_box, x):
-        if xi < lo_hi[0] - tol or xi > lo_hi[1] + tol:
+        if xi < lo_hi[0] - REPLAY_TOL or xi > lo_hi[1] + REPLAY_TOL:
             return False
-    return all(constraint_violation(c, x, ()) <= tol for c in spec.premise)
+    return all(constraint_violation(c, x, ()) <= REPLAY_TOL for c in spec.premise)
 
 
 def lp_feasible(A, b, box):
@@ -428,6 +429,10 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
     t0 = time.perf_counter()
     stats = {"nodes": 0, "lp": 0}
 
+    def verdict(status, **kw):
+        return Verdict(status, nodes=stats["nodes"], lp_calls=stats["lp"],
+                       seconds=time.perf_counter() - t0, **kw)
+
     # the premise as one <= system (A, b) per query; the conclusion as <= rows,
     # each closed by a node's output zonotope or negated in a node LP of its own
     premise = input_rows(spec.premise, spec.n_in)
@@ -443,15 +448,14 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
         feas = lp_feasible(*premise, box)
         stats["lp"] += 1
         if not feas.feasible:
-            return Verdict("verified", vacuous=True, nodes=0, lp_calls=stats["lp"],
-                           seconds=time.perf_counter() - t0)
+            return verdict("verified", vacuous=True)
         # the premise contracts the box once per query; every node starts
         # from the contracted box. A premise the LP accepts within tolerance
         # can still empty it: the root node then closes without an LP.
         lo, hi, empty = tighten_box(box, *premise)
         if empty:
-            return Verdict("verified", nodes=1, lp_calls=stats["lp"],
-                           seconds=time.perf_counter() - t0)
+            stats["nodes"] = 1
+            return verdict("verified")
         box = tuple(zip(lo, hi))
 
     # DFS over phase assignments; each entry carries the conclusion rows still open
@@ -459,8 +463,7 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
     while stack:
         if stats["nodes"] >= budget.max_nodes or \
            time.perf_counter() - t0 > budget.max_seconds:
-            return Verdict("timeout", nodes=stats["nodes"], lp_calls=stats["lp"],
-                           seconds=time.perf_counter() - t0)
+            return verdict("timeout")
         phases, pending = stack.pop()
         stats["nodes"] += 1
         info = interval_bounds(net, box, phases)
@@ -483,10 +486,8 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
             if premise_holds(spec, x):
                 worst = max(constraint_violation(c, x, y) for c in spec.conclusion)
                 if worst > REPLAY_TOL:
-                    return Verdict("falsified", witness=x,
-                                   witness_outputs=np.atleast_1d(y),
-                                   nodes=stats["nodes"], lp_calls=stats["lp"],
-                                   seconds=time.perf_counter() - t0)
+                    return verdict("falsified", witness=x,
+                                   witness_outputs=np.atleast_1d(y))
             if node.unstable:
                 still_open.append(ci)
             # else an exact leaf: the LP optimum replays below tolerance, the
@@ -500,8 +501,7 @@ def bab_verify(net: Network, spec: PropertySpec, budget: Budget = Budget()) -> V
             # inactive child explored first (deterministic DFS order)
             stack.append((active, still_open))
             stack.append((inactive, still_open))
-    return Verdict("verified", nodes=stats["nodes"], lp_calls=stats["lp"],
-                   seconds=time.perf_counter() - t0)
+    return verdict("verified")
 
 
 def _pick_split(info):

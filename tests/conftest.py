@@ -6,8 +6,6 @@ from seedwing.aeromodel import PlateParams, State, rk4_step
 from seedwing.closedloop import (DEFAULT_GAINS, SimConfig, fit_norm,
                                  generate_dataset, rows_to_arrays)
 
-UNIT_BOX = (np.zeros(6), np.ones(6))
-
 
 @pytest.fixture(scope="session")
 def params():
@@ -40,9 +38,7 @@ def naive_net(data_arrays, norm_spec):
 def adv_net(data_arrays, norm_spec):
     X, Y = data_arrays
     cfg = robust.RobustTrainConfig(epochs=2000, lr=0.02, seed=0)
-    net = robust.train_adversarial(mlp.init_network(seed=0, norm=norm_spec),
-                                   X, Y, cfg, box=UNIT_BOX)
-    return net
+    return robust.train_adversarial(mlp.init_network(seed=0, norm=norm_spec), X, Y, cfg)
 
 
 @pytest.fixture(scope="session")

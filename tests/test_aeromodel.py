@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from seedwing import aeromodel
 from seedwing.aeromodel import (AlphaRegionError, IntegrationDivergedError,
                                 PlateParams, State, _aero_terms, _coeffs_abs,
                                 _deriv_raw, angle_of_attack, mean_glide_slope,
@@ -230,11 +231,12 @@ class TestStateDerivative:
 
 
 class TestRk4:
-    def test_linear_system_fourth_order(self, params):
+    def test_linear_system_fourth_order(self, params, monkeypatch):
         def lin(x, e_x, p):
             return tuple(-v for v in x)
 
-        s = rk4_step(State(1, 1, 1, 1, 1, 1), 0.187, params, 0.1, deriv=lin)
+        monkeypatch.setattr(aeromodel, "_deriv_raw", lin)
+        s = rk4_step(State(1, 1, 1, 1, 1, 1), 0.187, params, 0.1)
         taylor = 1 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
         assert s.x1 == pytest.approx(taylor, abs=1e-8)
         # one-step distance to the true flow is the dt^5/120 Taylor tail
@@ -259,12 +261,13 @@ class TestRk4:
         e2 = np.linalg.norm(run(1e-3, 2) - ref)
         assert 10.0 <= e1 / e2 <= 22.0
 
-    def test_divergence_error_carries_time(self, params):
+    def test_divergence_error_carries_time(self, params, monkeypatch):
         def blow(x, e_x, p):
             return (1e308, 1e308, 0, 0, 0, 0)
 
+        monkeypatch.setattr(aeromodel, "_deriv_raw", blow)
         with pytest.raises(IntegrationDivergedError) as exc:
-            rk4_step(State(1, 0, 0, 0, 0, 0), 0.187, params, 0.5, t=3.25, deriv=blow)
+            rk4_step(State(1, 0, 0, 0, 0, 0), 0.187, params, 0.5, t=3.25)
         assert exc.value.t == pytest.approx(3.75)
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from seedwing import cli, mlp
 from seedwing.cli import (_apply_config, build_parser, finite_float, float_list, main,
-                          non_negative_int, positive_float_list, positive_int)
+                          non_negative_int, positive_float, positive_float_list,
+                          positive_int)
 from seedwing.verifier import LinConstraint, PropertySpec, robustness_sweep
 
 
@@ -231,14 +232,22 @@ class TestReachCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def config_args(argv):
+    """argv's settings from its flags, then its config, as main parses them."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _apply_config(args, parser.commands[args.command])
+    return args
+
+
 class TestJobs:
     def test_config_sets_jobs(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"jobs": 2}))
-        args = _apply_config(build_parser().parse_args(["reach", "--config", str(conf)]))
+        args = config_args(["reach", "--config", str(conf)])
         assert args.jobs == 2
         # a key that names no setting of the command is ignored
-        args = _apply_config(build_parser().parse_args(["robust-sweep", "--config", str(conf)]))
+        args = config_args(["robust-sweep", "--config", str(conf)])
         assert not hasattr(args, "jobs")
 
     @pytest.mark.parametrize("command", ["simulate", "gen-data", "train", "train-adv",
@@ -276,7 +285,7 @@ def _sample(dest, action):
     if action.choices:
         return str(list(action.choices)[-1])
     return {int: "2", positive_int: "2", non_negative_int: "2",
-            finite_float: "0.25"}.get(action.type, "x")
+            finite_float: "0.25", positive_float: "0.25"}.get(action.type, "x")
 
 
 @pytest.mark.parametrize("command", sorted(build_parser().commands))
@@ -293,7 +302,7 @@ def test_config_sets_every_flag(command, tmp_path):
         conf = tmp_path / f"{dest}.json"
         conf.write_text(json.dumps({command: {dest: value}}))
         from_flag = build_parser().parse_args([command] + argv)
-        from_config = _apply_config(build_parser().parse_args([command, "--config", str(conf)]))
+        from_config = config_args([command, "--config", str(conf)])
         assert getattr(from_config, dest) == getattr(from_flag, dest) is not None, dest
 
 
@@ -309,7 +318,7 @@ def test_config_list_sets_list_flag(command, dest, items, tmp_path):
     parser = build_parser()
     flag = parser.commands[command].options[dest].option_strings[-1]
     from_flag = parser.parse_args([command, flag, ",".join(map(str, items))])
-    from_config = _apply_config(parser.parse_args([command, "--config", str(conf)]))
+    from_config = config_args([command, "--config", str(conf)])
     assert getattr(from_config, dest) == getattr(from_flag, dest) == tuple(items)
 
 
@@ -455,6 +464,14 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
     (["simulate", "--t-end", "1", "--out", "SHADOWED"], ""),
     (["gen-data", "--norm-out", "NO_PARENT"], ""),
     (["gen-data", "--norm-out", "FILE_PARENT"], ""),
+    (["verify", "--net", "NET", "--property", "1", "--budget-s", "0"], ""),
+    (["verify", "--net", "NET", "--property", "1", "--budget-s", "-1"], ""),
+    (["critical-ystar", "--net", "NET", "--budget-s", "0"], ""),
+    (["critical-ystar", "--net", "NET", "--budget-s", "-1"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--query-budget-s", "0"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--query-budget-s", "-1"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--cell-budget-s", "0"], ""),
+    (["robust-sweep", "--net", "NET", "--data", "DATA", "--cell-budget-s", "-1"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -480,7 +497,11 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
         "sim-diverged-domain", "sim-open-dt-not-dividing", "sim-dt-above-control",
         "reach-dt-above-control", "sim-t-end-below-dt", "train-no-rows", "sweep-no-rows",
         "train-one-row", "train-constant-column", "gen-data-out-dir",
-        "sim-manifest-dir", "out-parent-missing", "out-parent-a-file"])
+        "sim-manifest-dir", "out-parent-missing", "out-parent-a-file",
+        "verify-zero-budget", "verify-negative-budget", "critical-zero-budget",
+        "critical-negative-budget", "sweep-zero-query-budget",
+        "sweep-negative-query-budget", "sweep-zero-cell-budget",
+        "sweep-negative-cell-budget"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -518,6 +539,14 @@ BAD_INPUT_NAMES = {
     "train-adv-zero-restarts": "--restarts: must be >= 1, got 0",
     "train-adv-negative-restarts": "--restarts: must be >= 1, got -2",
     "reach-negative-jobs": "--jobs: must be >= 1, got -3",
+    "verify-zero-budget": "--budget-s: must be > 0, got 0",
+    "verify-negative-budget": "--budget-s: must be > 0, got -1",
+    "critical-zero-budget": "--budget-s: must be > 0, got 0",
+    "critical-negative-budget": "--budget-s: must be > 0, got -1",
+    "sweep-zero-query-budget": "--query-budget-s: must be > 0, got 0",
+    "sweep-negative-query-budget": "--query-budget-s: must be > 0, got -1",
+    "sweep-zero-cell-budget": "--cell-budget-s: must be > 0, got 0",
+    "sweep-negative-cell-budget": "--cell-budget-s: must be > 0, got -1",
     "verify-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
     "critical-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
     "reach-norm-short": "'norm.in_min' has 5 bounds for 6 network inputs",
@@ -559,7 +588,8 @@ BAD_INPUT_NAMES = {
 NUMBER_FLAGS = [(name, action.option_strings[-1])
                 for name, sp in build_parser().commands.items()
                 for action in sp.options.values()
-                if action.type in (finite_float, float_list, positive_float_list)]
+                if action.type in (finite_float, positive_float, float_list,
+                                   positive_float_list)]
 NON_FINITE = [
     (["simulate", "--x6-start", "nan"], ""),
     (["verify", "--net", "NET", "--property", "1", "--ystar", "nan"], ""),

@@ -45,7 +45,8 @@ def fine_flow(x, u, p, dt, n_sub=100):
 
 
 def linear_core(A, B):
-    """Injectable linear dynamics dx = A x + B u for generic scalars."""
+    """Linear dynamics dx = A x + B u for generic scalars, reading all six
+    state entries; tests patch it in as `reach._derivative_core`."""
     def core(x, u, p):
         out = []
         for i in range(6):
@@ -55,7 +56,27 @@ def linear_core(A, B):
             acc = acc + B[i] * u
             out.append(acc)
         return out
+    core.reads = tuple(range(6))
     return core
+
+
+def step_internals(Z, u, p, cfg):
+    """reach_step's next zonotope, and the (arguments, return value) of its
+    calls to reach._apriori_box, interval_jacobian and _remainder."""
+    calls = {}
+
+    def recorder(name):
+        fn = getattr(reach, name)
+
+        def call(*args):
+            calls[name] = args, fn(*args)
+            return calls[name][1]
+        return call
+
+    names = ("_apriori_box", "interval_jacobian", "_remainder")
+    with mock.patch.multiple(reach, **{n: recorder(n) for n in names}):
+        Z_next = reach_step(Z, u, p, cfg)
+    return Z_next, calls
 
 
 class TestJacobians:
@@ -120,8 +141,12 @@ class TestJacobians:
 
 
 def plate_all_lanes(x, u, p):
-    """The plate core without its `reads` declaration: every entry seeded."""
+    """The plate core declaring all six state entries read: every entry
+    seeded."""
     return _deriv_raw(x, u, p)
+
+
+plate_all_lanes.reads = tuple(range(6))
 
 
 def _bits(x):
@@ -142,23 +167,24 @@ class TestJacobianLanes:
                 assert _bits(Jp[i, j]) == _bits(0.0)
 
     def test_read_columns_equal_all_lanes_bit_for_bit(self, params):
-        Jint = interval_jacobian(self.BOX, self.U, params)
-        ref = interval_jacobian(self.BOX, self.U, params, core=plate_all_lanes)
         x = [b.mid for b in self.BOX]
+        Jint = interval_jacobian(self.BOX, self.U, params)
         Jp = point_jacobian(x, self.U.mid, params)
-        Jp_ref = point_jacobian(x, self.U.mid, params, core=plate_all_lanes)
+        with mock.patch.object(reach, "_derivative_core", plate_all_lanes):
+            ref = interval_jacobian(self.BOX, self.U, params)
+            Jp_ref = point_jacobian(x, self.U.mid, params)
         for i in range(6):
             for j in (0, 1, 2, 3, 6):
                 assert _bits(Jint[i][j]) == _bits(ref[i][j])
                 assert _bits(Jp[i, j]) == _bits(Jp_ref[i, j])
 
-    def test_undeclared_core_keeps_position_column(self, params):
+    def test_declared_position_lanes_keep_their_columns(self, params, monkeypatch):
         A = np.zeros((6, 6))
         A[0][4] = 0.75
         A[1][5] = -2.0
-        core = linear_core(A, np.zeros(6))
-        Jint = interval_jacobian(self.BOX, self.U, params, core=core)
-        Jp = point_jacobian([b.mid for b in self.BOX], self.U.mid, params, core=core)
+        monkeypatch.setattr(reach, "_derivative_core", linear_core(A, np.zeros(6)))
+        Jint = interval_jacobian(self.BOX, self.U, params)
+        Jp = point_jacobian([b.mid for b in self.BOX], self.U.mid, params)
         assert contains(Jint[0][4], 0.75) and Jint[0][4].width < 1e-12
         assert contains(Jint[1][5], -2.0) and Jint[1][5].width < 1e-12
         assert Jp[0, 4] == 0.75 and Jp[1, 5] == -2.0
@@ -173,12 +199,14 @@ class TestJacobianLanes:
                  (initial_zonotope(1.43, 1.60875), Interval(0.19027, 0.19113), params,
                   ReachConfig(dt=1e-4))]
         for Z, u, p, cfg in cases:
-            _, info = reach_step(Z, u, p, cfg, return_info=True)
+            _, calls = step_internals(Z, u, p, cfg)
+            B = calls["_apriori_box"][1][0]
+            J_c = calls["_remainder"][0][4]
             lo, hi = (h.tolist() for h in zono_hull(Z))
-            fB = [iv.as_interval(v) for v in interval_derivative(info["apriori"], u, p)]
-            want = remainder_intervals(lo, hi, Z.c.tolist(), info["J_int"],
-                                       info["J_c"].tolist(), u, fB, cfg.dt)
-            assert [_bits(r) for r in info["remainder"]] == \
+            fB = [iv.as_interval(v) for v in interval_derivative(B, u, p)]
+            want = remainder_intervals(lo, hi, Z.c.tolist(), calls["interval_jacobian"][1],
+                                       J_c, u, fB, cfg.dt)
+            assert [_bits(Interval(a, b)) for a, b in zip(*calls["_remainder"][1])] == \
                 [_bits(Interval(a, b)) for a, b in zip(*want)]
 
 
@@ -297,8 +325,9 @@ class TestStepWithReferenceArithmetic:
             Z = reach_step(Z, u, params, cfg)
             with mock.patch.multiple(Dual, **TWO_PASS_OPERATORS), \
                     mock.patch.multiple(iv, **TWO_PASS_KERNELS), \
-                    mock.patch.object(reach, "_remainder", remainder_intervals):
-                Z_ref = reach_step(Z_ref, u, params, cfg, core=plate_all_lanes)
+                    mock.patch.object(reach, "_remainder", remainder_intervals), \
+                    mock.patch.object(reach, "_derivative_core", plate_all_lanes):
+                Z_ref = reach_step(Z_ref, u, params, cfg)
             assert Z.c.tobytes() == Z_ref.c.tobytes()
             assert Z.G.tobytes() == Z_ref.G.tobytes()
 
@@ -341,23 +370,23 @@ def test_config_divisibility_errors_name_the_values(kw, text):
 
 
 class TestReachStep:
-    def test_linear_dynamics_zero_linearization_remainder(self, params):
+    def test_linear_dynamics_zero_linearization_remainder(self, params, monkeypatch):
         A = np.diag([-1.0, -0.5, -2.0, 0.0, 0.0, 0.0])
         A[3, 2] = 1.0
         B = np.zeros(6)
-        core = linear_core(A, B)
+        monkeypatch.setattr(reach, "_derivative_core", linear_core(A, B))
         cfg = ReachConfig(dt=0.01)
         Z = Zonotope(np.array([1.0, 1, 1, 0, 0, 0]),
                      np.diag([0.1, 0.1, 0.1, 0.1, 0.1, 0.1]))
-        Z2, info = reach_step(Z, Interval(0.187), params, cfg, core=core,
-                              return_info=True)
+        Z2, calls = step_internals(Z, Interval(0.187), params, cfg)
+        rem_lo, rem_hi = calls["_remainder"][1]
         # the interval Jacobian of a linear system is a point, so the
         # mean-value remainder width comes from the truncation term alone:
         # dt^2/2 * A (A x) over the a-priori box
         hull_abs = np.abs(Z.c) + np.abs(Z.G).sum(axis=1) + 0.1
         trunc_cap = 0.51 * cfg.dt ** 2 * (np.abs(A) @ (np.abs(A) @ hull_abs))
         for i in range(6):
-            assert info["remainder"][i].width / 2 <= trunc_cap[i] + 1e-12
+            assert (rem_hi[i] - rem_lo[i]) / 2 <= trunc_cap[i] + 1e-12
         # center advances by the second-order Taylor map, up to the midpoint
         # asymmetry of the truncation interval over the a-priori box
         want = Z.c + cfg.dt * (A @ Z.c) + 0.5 * cfg.dt ** 2 * (A @ (A @ Z.c))
@@ -456,14 +485,14 @@ class TestMidpointStep:
                               heavy_params, ReachConfig(dt=1e-3)),
                              (initial_zonotope(1.43, 1.60875), Interval(0.19027, 0.19113),
                               params, ReachConfig(dt=1e-4))]:
-            _, info = reach_step(Z, u, p, cfg, return_info=True)
-            J_c, J_int = info["J_c"], info["J_int"]
+            _, calls = step_internals(Z, u, p, cfg)
+            J_c, J_int = calls["_remainder"][0][4], calls["interval_jacobian"][1]
             for i in range(6):
                 for j in range(7):
                     J = J_int[i][j]
-                    assert _bits(J_c[i, j]) == _bits(0.5 * J.lo + 0.5 * J.hi)
+                    assert _bits(J_c[i][j]) == _bits(0.5 * J.lo + 0.5 * J.hi)
                 for j in (4, 5):
-                    assert _bits(J_c[i, j]) == _bits(0.0)
+                    assert _bits(J_c[i][j]) == _bits(0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(),

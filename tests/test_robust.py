@@ -136,23 +136,26 @@ class TestOneTracePerIterate:
            lambda_lip=st.sampled_from([0.0, 0.01, 0.5]))
     def test_training_matches_two_pass_oracle(self, data, attack, seed, epochs,
                                               batch_size, lambda_lip):
-        net, X, Y, box = attack_problem(data.draw)
+        # training attacks inside the data's box
+        net, X, Y = small_problem(data.draw)
+        box = (X.min(axis=0), X.max(axis=0))
         cfg = RobustTrainConfig(attack=attack, lambda_lip=lambda_lip, epochs=epochs,
                                 seed=seed, batch_size=batch_size)
-        assert_same_outcome(outcome(lambda: train_adversarial(net, X, Y, cfg, box=box)),
+        assert_same_outcome(outcome(lambda: train_adversarial(net, X, Y, cfg)),
                             outcome(lambda: train_adversarial_two_pass(net, X, Y, cfg, box)))
 
     def test_training_with_penalty_partial_batch_matches_oracle(self, data_arrays):
         X, Y = data_arrays[0][:45], data_arrays[1][:45]
         cfg = RobustTrainConfig(epochs=3, seed=4, batch_size=16, lambda_lip=0.5)
-        assert_same_net(train_adversarial(init_network(seed=1), X, Y, cfg, box=UNIT6),
-                        train_adversarial_two_pass(init_network(seed=1), X, Y, cfg, UNIT6))
+        box = (X.min(axis=0), X.max(axis=0))
+        assert_same_net(train_adversarial(init_network(seed=1), X, Y, cfg),
+                        train_adversarial_two_pass(init_network(seed=1), X, Y, cfg, box))
 
     def test_bad_settings_name_the_value(self):
         X = np.random.default_rng(0).uniform(size=(8, 6))
         with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
             train_adversarial(init_network(seed=0), X, X[:, 0],
-                              RobustTrainConfig(batch_size=0), box=UNIT6)
+                              RobustTrainConfig(batch_size=0))
 
 
 class TestLipschitzPenalty:
@@ -197,7 +200,7 @@ class TestTrainAdversarial:
             attack=AttackConfig(epsilon=1e-12, steps=2, restarts=1),
             lambda_lip=0.0, epochs=40, lr=0.02, seed=0)
         a = train(init_network(seed=1), X, Y, epochs=40, lr=0.02, seed=0)
-        b = train_adversarial(init_network(seed=1), X, Y, cfg, box=UNIT6)
+        b = train_adversarial(init_network(seed=1), X, Y, cfg)
         worst = max(np.max(np.abs(la.w - lb.w)) for la, lb in zip(a.layers, b.layers))
         assert worst <= 1e-6
 
@@ -217,8 +220,8 @@ class TestTrainAdversarial:
     def test_deterministic(self, data_arrays):
         X, Y = data_arrays
         cfg = RobustTrainConfig(epochs=5, lr=0.02, seed=3)
-        a = train_adversarial(init_network(seed=2), X[:64], Y[:64], cfg, box=UNIT6)
-        b = train_adversarial(init_network(seed=2), X[:64], Y[:64], cfg, box=UNIT6)
+        a = train_adversarial(init_network(seed=2), X[:64], Y[:64], cfg)
+        b = train_adversarial(init_network(seed=2), X[:64], Y[:64], cfg)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.w, lb.w)
 
