@@ -124,12 +124,13 @@ def selection_fraction(alpha, p: PlateParams):
 def _coeffs_abs(aa, p: PlateParams):
     """Coefficients from |alpha|; every aerodynamic term is even in alpha."""
     f = selection_fraction(aa, p)
+    g = 1.0 - f
     sin_aa = iv.sin(aa)
-    c_lift = -(f * p.cl1 * sin_aa + (1.0 - f) * p.cl2 * iv.sin(2.0 * aa))
+    c_lift = -(f * p.cl1 * sin_aa + g * p.cl2 * iv.sin(2.0 * aa))
     s2 = sin_aa ** 2
-    c_drag = f * (p.cd0 + p.cd1 * s2) + (1.0 - f) * p.cd90 * s2
+    c_drag = f * (p.cd0 + p.cd1 * s2) + g * p.cd90 * s2
     l_cp = p.ell * (f * (p.ccp0 - p.ccp1 * aa ** 2)
-                    + p.ccp2 * (1.0 - f) * (1.0 - aa / (math.pi / 2)))
+                    + p.ccp2 * g * (1.0 - aa / (math.pi / 2)))
     return f, c_lift, c_drag, l_cp
 
 
@@ -142,10 +143,12 @@ def _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p: PlateParams):
     # lift carries -x1 in the y' slot so that tau_t below is exactly the
     # lever arm times the y' aerodynamic force (and the lift is the
     # perpendicular Kutta force for c_lift < 0)
-    lift_t = (half_rho_l * c_lift * spd * vy, -half_rho_l * c_lift * spd * x1)
+    k_lift = half_rho_l * c_lift * spd
+    k_drag = -half_rho_l * c_drag * spd
+    lift_t = (k_lift * vy, -k_lift * x1)
     lift_r = (-0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * vy,
               0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * x1)
-    drag = (-half_rho_l * c_drag * spd * x1, -half_rho_l * c_drag * spd * vy)
+    drag = (k_drag * x1, k_drag * vy)
     tau_t = -half_rho_l * spd * (c_lift * x1 + c_drag * vy) * (l_cp - l_cm)
     bracket = (2.0 * e_x + 1.0) ** 4 + (2.0 * e_x - 1.0) ** 4
     tau_r = -(1.0 / 128.0) * p.rho_f * p.ell ** 4 * p.cd90 * x3 * iv.absval(x3) * bracket

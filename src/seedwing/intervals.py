@@ -496,12 +496,15 @@ class Dual:
         return NotImplemented
 
     def __pow__(self, n):
+        """x ** n as one chain rule: the value v ** n (on an Interval v its
+        even power, which knows the n factors are one) and the partials
+        n * v ** (n - 1) times x's."""
         if not isinstance(n, int) or n < 1:
             return NotImplemented
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        if n == 1:
+            return self
+        v = self.val
+        return _chain(self, v ** n, n * (v if n == 2 else v ** (n - 1)))
 
 
 # -- generic scalar functions ----------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from . import intervals as iv
 from .aeromodel import DT, EX_MAX, EX_MIN, T_END, PlateParams, _derivative_core
 from .closedloop import DT_CONTROL, check_multiple, check_times
-from .intervals import Dual, Interval, _pad, _product, _scale
+from .intervals import Dual, Interval, _interval, _pad, _product, _scale
 from .mlp import Network, propagate_bounds
 from .zono import Zonotope, zono_hull, zono_max_linear, zono_reduce
 
@@ -84,7 +84,7 @@ class ReachConfig:
 
 
 def _boxes_to_intervals(lo, hi):
-    return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
+    return [_interval(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
 # The functions below call the dynamics by the module name `_derivative_core`
@@ -124,9 +124,11 @@ def point_jacobian(x, u: float, p: PlateParams):
     return J
 
 
-def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams):
+def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams, values=None):
     """6x7 matrix of Interval partials of f over the box x_ivs x u_iv.
-    Columns of entries the core does not read are exact zeros.
+    Columns of entries the core does not read are exact zeros. A list given
+    as `values` receives the six value enclosures of the same evaluation,
+    which equal interval_derivative's over the box bit for bit.
 
     Raises ReachDomainError when the set leaves the enclosure domain.
     """
@@ -144,29 +146,47 @@ def interval_jacobian(x_ivs, u_iv: Interval, p: PlateParams):
             for k, v in zip(cols, d.der):
                 row[k] = v
         # constant rows (no Dual) keep zero partials
+    if values is not None:
+        values.extend(iv.as_interval(d) for d in out)
     return J
 
 
 def _apriori_box(lo, hi, u_iv: Interval, p: PlateParams, cfg: ReachConfig):
-    """Validated enclosure B of all step trajectories: hull + [0,dt]*f(B) in B.
+    """Validated enclosure B of all step trajectories, hull + [0,dt]*f(B) in
+    B, returned with f(B) and the interval Jacobian over B.
 
-    The first candidate is the hull itself. Each side of B that falls short
-    of its need, dt*f(B) outward, grows to 1.2x that need, and the test
-    repeats until the Picard condition holds; the multiplicative growth also
-    copes with transiently stiff steps where additive inflation stalls.
+    The first candidate is the hull itself; its zero margins always fail the
+    test, so interval_derivative alone sizes the next one. Each side of B
+    that falls short of its need, dt*f(B) outward, grows to 1.2x that need,
+    and the test repeats until the Picard condition holds; the
+    multiplicative growth also copes with transiently stiff steps where
+    additive inflation stalls. A grown candidate is evaluated once, by
+    interval_jacobian, whose value enclosures are f(B). After a candidate's
+    Jacobian leaves the enclosure domain, the search goes on with
+    interval_derivative and takes one Jacobian of the accepted box, so a
+    failing step fails where, and with the reason, the value enclosures give.
     """
     dt = cfg.dt
     x_ivs = _boxes_to_intervals(lo, hi)
     # one-sided extensions along the flow; grown per side only where deficient
     m_lo = [0.0] * 6
     m_hi = [0.0] * 6
-    for _ in range(40):
-        B = [Interval(l.lo - a, l.hi + b) for l, a, b in zip(x_ivs, m_lo, m_hi)]
-        fB = [iv.as_interval(v) for v in interval_derivative(B, u_iv, p)]
+    jacobian_ok = True
+    for k in range(40):
+        B = [_interval(l.lo - a, l.hi + b) for l, a, b in zip(x_ivs, m_lo, m_hi)]
+        J = None
+        if k and jacobian_ok:
+            fB = []
+            try:
+                J = interval_jacobian(B, u_iv, p, values=fB)
+            except ReachDomainError:
+                jacobian_ok = False
+        if J is None:
+            fB = [iv.as_interval(v) for v in interval_derivative(B, u_iv, p)]
         need_lo = [max(0.0, -dt * f.lo) + 1e-15 for f in fB]
         need_hi = [max(0.0, dt * f.hi) + 1e-15 for f in fB]
         if all(m >= n for m, n in zip(m_lo + m_hi, need_lo + need_hi)):
-            return B, fB
+            return B, fB, J if J is not None else interval_jacobian(B, u_iv, p)
         m_lo = [m if m >= n else 1.2 * n for m, n in zip(m_lo, need_lo)]
         m_hi = [m if m >= n else 1.2 * n for m, n in zip(m_hi, need_hi)]
         if max(m_lo + m_hi) > 1e6:
@@ -221,8 +241,7 @@ def reach_step(Z: Zonotope, u_set: Interval, p: PlateParams,
     """One dt step of the conservative linearization."""
     dt = cfg.dt
     lo, hi = (h.tolist() for h in zono_hull(Z))
-    B, fB = _apriori_box(lo, hi, u_set, p, cfg)
-    J_int = interval_jacobian(B, u_set, p)
+    B, fB, J_int = _apriori_box(lo, hi, u_set, p, cfg)
 
     u_c = u_set.mid
     c = Z.c.tolist()

@@ -50,11 +50,12 @@ def zono_reduce(Z: Zonotope, max_order: float) -> Zonotope:
     if Z.n_gen <= max_gen:
         return Z
     n_keep = max(max_gen - Z.dim, 0)
-    score = np.abs(Z.G).sum(axis=0) - np.abs(Z.G).max(axis=0)
+    A = np.abs(Z.G)
+    score = A.sum(axis=0) - A.max(axis=0)
     idx = np.argsort(score, kind="stable")
     drop = idx[:Z.n_gen - n_keep]
     keep = idx[Z.n_gen - n_keep:]
-    box = np.diag(np.abs(Z.G[:, drop]).sum(axis=1))
+    box = np.diag(A[:, drop].sum(axis=1))
     return Zonotope(Z.c, np.hstack([Z.G[:, keep], box]))
 
 

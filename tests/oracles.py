@@ -541,10 +541,12 @@ class RefDual:
         return RefDual(q, [ref_term(-ref_term(b, q), inv) for b in self._beside(q)])
 
     def __pow__(self, n):
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        # one chain rule: v ** n, with the factor n * v ** (n - 1) (2 * v
+        # for a square)
+        if n == 1:
+            return self
+        v = self.val
+        return _ref_chain(self, v ** n, n * (v if n == 2 else v ** (n - 1)))
 
 
 def _ref_chain(x, val, dval):

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import warnings
@@ -6,9 +7,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from seedwing import cli, mlp
-from seedwing.cli import (_apply_config, build_parser, finite_float, float_list, main,
-                          non_negative_int, positive_float, positive_float_list,
-                          positive_int)
+from seedwing.cli import (_apply_config, build_parser, finite_float, main,
+                          non_negative_int, positive_float, positive_int)
 from seedwing.verifier import LinConstraint, PropertySpec, robustness_sweep
 
 
@@ -583,13 +583,25 @@ BAD_INPUT_NAMES = {
 }
 
 
+def _parses_floats(kind) -> bool:
+    """Whether the argparse type `kind` turns "0.5" into a float or a tuple
+    of floats: the float flags, whatever their type is named."""
+    if kind is None:
+        return False
+    try:
+        value = kind("0.5")
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    values = value if isinstance(value, tuple) else (value,)
+    return bool(values) and all(isinstance(v, float) for v in values)
+
+
 # every number flag of every command, each given a non-finite value; the
 # first four once ended in a traceback past the parser
 NUMBER_FLAGS = [(name, action.option_strings[-1])
                 for name, sp in build_parser().commands.items()
                 for action in sp.options.values()
-                if action.type in (finite_float, positive_float, float_list,
-                                   positive_float_list)]
+                if _parses_floats(action.type)]
 NON_FINITE = [
     (["simulate", "--x6-start", "nan"], ""),
     (["verify", "--net", "NET", "--property", "1", "--ystar", "nan"], ""),

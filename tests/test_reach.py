@@ -62,7 +62,8 @@ def linear_core(A, B):
 
 def step_internals(Z, u, p, cfg):
     """reach_step's next zonotope, and the (arguments, return value) of its
-    calls to reach._apriori_box, interval_jacobian and _remainder."""
+    calls to reach._apriori_box, which returns the a-priori box B, f(B) and
+    J_int, and _remainder."""
     calls = {}
 
     def recorder(name):
@@ -73,7 +74,7 @@ def step_internals(Z, u, p, cfg):
             return calls[name][1]
         return call
 
-    names = ("_apriori_box", "interval_jacobian", "_remainder")
+    names = ("_apriori_box", "_remainder")
     with mock.patch.multiple(reach, **{n: recorder(n) for n in names}):
         Z_next = reach_step(Z, u, p, cfg)
     return Z_next, calls
@@ -204,8 +205,10 @@ class TestJacobianLanes:
             J_c = calls["_remainder"][0][4]
             lo, hi = (h.tolist() for h in zono_hull(Z))
             fB = [iv.as_interval(v) for v in interval_derivative(B, u, p)]
-            want = remainder_intervals(lo, hi, Z.c.tolist(), calls["interval_jacobian"][1],
-                                       J_c, u, fB, cfg.dt)
+            J_int = calls["_apriori_box"][1][2]
+            assert [[_bits(e) for e in row] for row in J_int] == \
+                [[_bits(e) for e in row] for row in interval_jacobian(B, u, p)]
+            want = remainder_intervals(lo, hi, Z.c.tolist(), J_int, J_c, u, fB, cfg.dt)
             assert [_bits(Interval(a, b)) for a, b in zip(*calls["_remainder"][1])] == \
                 [_bits(Interval(a, b)) for a, b in zip(*want)]
 
@@ -238,6 +241,39 @@ def plate_boxes(draw):
 STRUCTURAL_ZEROS = ([(i, j) for i in range(6) for j in (4, 5)]
                     + [(3, j) for j in (0, 1, 3, 6)] + [(2, 3)]
                     + [(i, j) for i in (4, 5) for j in (2, 6)])
+
+
+class TestJacobianValues:
+    """The a-priori search reads f(B) from the interval Jacobian's own
+    evaluation, so its value enclosures must be interval_derivative's over
+    the same box, bit for bit."""
+
+    @staticmethod
+    def value_bits(box, u, p):
+        values = []
+        interval_jacobian(box, u, p, values=values)
+        want = [iv.as_interval(v) for v in interval_derivative(box, u, p)]
+        return [_bits(v) for v in values], [_bits(v) for v in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(plate_boxes())
+    def test_values_equal_interval_derivative_on_random_boxes(self, params, box_u):
+        try:
+            got, want = self.value_bits(*box_u, params)
+        except ReachDomainError:
+            assume(False)
+        assert got == want
+
+    def test_values_equal_interval_derivative_on_reach_paper_hulls(self, params):
+        """The hulls of 1500 reach-paper steps (naive cell 0's actuation)."""
+        cfg = ReachConfig(dt=1e-4)
+        u = Interval(0.19027, 0.19113)
+        Z = initial_zonotope(1.43, 1.60875)
+        for k in range(1500):
+            hull = [Interval(a, b) for a, b in zip(*zono_hull(Z))]
+            got, want = self.value_bits(hull, u, params)
+            assert got == want, k
+            Z = reach_step(Z, u, params, cfg)
 
 
 class TestStructuralZeros:
@@ -459,9 +495,10 @@ def run_states(params, heavy_params, heavy_settled):
 
 class TestMidpointStep:
     """The step linearizes about the interval Jacobian's midpoint and builds
-    its a-priori box from the hull, so it evaluates the plate core four times:
-    the float centre, about two interval derivatives and one interval
-    Jacobian, and never the point Jacobian."""
+    its a-priori box from the hull: it evaluates the plate core on the float
+    centre, once as an interval derivative (the hull probe) and once as an
+    interval Jacobian per grown candidate, whose values the Picard test
+    reads, and never as the point Jacobian."""
 
     def test_reach_paper_calls_per_step(self, params):
         cfg = ReachConfig(dt=1e-4)
@@ -469,12 +506,40 @@ class TestMidpointStep:
         Z = initial_zonotope(1.43, 1.60875)
         with mock.patch.object(reach, "interval_derivative",
                                wraps=reach.interval_derivative) as derivs, \
+                mock.patch.object(reach, "interval_jacobian",
+                                  wraps=reach.interval_jacobian) as jacobians, \
                 mock.patch.object(reach, "point_jacobian",
                                   wraps=reach.point_jacobian) as points:
             for _ in range(200):
                 Z = reach_step(Z, u, params, cfg)
-        assert derivs.call_count <= 2.1 * 200
+        assert derivs.call_count == 200
+        assert 200 <= jacobians.call_count <= 1.2 * 200
         assert points.call_count == 0
+
+    def test_refused_jacobian_finishes_as_derivative_search(self, params):
+        """A grown candidate whose Jacobian leaves the enclosure domain: the
+        search goes on with interval_derivative and takes one Jacobian of the
+        accepted box, so the step's set is the same."""
+        cfg = ReachConfig(dt=1e-4)
+        u = Interval(0.19027, 0.19113)
+        Z = initial_zonotope(1.43, 1.60875)
+        want = reach_step(Z, u, params, cfg)
+        jacobian = reach.interval_jacobian
+
+        def refuse_candidates(x_ivs, u_iv, p, values=None):
+            if values is not None:
+                raise ReachDomainError("refused")
+            return jacobian(x_ivs, u_iv, p)
+
+        with mock.patch.object(reach, "interval_jacobian",
+                               side_effect=refuse_candidates) as jacobians, \
+                mock.patch.object(reach, "interval_derivative",
+                                  wraps=reach.interval_derivative) as derivs:
+            got = reach_step(Z, u, params, cfg)
+        assert got.c.tobytes() == want.c.tobytes()
+        assert got.G.tobytes() == want.G.tobytes()
+        assert jacobians.call_count == 2
+        assert derivs.call_count >= 2
 
     def test_linearization_matrix_is_jacobian_midpoint(self, params, heavy_params,
                                                        heavy_settled):
@@ -486,7 +551,7 @@ class TestMidpointStep:
                              (initial_zonotope(1.43, 1.60875), Interval(0.19027, 0.19113),
                               params, ReachConfig(dt=1e-4))]:
             _, calls = step_internals(Z, u, p, cfg)
-            J_c, J_int = calls["_remainder"][0][4], calls["interval_jacobian"][1]
+            J_c, J_int = calls["_remainder"][0][4], calls["_apriori_box"][1][2]
             for i in range(6):
                 for j in range(7):
                     J = J_int[i][j]
