@@ -11,7 +11,8 @@ enclosures and Jacobians. Trajectories step rk4_step in the one loop of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from . import intervals as iv
 
@@ -27,6 +28,8 @@ U_CENTER = 0.187
 ALPHA_LO = -math.pi / 2
 ALPHA_HI = 0.0
 ALPHA_MARGIN = 1e-9
+
+_HALF_PI = math.pi / 2
 
 # the paper's 20 s horizon, integrated at 0.01 s
 T_END = 20.0
@@ -48,7 +51,9 @@ class PlateParams:
     """Mechanical and aerodynamic constants of the glider.
 
     Angles alpha0 / delta_s are stored in radians (defaults converted from
-    the tabulated degrees).
+    the tabulated degrees). The constant factors of the core's formulas are
+    computed once per instance, each in the order of operations of the
+    formula it stands in.
     """
 
     ell: float = 0.07
@@ -77,20 +82,56 @@ class PlateParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"PlateParams.{name} must be > 0")
 
-    @property
+    @cached_property
     def m_eff(self) -> float:
         """Effective gravitational mass m': the buoyancy-corrected mass of
         the elliptical section."""
         return self.mass - self.rho_f * math.pi * self.a_semi * self.b_semi
 
-    @property
+    @cached_property
     def added_mass(self) -> float:
         return math.pi * self.rho_f * self.ell ** 2 / 4.0
 
+    @cached_property
+    def _weight(self) -> float:
+        """m' g, the buoyancy-corrected weight."""
+        return self.m_eff * self.g
+
+    @cached_property
+    def _mass_total(self) -> float:
+        """m + m_a, the mass with the added mass."""
+        return self.mass + self.added_mass
+
+    @cached_property
+    def _inertia_mass(self) -> float:
+        return self.mass * (self.a_semi ** 2 + self.b_semi ** 2)
+
+    @cached_property
+    def _rho_l4(self) -> float:
+        return self.rho_f * self.ell ** 4
+
+    @cached_property
+    def _half_rho_l(self) -> float:
+        return 0.5 * self.rho_f * self.ell
+
+    @cached_property
+    def _rot_lift_x(self) -> float:
+        """-rho l^2 c_r / 2, the x' rotational-lift factor of x3 * vy."""
+        return -0.5 * self.rho_f * self.ell ** 2 * self.cr
+
+    @cached_property
+    def _rot_lift_y(self) -> float:
+        """rho l^2 c_r / 2, the y' rotational-lift factor of x3 * x1."""
+        return 0.5 * self.rho_f * self.ell ** 2 * self.cr
+
+    @cached_property
+    def _damping(self) -> float:
+        """-rho l^4 c_d90 / 128, the rotational damping factor."""
+        return -(1.0 / 128.0) * self.rho_f * self.ell ** 4 * self.cd90
+
     def inertia(self, e_x):
         # dimensional reading of the dimensionless appendix formula: I* * rho*l^4
-        return (self.mass * (self.a_semi ** 2 + self.b_semi ** 2)
-                + self.rho_f * self.ell ** 4 * (1.0 / 32.0 + e_x * e_x))
+        return self._inertia_mass + self._rho_l4 * (1.0 / 32.0 + e_x * e_x)
 
 
 @dataclass(frozen=True)
@@ -105,9 +146,10 @@ class State:
     x6: float  # world y position
 
     def __post_init__(self):
-        for name in ("x1", "x2", "x3", "x4", "x5", "x6"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"State.{name} is not finite")
+        if not all(map(math.isfinite, self.as_tuple())):
+            bad = next(f.name for f in fields(self)
+                       if not math.isfinite(getattr(self, f.name)))
+            raise ValueError(f"State.{bad} is not finite")
 
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)
@@ -130,7 +172,7 @@ def _coeffs_abs(aa, p: PlateParams):
     s2 = sin_aa ** 2
     c_drag = f * (p.cd0 + p.cd1 * s2) + g * p.cd90 * s2
     l_cp = p.ell * (f * (p.ccp0 - p.ccp1 * aa ** 2)
-                    + p.ccp2 * g * (1.0 - aa / (math.pi / 2)))
+                    + p.ccp2 * g * (1.0 - aa / _HALF_PI))
     return f, c_lift, c_drag, l_cp
 
 
@@ -139,19 +181,18 @@ def _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p: PlateParams):
     tau_r for generic scalars; vy is the y' flow at the centre of mass."""
     l_cm = e_x * p.ell
     spd = iv.sqrt(x1 * x1 + vy * vy)
-    half_rho_l = 0.5 * p.rho_f * p.ell
+    half_rho_l = p._half_rho_l
     # lift carries -x1 in the y' slot so that tau_t below is exactly the
     # lever arm times the y' aerodynamic force (and the lift is the
     # perpendicular Kutta force for c_lift < 0)
     k_lift = half_rho_l * c_lift * spd
     k_drag = -half_rho_l * c_drag * spd
     lift_t = (k_lift * vy, -k_lift * x1)
-    lift_r = (-0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * vy,
-              0.5 * p.rho_f * p.ell ** 2 * p.cr * x3 * x1)
+    lift_r = (p._rot_lift_x * x3 * vy, p._rot_lift_y * x3 * x1)
     drag = (k_drag * x1, k_drag * vy)
     tau_t = -half_rho_l * spd * (c_lift * x1 + c_drag * vy) * (l_cp - l_cm)
     bracket = (2.0 * e_x + 1.0) ** 4 + (2.0 * e_x - 1.0) ** 4
-    tau_r = -(1.0 / 128.0) * p.rho_f * p.ell ** 4 * p.cd90 * x3 * iv.absval(x3) * bracket
+    tau_r = p._damping * x3 * iv.absval(x3) * bracket
     return lift_t, lift_r, drag, tau_t, tau_r
 
 
@@ -171,12 +212,12 @@ def _derivative_core(x, e_x, p: PlateParams):
     (lt_x, lt_y), (lr_x, lr_y), (d_x, d_y), tau_t, tau_r = \
         _aero_terms(x1, vy, x3, e_x, c_lift, c_drag, l_cp, p)
 
-    m, ma, mp_g = p.mass, p.added_mass, p.m_eff * p.g
+    m, ma, m_tot, mp_g = p.mass, p.added_mass, p._mass_total, p._weight
     c4, s4 = iv.cos(x4), iv.sin(x4)
     dx3 = (tau_t + tau_r) / p.inertia(e_x)
     dx2 = (-m * x3 * x1 + ma * dx3 * l_cm + lt_y + lr_y + d_y
-           - mp_g * c4) / (m + ma)
-    dx1 = ((m + ma) * x3 * x2 - ma * x3 * x3 * l_cm + lt_x + lr_x + d_x
+           - mp_g * c4) / m_tot
+    dx1 = (m_tot * x3 * x2 - ma * x3 * x3 * l_cm + lt_x + lr_x + d_x
            - mp_g * s4) / m
     return (dx1, dx2, dx3, x3, x1 * c4 - x2 * s4, x1 * s4 + x2 * c4)
 
@@ -211,18 +252,28 @@ def rk4_step(s: State, u, p: PlateParams, dt: float, t: float = 0.0) -> State:
         raise ValueError("dt must be >= 0")
     f = _deriv_raw
     e_x = float(u)
-    x = s.as_tuple()
+    x = x1, x2, x3, x4, x5, x6 = s.x1, s.x2, s.x3, s.x4, s.x5, s.x6
     h = 0.5 * dt
+    # written out over the six entries for speed; each entry keeps the
+    # operation order of x + h * k and x + dt * (k1 + 2 k2 + 2 k3 + k4) / 6,
+    # so the step equals the loop form bit for bit (tests/oracles.py)
     try:
-        # a stage at an infinite state fails in a math function (cos(inf)),
-        # and State rejects a non-finite entry
-        k1 = f(x, e_x, p)
-        k2 = f(tuple(a + h * k for a, k in zip(x, k1)), e_x, p)
-        k3 = f(tuple(a + h * k for a, k in zip(x, k2)), e_x, p)
-        k4 = f(tuple(a + dt * k for a, k in zip(x, k3)), e_x, p)
-        return State(*(a + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-                       for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)))
-    except ValueError:
+        # a stage at an infinite state fails in a math function (cos(inf))
+        # or overflows in a power, and State rejects a non-finite entry
+        a1, a2, a3, a4, a5, a6 = f(x, e_x, p)
+        b1, b2, b3, b4, b5, b6 = f((x1 + h * a1, x2 + h * a2, x3 + h * a3,
+                                    x4 + h * a4, x5 + h * a5, x6 + h * a6), e_x, p)
+        c1, c2, c3, c4, c5, c6 = f((x1 + h * b1, x2 + h * b2, x3 + h * b3,
+                                    x4 + h * b4, x5 + h * b5, x6 + h * b6), e_x, p)
+        d1, d2, d3, d4, d5, d6 = f((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
+                                    x4 + dt * c4, x5 + dt * c5, x6 + dt * c6), e_x, p)
+        return State(x1 + dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0,
+                     x2 + dt * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0,
+                     x3 + dt * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0,
+                     x4 + dt * (a4 + 2.0 * b4 + 2.0 * c4 + d4) / 6.0,
+                     x5 + dt * (a5 + 2.0 * b5 + 2.0 * c5 + d5) / 6.0,
+                     x6 + dt * (a6 + 2.0 * b6 + 2.0 * c6 + d6) / 6.0)
+    except (ValueError, OverflowError):
         raise IntegrationDivergedError(t + dt) from None
 
 

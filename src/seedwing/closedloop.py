@@ -172,19 +172,20 @@ def simulate_closed_loop(s0: State, ctrl, cfg: SimConfig, p: PlateParams,
     tr = Trace()
     s = s0
     u = None
-    for k in range(round(cfg.t_end / cfg.dt_model)):
-        if k % cfg.steps_per_control == 0:
+    dt, per_control = cfg.dt_model, cfg.steps_per_control
+    for k in range(round(cfg.t_end / dt)):
+        if k % per_control == 0:
             u = float(ctrl(s))
             if record is not None:
-                record(k // cfg.steps_per_control, s, target_error(s), u)
+                record(k // per_control, s, target_error(s), u)
         if k == 0:
             tr.append(0.0, s, u)
         try:
-            s = rk4_step(s, u, p, cfg.dt_model, t=k * cfg.dt_model)
+            s = rk4_step(s, u, p, dt, t=k * dt)
         except IntegrationDivergedError as exc:
             raise IntegrationDivergedError(
-                exc.t, f"(control step {k // cfg.steps_per_control})") from exc
-        t = (k + 1) * cfg.dt_model
+                exc.t, f"(control step {k // per_control})") from exc
+        t = (k + 1) * dt
         tr.append(t, s, u)
         if strict:
             check_alpha_region(s, u, p, t)

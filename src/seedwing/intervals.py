@@ -173,11 +173,15 @@ class Interval:
             return NotImplemented
         if n == 0:
             return Interval(1.0, 1.0)
-        if n % 2 == 1 or self.lo >= 0:
-            return _iv(self.lo ** n, self.hi ** n)
-        if self.hi <= 0:
-            return _iv(self.hi ** n, self.lo ** n)
-        return _iv(0.0, max(self.lo ** n, self.hi ** n))
+        try:
+            if n % 2 == 1 or self.lo >= 0:
+                return _iv(self.lo ** n, self.hi ** n)
+            if self.hi <= 0:
+                return _iv(self.hi ** n, self.lo ** n)
+            return _iv(0.0, max(self.lo ** n, self.hi ** n))
+        except OverflowError:
+            # an endpoint's power leaves the floats, as a product's would
+            raise IntervalDomainError(f"interval power overflows: {self!r} ** {n}") from None
 
 
 def _wave(x: Interval, fn, peak: float) -> Interval:

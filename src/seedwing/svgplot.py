@@ -6,13 +6,16 @@ which downstream checks can count.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 WIDTH, HEIGHT = 640, 480
 BAND_COLOR = "#f2d0d0"
 LINE_COLOR = "#444444"
+
+
+def escape(text: str) -> str:
+    """text with &, < and > as XML entities, for character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class SvgPlot:

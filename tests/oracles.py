@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Each lives apart from the implementation it checks: a clean-room scalar
-transcription of the plate aerodynamics, an exact-rational Fourier-Motzkin
-feasibility decision, a vertex-enumeration LP optimizer, a row-by-row
-simplex pivot, an exhaustive activation-pattern verification oracle,
+transcription of the plate aerodynamics, the RK4 step as a loop over the
+state (one tuple per stage, one generator per sum), an exact-rational
+Fourier-Motzkin feasibility decision, a vertex-enumeration LP optimizer,
+a row-by-row simplex pivot, an exhaustive activation-pattern verification oracle,
 branch and bound with a node LP for every pending conclusion row,
 plain interval bound propagation, per-row pre-activations, the network on
 its normalized input with its output denormalized, the doubled-network
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from seedwing import aeromodel
 from seedwing import intervals as iv
 from seedwing import mlp, robust, verifier
 from seedwing.closedloop import normalize
@@ -77,6 +79,22 @@ def plate_forces_oracle(state, e_x, p):
         "tau_t": tau_t, "tau_r": tau_r,
         "deriv": (d1, d2, d3, x3, d5, d6),
     }
+
+
+def rk4_step_loops(s, u, p, dt):
+    """One classical RK4 step of the plate core as a loop over the six
+    entries: each stage one tuple, each weighted sum one generator. Returns
+    the next state's entries as a tuple."""
+    f = aeromodel._derivative_core
+    e_x = float(u)
+    x = s.as_tuple()
+    h = 0.5 * dt
+    k1 = f(x, e_x, p)
+    k2 = f(tuple(a + h * k for a, k in zip(x, k1)), e_x, p)
+    k3 = f(tuple(a + h * k for a, k in zip(x, k2)), e_x, p)
+    k4 = f(tuple(a + dt * k for a, k in zip(x, k3)), e_x, p)
+    return tuple(a + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedwing import aeromodel
-from seedwing.aeromodel import (AlphaRegionError, IntegrationDivergedError,
-                                PlateParams, State, _aero_terms, _coeffs_abs,
-                                _deriv_raw, angle_of_attack, mean_glide_slope,
-                                rk4_step, selection_fraction)
+from seedwing.aeromodel import (EX_MAX, EX_MIN, AlphaRegionError,
+                                IntegrationDivergedError, PlateParams, State,
+                                _aero_terms, _coeffs_abs, _deriv_raw,
+                                angle_of_attack, mean_glide_slope, rk4_step,
+                                selection_fraction)
 from seedwing.closedloop import simulate_open_loop
-from oracles import plate_forces_oracle
+from oracles import plate_forces_oracle, rk4_step_loops
 
 DEG = math.pi / 180.0
 
@@ -260,6 +263,17 @@ class TestRk4:
         e1 = np.linalg.norm(run(2e-3, 1) - ref)
         e2 = np.linalg.norm(run(1e-3, 2) - ref)
         assert 10.0 <= e1 / e2 <= 22.0
+
+    @pytest.mark.parametrize("p", [PlateParams(), PlateParams(mass=0.02)],
+                             ids=["paper", "heavy"])
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-30.0, 30.0),
+                     st.floats(-4.0, 4.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+           st.floats(EX_MIN, EX_MAX), st.floats(1e-4, 0.05))
+    def test_bit_identical_to_loop_form(self, p, x, u, dt):
+        s = rk4_step(State(*x), u, p, dt)
+        ref = rk4_step_loops(State(*x), u, p, dt)
+        assert [v.hex() for v in s.as_tuple()] == [v.hex() for v in ref]
 
     def test_divergence_error_carries_time(self, params, monkeypatch):
         def blow(x, e_x, p):

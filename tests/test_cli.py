@@ -9,6 +9,7 @@ import pytest
 from seedwing import cli, mlp
 from seedwing.cli import (_apply_config, build_parser, finite_float, main,
                           non_negative_int, positive_float, positive_int)
+from seedwing.svgplot import SvgPlot
 from seedwing.verifier import LinConstraint, PropertySpec, robustness_sweep
 
 
@@ -20,6 +21,14 @@ def workdir(tmp_path_factory, naive_net):
                  "--norm-out", str(d / "norm.json")]) == 0
     mlp.save(naive_net, d / "net.json")
     return d
+
+
+def test_svg_title_round_trips(tmp_path):
+    plot = SvgPlot(title="a<b & c>d")
+    plot.add_polyline([(0.0, 0.0), (1.0, 1.0)])
+    plot.write(tmp_path / "t.svg")
+    root = ET.parse(tmp_path / "t.svg").getroot()
+    assert [e.text for e in root.iter() if e.tag.endswith("title")] == ["a<b & c>d"]
 
 
 class TestSimulate:
@@ -472,6 +481,7 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
     (["robust-sweep", "--net", "NET", "--data", "DATA", "--query-budget-s", "-1"], ""),
     (["robust-sweep", "--net", "NET", "--data", "DATA", "--cell-budget-s", "0"], ""),
     (["robust-sweep", "--net", "NET", "--data", "DATA", "--cell-budget-s", "-1"], ""),
+    (["simulate", "--ex", "1e80", "--t-end", "1"], ""),
 ], ids=["empty-layers", "layers-not-list", "config-not-json", "config-not-object",
         "config-section-not-object", "zero-splits", "dt-not-dividing", "reach-zero-dt",
         "reach-negative-dt", "reach-zero-t-end", "sim-dt-not-dividing",
@@ -501,7 +511,7 @@ def test_one_layer_network_with_normalization_verifies(tmp_path, capsys):
         "verify-zero-budget", "verify-negative-budget", "critical-zero-budget",
         "critical-negative-budget", "sweep-zero-query-budget",
         "sweep-negative-query-budget", "sweep-zero-cell-budget",
-        "sweep-negative-cell-budget"])
+        "sweep-negative-cell-budget", "sim-overflow-actuation"])
 def test_bad_input_one_line_error(argv, text, workdir, tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -568,6 +578,7 @@ BAD_INPUT_NAMES = {
     "train-adv-negative-seed": "argument --seed: must be >= 0, got -1",
     "reach-fractional-max-order": "max_order must be >= 1, got 0.5",
     "sim-diverged-domain": "integration diverged at t=",
+    "sim-overflow-actuation": "integration diverged at t=0.01s",
     "sim-open-dt-not-dividing": "t_end 1.0 is not a multiple of",
     "sim-dt-above-control": "dt_control 0.5 is not a multiple of dt_model",
     "reach-dt-above-control": "dt_control 0.5 is not a multiple of dt",

@@ -60,6 +60,19 @@ def test_division_by_zero_straddling_interval():
         Interval(1.0, 2.0) / 0.0
 
 
+def test_power_overflow_raises_domain_error():
+    with pytest.raises(IntervalDomainError, match="power overflows"):
+        Interval(1e200, 1e201) ** 2
+    with pytest.raises(IntervalDomainError, match="power overflows"):
+        Interval(-1e201, 1e200) ** 4
+
+
+def test_dual_power_overflow_raises_domain_error():
+    x = Dual.seed([Interval(1e200, 1e201)], kind=Interval)[0]
+    with pytest.raises(IntervalDomainError, match="power overflows"):
+        x ** 2
+
+
 def test_square_of_sign_straddling_contains_zero():
     sq = Interval(-2.0, 1.0) ** 2
     assert sq.lo <= 0.0 <= sq.hi and contains(sq, 4.0) and contains(sq, 0.25)

@@ -140,6 +140,16 @@ class TestJacobians:
         with pytest.raises(ReachDomainError):
             interval_jacobian(box, Interval(0.187), params)
 
+    def test_power_overflow_raises_domain_error(self, params, monkeypatch):
+        def squares_x1(x, u, p):
+            return [x[0] ** 2, x[1], x[2], x[3], x[4], x[5]]
+
+        squares_x1.reads = (0,)
+        monkeypatch.setattr(reach, "_derivative_core", squares_x1)
+        box = [Interval(1e200, 1e201)] + [Interval(0.0)] * 5
+        with pytest.raises(ReachDomainError, match="power overflows"):
+            interval_derivative(box, Interval(0.187), params)
+
 
 def plate_all_lanes(x, u, p):
     """The plate core declaring all six state entries read: every entry
